@@ -15,9 +15,8 @@ from .errors import (AttractiveCouplingWarning, QuadratureError, ResolutionError
 from .laguerre import (OdeCoefficients, laguerre, laguerre_derivative,
                        ode_coefficients, resolve_r_denominator, x1_laguerre,
                        xm_denominator, xm_laguerre, xm_ode_residual)
-from .model import (Configuration, DerivedParams, ExtConstants, ModelParams,
-                    derived_params, energy_level, ext_constants, v_eff_radial,
-                    v_interaction, v_new, v_new_x1_two_term)
+from .model import (Configuration, ExtConstants, ModelParams, energy_level, ext_constants,
+                    v_eff_radial, v_interaction, v_new, v_new_x1_two_term)
 from .quadrature import QuadratureSpec
 from .solver import RadialGrid, richardson, solver_grid, sturm_count
 from .wavefunctions import (count_nodes, default_node_grid, default_quadrature,
@@ -35,9 +34,8 @@ __all__ = [
     "AttractiveCouplingWarning", "QuadratureError", "ResolutionError", "ValidationError",
     "laguerre", "laguerre_derivative", "x1_laguerre", "xm_laguerre", "xm_denominator",
     "OdeCoefficients", "ode_coefficients", "xm_ode_residual", "resolve_r_denominator",
-    "ModelParams", "Configuration", "ExtConstants", "DerivedParams",
-    "derived_params", "energy_level", "v_interaction", "v_new", "v_new_x1_two_term",
-    "ext_constants", "v_eff_radial",
+    "ModelParams", "Configuration", "ExtConstants", "energy_level", "v_interaction",
+    "v_new", "v_new_x1_two_term", "ext_constants", "v_eff_radial",
     "QuadratureSpec", "RadialGrid", "solver_grid", "sturm_count", "richardson",
     "radial_eigenfunction", "jastrow", "manybody_groundstate", "norm",
     "radial_inner_product", "count_nodes", "default_node_grid", "default_quadrature",

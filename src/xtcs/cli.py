@@ -3,7 +3,8 @@
 Subcommands: params, table, verify, local-energy.  Configuration is a JSON
 file with exactly the keys {"N", "lambda", "r", "omega", "s", "m"}; runtime
 knobs are flags and override anything implied by the config.  Exit codes:
-0 success, 1 usage or configuration error, 2 genuine verification failure.
+0 success, 1 usage or configuration error or a numerical-range error that
+stops a suite, 2 genuine verification failure.
 Output is deterministic for a fixed config and seed; floats in tables and
 text reports are printed with 17 significant digits.
 """
@@ -14,26 +15,20 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError
+from .errors import QuadratureError, ResolutionError, ValidationError
 from .manybody import constancy_scan
-from .model import ModelParams, derived_params, energy_level, ext_constants, v_eff_radial
-from .laguerre import xm_laguerre
+from .model import ModelParams, energy_level, ext_constants, turning_point_g, v_eff_radial
 from .solver import solver_grid
-from .verify import (VerificationReport, consistency_suite, isospectrality_check,
-                     ode_residual, orthogonality_matrix, spectrum_csv_rows, thread_cap)
+from .verify import (VerificationReport, _fmt, consistency_suite, isospectrality_check,
+                     ode_residual, orthogonality_matrix, spectrum_csv_rows)
 from .wavefunctions import count_nodes, radial_eigenfunction
 
 SUITES = ("residual", "spectrum", "ortho", "consistency", "local-energy")
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--levels", type=int, default=4)
     sp.add_argument("--level", type=int, default=0, help="level n for the wavefunction table")
     sp.add_argument("--out", metavar="DIR", default=None)
-    sp.add_argument("--dump-polynomials", metavar="PATH", default=None, help=argparse.SUPPRESS)
 
     sp = sub.add_parser("verify", help="run verification suites, write reports")
     add_config(sp)
@@ -115,20 +109,19 @@ def _open_out(out_dir, name):
 
 def cmd_params(args) -> int:
     p = load_params(args.config)
-    d = derived_params(p)
     energies = [energy_level(n, p) for n in range(5)]
     constants = ext_constants(p) if p.ext_index == 1 else None
     if args.json:
-        doc = {"params": p.to_json_dict(), "tau": d.tau, "alpha": d.alpha,
-               "pair_count": d.pair_count,
+        doc = {"params": p.to_json_dict(), "tau": p.tau, "alpha": p.alpha,
+               "pair_count": p.pair_count,
                "energies": {f"E_{n}": e for n, e in enumerate(energies)}}
         if constants is not None:
             doc["x1_constants"] = dataclasses.asdict(constants)
         print(json.dumps(doc, indent=2))
         return 0
-    print(f"tau        = {_fmt(d.tau)}")
-    print(f"alpha      = {_fmt(d.alpha)}")
-    print(f"pair_count = {d.pair_count}")
+    print(f"tau        = {_fmt(p.tau)}")
+    print(f"alpha      = {_fmt(p.alpha)}")
+    print(f"pair_count = {p.pair_count}")
     for n, e in enumerate(energies):
         print(f"E_{n}        = {_fmt(e)}")
     if constants is not None:
@@ -138,22 +131,8 @@ def cmd_params(args) -> int:
     return 0
 
 
-def _dump_polynomials(p, path):
-    rows = []
-    alpha = p.alpha
-    for n in range(7):
-        for m in range(4):
-            for g in np.linspace(0.0, 10.0, 101):
-                rows.append((n, m, alpha, float(g), float(xm_laguerre(n, m, alpha, g))))
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_csv(rows, ("n", "m", "alpha", "g", "value"), fh)
-
-
 def cmd_table(args) -> int:
     p = load_params(args.config)
-    if args.dump_polynomials:
-        _dump_polynomials(p, args.dump_polynomials)
-
     if args.what == "spectrum":
         grid = solver_grid(p, args.levels, args.points) if args.points else None
         rows = spectrum_csv_rows(p, args.levels, grid)
@@ -161,7 +140,7 @@ def cmd_table(args) -> int:
                   "rel_err_conv", "rel_err_ext")
     else:
         n_points = args.points or 1001
-        rho_max = args.rho_max or float(np.sqrt((2 * (2 * args.level + p.alpha + 1) + 10) / p.omega))
+        rho_max = args.rho_max or float(np.sqrt(turning_point_g(args.level, p, 10) / p.omega))
         rho = np.linspace(rho_max / n_points, rho_max, n_points)
         g = p.omega * rho ** 2
         v_conv = v_eff_radial(rho, p, extended=False)
@@ -248,11 +227,13 @@ _SUITE_RUNNERS = {
 def cmd_verify(args) -> int:
     p = load_params(args.config)
     selected = list(SUITES) if args.suite == "all" else [args.suite]
-    runners = [(name, _SUITE_RUNNERS[name]) for name in selected]
-    with ThreadPoolExecutor(max_workers=min(thread_cap(), len(runners))) as pool:
-        reports = list(pool.map(lambda item: item[1](p, args), runners))
     all_passed = True
-    for name, report in zip(selected, reports):
+    for name in selected:
+        try:
+            report = _SUITE_RUNNERS[name](p, args)
+        except (QuadratureError, ResolutionError) as exc:
+            print(f"xtcs: error: suite {name}: {exc}", file=sys.stderr)
+            return 1
         all_passed &= report.passed
         print(f"{name}: {'PASS' if report.passed else 'FAIL'}")
         if args.out:

@@ -51,6 +51,7 @@ __all__ = [
     "OdeCoefficients",
     "ode_coefficients",
     "xm_ode_residual",
+    "r_variant_residuals",
     "resolve_r_denominator",
 ]
 
@@ -163,21 +164,19 @@ class OdeCoefficients:
     q            -- Q_m(g)
     r_linear     -- index-independent part of R_m(g), denominator L_m^(alpha)(-g)
     r_linear_shifted -- same part with denominator L_m^(alpha-1)(-g)
-    consistent   -- which denominator convention annihilates the closed-form
-                    polynomial ("alpha-1" or "alpha"), decided numerically
 
     The full zero-order coefficient is R_m(g) = (n+m)/g + r_linear_*, with
-    n+m the polynomial degree.
+    n+m the polynomial degree; `resolve_r_denominator` decides which
+    denominator convention annihilates the closed-form polynomial.
     """
 
     q: float
     r_linear: float
     r_linear_shifted: float
-    consistent: str
 
 
 def _coefficient_parts(m, alpha, g):
-    """(q, r_linear, r_linear_shifted) without the variant diagnosis."""
+    """(q, r_linear, r_linear_shifted) of the Xm equation at g > 0."""
     m = _check_index("m", m, 1)
     if alpha <= 0:
         raise ValidationError(f"alpha must be > 0, got {alpha}")
@@ -197,17 +196,11 @@ def ode_coefficients(m, alpha, g):
     Q_m(g) = (1/g) [ (alpha+1-g) - 2g L_{m-1}^(alpha)(-g) / L_m^(alpha-1)(-g) ]
 
     is unambiguous.  The linear part of R_m is -(2 alpha / g) times the ratio
-    L_{m-1}^(alpha)(-g) / L_m^(*)(-g) where * is either alpha or alpha-1; the
-    `consistent` field reports which variant the closed-form polynomial
-    actually satisfies (see `resolve_r_denominator`).
+    L_{m-1}^(alpha)(-g) / L_m^(*)(-g) where * is either alpha or alpha-1;
+    `resolve_r_denominator` reports which variant the closed-form polynomial
+    actually satisfies.
     """
-    q, r_linear, r_linear_shifted = _coefficient_parts(m, alpha, g)
-    return OdeCoefficients(
-        q=q,
-        r_linear=r_linear,
-        r_linear_shifted=r_linear_shifted,
-        consistent=resolve_r_denominator(),
-    )
+    return OdeCoefficients(*_coefficient_parts(m, alpha, g))
 
 
 def xm_ode_residual(n, m, alpha, g, r_denominator="alpha-1"):
@@ -237,6 +230,21 @@ def xm_ode_residual(n, m, alpha, g, r_denominator="alpha-1"):
     return float(g * y2 + g * q * y1 + g * r * y)
 
 
+def r_variant_residuals(probes):
+    """Worst scaled residual of each R variant over (n, m, alpha, g) probes.
+
+    Each residual is scaled by max(1, |y|) (n + m + alpha + g), the size of
+    the terms that cancel in it.  Returns {"alpha-1": worst, "alpha": worst}.
+    """
+    worst = {"alpha-1": 0.0, "alpha": 0.0}
+    for n, m, a, g in probes:
+        scale = max(1.0, abs(xm_laguerre(n, m, a, g))) * (n + m + a + g)
+        for variant in worst:
+            res = abs(xm_ode_residual(n, m, a, g, r_denominator=variant))
+            worst[variant] = max(worst[variant], res / scale)
+    return worst
+
+
 @lru_cache(maxsize=1)
 def resolve_r_denominator():
     """Decide which R denominator convention the closed forms satisfy.
@@ -246,18 +254,11 @@ def resolve_r_denominator():
     is at rounding level while the other is order unity.  The outcome is
     cached; it is a fixed mathematical fact, not parameter dependent.
     """
-    probes = [(n, m, a, g)
-              for n in (0, 1, 2, 3)
-              for m in (1, 2, 3)
-              for a in (1.0, 1.5, 4.0, 5.5)
-              for g in (0.5, 2.0, 11.3)]
-    worst = {"alpha-1": 0.0, "alpha": 0.0}
-    for n, m, a, g in probes:
-        y = abs(xm_laguerre(n, m, a, g))
-        scale = max(1.0, y) * (n + m + a + g)
-        for variant in worst:
-            res = abs(xm_ode_residual(n, m, a, g, r_denominator=variant))
-            worst[variant] = max(worst[variant], res / scale)
+    worst = r_variant_residuals((n, m, a, g)
+                                for n in (0, 1, 2, 3)
+                                for m in (1, 2, 3)
+                                for a in (1.0, 1.5, 4.0, 5.5)
+                                for g in (0.5, 2.0, 11.3))
     good = min(worst, key=worst.get)
     bad = max(worst, key=worst.get)
     if not (worst[good] < 1e-9 and worst[bad] > 1e-3):

@@ -15,20 +15,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AttractiveCouplingWarning, ValidationError
-from .laguerre import _lag, _maybe_scalar
+from .laguerre import _check_index, _lag, _maybe_scalar
 
 __all__ = [
     "ModelParams",
     "Configuration",
     "ExtConstants",
-    "DerivedParams",
-    "derived_params",
     "energy_level",
+    "turning_point_g",
     "v_interaction",
     "v_new",
     "v_new_x1_two_term",
@@ -179,22 +177,21 @@ class Configuration:
         return float(np.sqrt(np.sum(np.asarray(self.positions) ** 2)))
 
 
-class DerivedParams(NamedTuple):
-    tau: float
-    alpha: float
-    pair_count: int
-
-
-def derived_params(p: ModelParams) -> DerivedParams:
-    """tau, alpha, and the interacting-pair count for a parameter set."""
-    return DerivedParams(p.tau, p.alpha, p.pair_count)
-
-
 def energy_level(n, p: ModelParams) -> float:
     """E_n = omega (2n + alpha + 1); independent of the extension index m."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValidationError(f"n must be an integer >= 0, got {n!r}")
+    n = _check_index("n", n, 0)
     return p.omega * (2 * n + p.alpha + 1)
+
+
+def turning_point_g(n, p: ModelParams, margin: float) -> float:
+    """g = omega rho^2 at the classical turning point of level n,
+    2 E_n / omega = 2(2n + alpha + 1), plus `margin`.
+
+    Every default domain (solver, residual, quadrature and node grids) is
+    this turning point plus a margin of forbidden region chosen by the caller.
+    """
+    n = _check_index("n", n, 0)
+    return 2 * (2 * n + p.alpha + 1) + margin
 
 
 def v_interaction(c: Configuration, p: ModelParams) -> float:

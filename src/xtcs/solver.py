@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import ValidationError
-from .model import ModelParams, energy_level, v_eff_radial, v_new
+from .model import ModelParams, turning_point_g, v_eff_radial, v_new
 
 __all__ = [
     "RadialGrid",
@@ -77,14 +77,14 @@ class RadialGrid:
 def solver_grid(p: ModelParams, k: int, n_points: int = 20001) -> RadialGrid:
     """Default eigensolver grid for the lowest k levels.
 
-    The outer Dirichlet radius R satisfies w^2 R^2 / 2 = E_{k-1} + 15 w, so
-    the harmonic wall leaves ~15 quanta of classically forbidden margin; the
-    domain-truncation shift is then far below discretization error.
+    The outer Dirichlet radius R sits at g = w R^2 = turning point of level
+    k-1 plus 30, i.e. w^2 R^2 / 2 = E_{k-1} + 15 w, so the harmonic wall
+    leaves ~15 quanta of classically forbidden margin; the domain-truncation
+    shift is then far below discretization error.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    e_top = energy_level(k - 1, p)
-    radius = float(np.sqrt(2 * (e_top + 15 * p.omega)) / p.omega)
+    radius = float(np.sqrt(turning_point_g(k - 1, p, 30) / p.omega))
     h = radius / (n_points + 1)
     return RadialGrid(h, n_points * h, n_points)
 

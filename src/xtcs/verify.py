@@ -16,15 +16,14 @@ floor into its default tolerance instead of pretending to beat it.
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .laguerre import resolve_r_denominator, xm_laguerre, xm_ode_residual
-from .model import ModelParams, energy_level, ext_constants, v_new, v_new_x1_two_term
+from .laguerre import r_variant_residuals, resolve_r_denominator
+from .model import (ModelParams, energy_level, ext_constants, turning_point_g, v_new,
+                    v_new_x1_two_term)
 from .solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenpairs,
                      lowest_eigenvalues, matrix_norm1, richardson, solver_grid,
                      sturm_count)
@@ -49,25 +48,11 @@ __all__ = [
     "consistency_suite",
     "ConvergenceStudy",
     "convergence_orders",
-    "thread_cap",
 ]
 
 
-def thread_cap() -> int:
-    """Worker cap for independent verification jobs; XLAG_THREADS overrides."""
-    env = os.environ.get("XLAG_THREADS", "").strip()
-    default = min(4, os.cpu_count() or 1)
-    if not env:
-        return default
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValidationError(f"XLAG_THREADS must be an integer, got {env!r}")
-    return max(1, min(value, default if value <= 0 else value))
-
-
 def _fmt(x) -> str:
-    return f"{x:.17g}"
+    return f"{float(x):.17g}"
 
 
 @dataclass(frozen=True)
@@ -137,8 +122,7 @@ class VerificationReport:
 
 def default_residual_grid(n, p: ModelParams) -> RadialGrid:
     """Fine uniform grid for fourth-order FD residuals (h ~ 1e-3/sqrt(omega))."""
-    g_max = 2 * (2 * n + p.alpha + 1) + 10
-    rho_max = float(np.sqrt(g_max / p.omega))
+    rho_max = float(np.sqrt(turning_point_g(n, p, 10) / p.omega))
     h = 1e-3 / np.sqrt(p.omega)
     n_points = int(np.ceil((rho_max - 0.05) / h)) + 1
     return RadialGrid(0.05, rho_max, n_points)
@@ -162,7 +146,7 @@ def ode_residual(n, p: ModelParams, grid: RadialGrid | None = None,
     pot = 0.5 * p.omega ** 2 * rho ** 2 + v_new(rho, p)
     e_n = energy_level(n, p)
     resid = f2 + (p.tau / rho) * f1 + 2 * (e_n - pot) * f[2:-2]
-    scale = np.max(np.abs(f)) * p.omega * (2 * n + p.alpha + 1)
+    scale = np.max(np.abs(f)) * e_n
     return float(np.max(np.abs(resid)) / scale)
 
 
@@ -240,9 +224,8 @@ def numeric_spectrum(p: ModelParams, k: int, grid: RadialGrid | None = None,
     paired with the analytic ladder."""
     if grid is None:
         grid = solver_grid(p, k)
-    e_top = energy_level(k - 1, p)
     radius = grid.rho_max + grid.spacing
-    if 0.5 * p.omega ** 2 * radius ** 2 < (e_top + 15 * p.omega) * (1 - 1e-9):
+    if p.omega * radius ** 2 < turning_point_g(k - 1, p, 30) * (1 - 1e-9):
         raise ValidationError(
             f"grid radius {radius:.3f} too small for k = {k}: need w^2 R^2/2 >= E_(k-1) + 15 w")
     coarse = _solve(p, k, grid, extended, v_new_scale)
@@ -270,11 +253,8 @@ def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = N
     noise_floor = 25 * np.finfo(float).eps * matrix_norm1(d_fine, e_fine)
     if tol_iso is None:
         tol_iso = max(1e-8 * p.omega, noise_floor)
-    jobs = [(False, 1.0), (True, v_new_scale)]
-    with ThreadPoolExecutor(max_workers=min(thread_cap(), len(jobs))) as pool:
-        conv, ext = pool.map(
-            lambda job: numeric_spectrum(p, k, grid, extended=job[0], v_new_scale=job[1]),
-            jobs)
+    conv = numeric_spectrum(p, k, grid, extended=False)
+    ext = numeric_spectrum(p, k, grid, extended=True, v_new_scale=v_new_scale)
     report = VerificationReport("isospectrality of the extended radial problem", p)
     report.metadata.update({
         "k": k, "grid_points": grid.n_points, "tol_iso": tol_iso,
@@ -381,14 +361,8 @@ def consistency_suite(p: ModelParams) -> VerificationReport:
 
     # R-coefficient diagnosis on the closed-form polynomials.
     a = p.alpha
-    worst = {"alpha-1": 0.0, "alpha": 0.0}
-    for n in range(4):
-        for m in (1, 2, 3):
-            for g in (0.5, 2.0, a + 1.0, 11.3):
-                y_scale = max(1.0, abs(xm_laguerre(n, m, a, g))) * (n + m + a + g)
-                for variant in worst:
-                    res = abs(xm_ode_residual(n, m, a, g, r_denominator=variant))
-                    worst[variant] = max(worst[variant], res / y_scale)
+    worst = r_variant_residuals(
+        (n, m, a, g) for n in range(4) for m in (1, 2, 3) for g in (0.5, 2.0, a + 1.0, 11.3))
     resolved = resolve_r_denominator()
     rejected = "alpha" if resolved == "alpha-1" else "alpha-1"
     report.add(f"R coefficient, denominator parameter {resolved}: scaled residual",
@@ -431,8 +405,7 @@ def convergence_orders(p: ModelParams, k: int = 3, levels=(80, 160, 320, 640),
     if len(levels) < 3 or any(b != 2 * a for a, b in zip(levels[:-1], levels[1:])):
         raise ValidationError(f"levels must be >= 3 successive doublings, got {levels!r}")
     e_exact = np.array([energy_level(n, p) for n in range(k)])
-    e_top = float(e_exact[-1])
-    radius = float(np.sqrt(2 * (e_top + 15 * p.omega)) / p.omega)
+    radius = float(np.sqrt(turning_point_g(k - 1, p, 30) / p.omega))
     spectra = []
     for lev in levels:
         h = radius / lev

@@ -25,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import QuadratureError, ResolutionError, ValidationError
-from .laguerre import _lag, _maybe_scalar, xm_denominator, xm_laguerre
-from .model import Configuration, ModelParams
+from .laguerre import _check_index, _lag, _maybe_scalar, xm_denominator, xm_laguerre
+from .model import Configuration, ModelParams, turning_point_g
 from .quadrature import QuadratureSpec, panel_nodes
 from .solver import RadialGrid
 
@@ -47,12 +47,6 @@ X1_DENOMINATOR_FORMS = ("g_plus_alpha", "2g_plus_alpha")
 TAIL_TOLERANCE = 1e-10
 
 
-def _check_level(n):
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValidationError(f"n must be an integer >= 0, got {n!r}")
-    return int(n)
-
-
 def radial_eigenfunction(n, p: ModelParams, rho, x1_denominator="g_plus_alpha"):
     """Unnormalized radial eigenfunction Phi_n(rho); scalar or ndarray rho.
 
@@ -60,7 +54,7 @@ def radial_eigenfunction(n, p: ModelParams, rho, x1_denominator="g_plus_alpha"):
     denominator (g + alpha) and the inconsistent variant (2g + alpha) kept
     for negative tests.
     """
-    n = _check_level(n)
+    n = _check_index("n", n, 0)
     if x1_denominator not in X1_DENOMINATOR_FORMS:
         raise ValidationError(
             f"x1_denominator must be one of {X1_DENOMINATOR_FORMS}, got {x1_denominator!r}")
@@ -108,11 +102,10 @@ def manybody_groundstate(c: Configuration, p: ModelParams) -> float:
 def default_quadrature(p: ModelParams, n_max: int) -> QuadratureSpec:
     """Quadrature reaching well past the classical region of level n_max.
 
-    g_max = 2(2 n_max + alpha + 1) + 30 + 2 alpha: the extra alpha-dependent
+    g_max = turning point of n_max + 30 + 2 alpha: the extra alpha-dependent
     margin keeps the rho^tau growth from reviving the tail at large alpha.
     """
-    n_max = _check_level(n_max)
-    g_max = 2 * (2 * n_max + p.alpha + 1) + 30 + 2 * p.alpha
+    g_max = turning_point_g(n_max, p, 30 + 2 * p.alpha)
     rho_max = float(np.sqrt(g_max / p.omega))
     n_panels = max(8, int(np.ceil(g_max / 4)))
     return QuadratureSpec(rho_max=rho_max, omega=p.omega, n_panels=n_panels)
@@ -132,11 +125,10 @@ def _weighted_integral(f, p: ModelParams, quad: QuadratureSpec):
 
 def norm(n, p: ModelParams, quad: QuadratureSpec | None = None) -> float:
     """Squared-amplitude integral of Phi_n under the measure rho^tau d rho."""
-    n = _check_level(n)
     if quad is None:
         quad = default_quadrature(p, n)
     g_max = quad.omega * quad.rho_max ** 2
-    g_need = 2 * (2 * n + p.alpha + 1) + 20
+    g_need = turning_point_g(n, p, 20)
     if g_max < g_need:
         raise ValidationError(
             f"rho_max too small: omega rho_max^2 = {g_max:.3f} < {g_need:.3f} required for level {n}")
@@ -153,7 +145,7 @@ def norm(n, p: ModelParams, quad: QuadratureSpec | None = None) -> float:
 
 def radial_inner_product(i, j, p: ModelParams, quad: QuadratureSpec | None = None) -> float:
     """<Phi_i, Phi_j> under rho^tau d rho (unnormalized amplitudes)."""
-    i, j = _check_level(i), _check_level(j)
+    i, j = _check_index("i", i, 0), _check_index("j", j, 0)
     if quad is None:
         quad = default_quadrature(p, max(i, j))
     total, _ = _weighted_integral(
@@ -163,8 +155,7 @@ def radial_inner_product(i, j, p: ModelParams, quad: QuadratureSpec | None = Non
 
 def default_node_grid(n, p: ModelParams) -> RadialGrid:
     """Grid resolving the oscillations of Phi_n: >= 220 points per unit g."""
-    n = _check_level(n)
-    g_max = 2 * (2 * n + p.alpha + 1) + 10
+    g_max = turning_point_g(n, p, 10)
     rho_max = float(np.sqrt(g_max / p.omega))
     n_points = max(2001, int(np.ceil(220 * g_max)))
     return RadialGrid(rho_max / n_points, rho_max, n_points)
@@ -177,7 +168,7 @@ def count_nodes(n, p: ModelParams, grid: RadialGrid | None = None) -> int:
     pair of sign changes in adjacent cells (an unresolved near-tangency) is
     rejected rather than silently counted.
     """
-    n = _check_level(n)
+    n = _check_index("n", n, 0)
     if grid is None:
         grid = default_node_grid(n, p)
     g_span = p.omega * (grid.rho_max ** 2 - grid.rho_min ** 2)

@@ -194,7 +194,3 @@ def test_resolved_variant_annihilates_closed_form():
 def test_unshifted_variant_fails():
     bad = xm_ode_residual(1, 1, 1.0, 2.0, r_denominator="alpha")
     assert abs(bad) > 1e-2
-
-
-def test_diagnosis_recorded_on_coefficients():
-    assert ode_coefficients(3, 2.0, 1.0).consistent == "alpha-1"

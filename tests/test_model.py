@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from xtcs import (AttractiveCouplingWarning, Configuration, ModelParams,
-                  ValidationError, derived_params, energy_level, ext_constants,
+                  ValidationError, energy_level, ext_constants,
                   v_eff_radial, v_interaction, v_new, v_new_x1_two_term)
 from xtcs.wavefunctions import jastrow
 
@@ -44,10 +44,14 @@ def high_precision_v_new(m, alpha, omega, rho):
 
 # -- parameters ---------------------------------------------------------------
 
+def derived(p):
+    return p.tau, p.alpha, p.pair_count
+
+
 def test_derived_params_examples():
-    assert derived_params(ModelParams(2, 1.0, 1, 1.0)) == (3.0, 1.0, 1)
-    assert derived_params(make_params((4, 0.5, 3, 0, 2.0), 0)) == (9.0, 4.0, 6)
-    assert derived_params(make_params((3, 2.0, 1, 1, 1.0), 0)) == (12.0, 5.5, 2)
+    assert derived(ModelParams(2, 1.0, 1, 1.0)) == (3.0, 1.0, 1)
+    assert derived(make_params((4, 0.5, 3, 0, 2.0), 0)) == (9.0, 4.0, 6)
+    assert derived(make_params((3, 2.0, 1, 1, 1.0), 0)) == (12.0, 5.5, 2)
 
 
 def test_pair_count_limits():
