@@ -10,8 +10,8 @@ closed forms they check.
 
 __version__ = "0.1.0"
 
-from .errors import (AttractiveCouplingWarning, QuadratureError, ResolutionError,
-                     ValidationError)
+from .errors import (AttractiveCouplingWarning, NonFiniteError, QuadratureError,
+                     ResolutionError, ValidationError)
 from .laguerre import (OdeCoefficients, laguerre, laguerre_derivative,
                        ode_coefficients, resolve_r_denominator, x1_laguerre,
                        xm_denominator, xm_laguerre, xm_ode_residual)
@@ -30,8 +30,8 @@ from .verify import (ConvergenceStudy, SpectrumReport, VerificationReport,
 from .manybody import ConstancyStats, constancy_scan, local_energy, sample_configurations
 
 __all__ = [
-    "__version__",
-    "AttractiveCouplingWarning", "QuadratureError", "ResolutionError", "ValidationError",
+    "__version__", "AttractiveCouplingWarning", "NonFiniteError", "QuadratureError",
+    "ResolutionError", "ValidationError",
     "laguerre", "laguerre_derivative", "x1_laguerre", "xm_laguerre", "xm_denominator",
     "OdeCoefficients", "ode_coefficients", "xm_ode_residual", "resolve_r_denominator",
     "ModelParams", "Configuration", "ExtConstants", "energy_level", "v_interaction",

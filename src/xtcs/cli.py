@@ -3,8 +3,8 @@
 Subcommands: params, table, verify, local-energy.  Configuration is a JSON
 file with exactly the keys {"N", "lambda", "r", "omega", "s", "m"}; runtime
 knobs are flags and override anything implied by the config.  Exit codes:
-0 success, 1 usage or configuration error or a numerical-range error that
-stops a suite, 2 genuine verification failure.
+0 success, 1 usage or configuration error, a numerical-range error that
+stops a suite or a NaN (never written as JSON), 2 genuine verification failure.
 Output is deterministic for a fixed config and seed; floats in tables and
 text reports are printed with 17 significant digits.
 """
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import QuadratureError, ResolutionError, ValidationError
+from .errors import NonFiniteError, QuadratureError, ResolutionError, ValidationError
 from .manybody import constancy_scan
 from .model import ModelParams, energy_level, ext_constants, turning_point_g, v_eff_radial
 from .solver import solver_grid
@@ -98,6 +98,13 @@ def _write_csv(rows, header, stream):
         stream.write(",".join(str(c) if isinstance(c, int) else _fmt(c) for c in row) + "\n")
 
 
+def _json(doc) -> str:
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"JSON output: {exc}") from None
+
+
 def _open_out(out_dir, name):
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -117,7 +124,7 @@ def cmd_params(args) -> int:
                "energies": {f"E_{n}": e for n, e in enumerate(energies)}}
         if constants is not None:
             doc["x1_constants"] = dataclasses.asdict(constants)
-        print(json.dumps(doc, indent=2))
+        print(_json(doc))
         return 0
     print(f"tau        = {_fmt(p.tau)}")
     print(f"alpha      = {_fmt(p.alpha)}")
@@ -157,12 +164,8 @@ def cmd_table(args) -> int:
                       "v_eff_conventional", "v_eff_extended")
 
     if args.out:
-        try:
-            with open(_open_out(args.out, f"{args.what}.csv"), "w", encoding="utf-8") as fh:
-                _write_csv(rows, header, fh)
-        except OSError as exc:
-            print(f"xtcs: error: cannot write output: {exc}", file=sys.stderr)
-            return 1
+        with open(_open_out(args.out, f"{args.what}.csv"), "w", encoding="utf-8") as fh:
+            _write_csv(rows, header, fh)
     else:
         _write_csv(rows, header, sys.stdout)
     return 0
@@ -231,35 +234,25 @@ def cmd_verify(args) -> int:
     for name in selected:
         try:
             report = _SUITE_RUNNERS[name](p, args)
-        except (QuadratureError, ResolutionError) as exc:
+            text = _json(report.to_json_dict())
+        except (QuadratureError, ResolutionError, NonFiniteError) as exc:
             print(f"xtcs: error: suite {name}: {exc}", file=sys.stderr)
             return 1
         all_passed &= report.passed
         print(f"{name}: {'PASS' if report.passed else 'FAIL'}")
         if args.out:
-            try:
-                _open_out(args.out, f"report_{name}.json").write_text(
-                    json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8")
-                _open_out(args.out, f"report_{name}.txt").write_text(
-                    report.to_text(), encoding="utf-8")
-            except OSError as exc:
-                print(f"xtcs: error: cannot write reports: {exc}", file=sys.stderr)
-                return 1
+            _open_out(args.out, f"report_{name}.json").write_text(text + "\n", encoding="utf-8")
+            _open_out(args.out, f"report_{name}.txt").write_text(report.to_text(), encoding="utf-8")
     return 0 if all_passed else 2
 
 
 def cmd_local_energy(args) -> int:
     p = load_params(args.config)
     stats = constancy_scan(p, args.samples, args.seed)
-    doc = stats.to_json_dict()
-    print(json.dumps(doc, indent=2))
+    text = _json(stats.to_json_dict())
+    print(text)
     if args.out:
-        try:
-            _open_out(args.out, "local_energy.json").write_text(
-                json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        except OSError as exc:
-            print(f"xtcs: error: cannot write output: {exc}", file=sys.stderr)
-            return 1
+        _open_out(args.out, "local_energy.json").write_text(text + "\n", encoding="utf-8")
     return 0 if stats.passed() else 2
 
 
@@ -273,8 +266,11 @@ def main(argv=None) -> int:
                 "verify": cmd_verify, "local-energy": cmd_local_energy}
     try:
         return handlers[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, NonFiniteError) as exc:
         print(f"xtcs: error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # config reads are ValidationErrors, so this is output
+        print(f"xtcs: error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

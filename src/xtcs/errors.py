@@ -16,5 +16,9 @@ class QuadratureError(RuntimeError):
     """A quadrature result failed its convergence / truncation estimate."""
 
 
+class NonFiniteError(RuntimeError):
+    """A computed quantity came out NaN or infinite; the message names the stage."""
+
+
 class AttractiveCouplingWarning(UserWarning):
     """Emitted for 0 < coupling < 1, where the two-body interaction is attractive."""

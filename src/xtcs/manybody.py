@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NonFiniteError, ValidationError
+from .laguerre import _lag
 from .model import Configuration, ModelParams, energy_level, v_interaction, v_new
-from .wavefunctions import manybody_groundstate
 
 __all__ = [
     "local_energy",
@@ -31,55 +31,96 @@ __all__ = [
 ]
 
 
-def _psi(x, p):
-    return manybody_groundstate(Configuration(tuple(x), min_separation=1e-12), p)
+# Fourth-order second difference (-1, 16, [-30], 16, -1) / 12: the weights sum
+# to 0, so the center drops out of sum_d w_d (Psi_d / Psi - 1).
+STENCIL_SHIFTS = np.array([-2.0, -1.0, 1.0, 2.0])
+STENCIL_WEIGHTS = np.array([-1.0, 16.0, 16.0, -1.0]) / 12
 
 
-def local_energy(c: Configuration, p: ModelParams, fd_step: float = 1e-3,
-                 v_new_scale: float = 1.0,
-                 wavefunction_params: ModelParams | None = None) -> float:
-    """(H Psi)/Psi at a configuration, with the ground-state Psi.
+def _log_psi_ratios(x, wp: ModelParams, fd_step: float):
+    """log Psi(x + d h e_i) - log Psi(x), shape (S, N, 4), summed term by term as |log Psi|
+    reaches ~1e3: lambda log1p(+-d h / |x_i - x_j|) per neighbor, -omega (2 x_i d h + d^2 h^2)/2
+    from exp(-g/2), and the change in log L_m^(alpha)(-g) - log L_m^(alpha-1)(-g), rest of Phi_0."""
+    delta = fd_step * STENCIL_SHIFTS
+    dg = wp.omega * (2 * x[..., None] * delta + delta ** 2)
+    out = -dg / 2
+    for k in range(1, wp.trunc_range + 1):
+        gap = (x[:, k:] - x[:, :-k])[..., None]
+        out[:, :-k] += wp.coupling * np.log1p(-delta / gap)
+        out[:, k:] += wp.coupling * np.log1p(delta / gap)
+    if wp.ext_index:
+        m, a = wp.ext_index, wp.alpha
+        g = wp.omega * np.sum(x ** 2, axis=-1)[:, None, None]
+        shifted, base = (np.log(_lag(m, a, -h)) - np.log(_lag(m, a - 1, -h)) for h in (g + dg, g))
+        out += shifted - base
+    return out
+
+
+def local_energy(c, p: ModelParams, fd_step: float = 1e-3, v_new_scale: float = 1.0,
+                 wavefunction_params: ModelParams | None = None):
+    """(H Psi)/Psi with the ground-state Psi, for a Configuration (a float)
+    or an (S, N) array of ordered positions (S values, same pass).
 
     The kinetic term is a fourth-order central second difference per
     coordinate with step fd_step; adjacent separations must be at least
     10 * fd_step so no stencil point crosses the ordered-sector boundary.
-
     wavefunction_params evaluates Psi with different parameters than the
     Hamiltonian (negative control: a perturbed Psi is not an eigenfunction);
-    v_new_scale multiplies the extension term of H only.
+    v_new_scale multiplies the extension term of H only.  A NaN or infinite
+    result raises NonFiniteError naming the stage.
     """
     if p.degree != 0:
         raise ValidationError(f"local energy implemented for degree s = 0 only, got s = {p.degree}")
-    if c.n != p.n_particles:
-        raise ValidationError(f"configuration has {c.n} positions but n_particles = {p.n_particles}")
+    single = isinstance(c, Configuration)
+    x = np.atleast_2d(np.asarray(c.positions if single else c, dtype=float))
+    if x.shape[-1] != p.n_particles:
+        raise ValidationError(
+            f"configuration has {x.shape[-1]} positions but n_particles = {p.n_particles}")
     if not (np.isfinite(fd_step) and fd_step > 0):
         raise ValidationError(f"fd_step must be > 0, got {fd_step!r}")
-    x = np.asarray(c.positions)
-    gaps = np.diff(x)
+    gaps = np.diff(x, axis=-1)
     if np.any(gaps < 10 * fd_step):
-        i = int(np.argmax(gaps < 10 * fd_step))
+        s, i = np.argwhere(gaps < 10 * fd_step)[0]
         raise ValidationError(
-            f"separation x[{i + 1}]-x[{i}] = {gaps[i]:.3e} below 10 fd_step = {10 * fd_step:.3e}; "
+            f"separation x[{i + 1}]-x[{i}] = {gaps[s, i]:.3e} below 10 fd_step = {10 * fd_step:.3e}; "
             "the FD stencil would cross the ordered-sector boundary")
     wp = p if wavefunction_params is None else wavefunction_params
-    if wp.degree != 0:
-        raise ValidationError("wavefunction_params must have degree s = 0")
+    if wp.degree != 0 or wp.n_particles != p.n_particles:
+        raise ValidationError("wavefunction_params must have degree s = 0 and the same N")
 
-    psi0 = _psi(x, wp)
-    kinetic = 0.0
-    for i in range(c.n):
-        shifted = []
-        for d in (-2, -1, 1, 2):
-            xs = x.copy()
-            xs[i] += d * fd_step
-            shifted.append(_psi(xs, wp))
-        second = (-shifted[3] + 16 * shifted[2] - 30 * psi0 + 16 * shifted[1]
-                  - shifted[0]) / (12 * fd_step ** 2)
-        kinetic += -0.5 * second / psi0
+    ratios = np.expm1(_log_psi_ratios(x, wp, fd_step))
+    kinetic = -0.5 * np.sum(ratios @ STENCIL_WEIGHTS, axis=-1) / fd_step ** 2
+    rho2 = np.sum(x ** 2, axis=-1)
+    extension = v_new_scale * v_new(np.sqrt(rho2), p)
+    for stage, term in (("Psi ratio", kinetic), ("v_new", extension)):
+        if not np.all(np.isfinite(term)):
+            raise NonFiniteError(f"local energy: {stage} is not finite for {p}")
+    energies = kinetic + 0.5 * p.omega ** 2 * rho2 + v_interaction(x, p) + extension
+    return float(energies[0]) if single else energies
 
-    trap = 0.5 * p.omega ** 2 * float(np.sum(x ** 2))
-    extension = v_new_scale * float(v_new(c.hyperradius, p))
-    return kinetic + trap + v_interaction(c, p) + extension
+
+def _sample_positions(p: ModelParams, n_samples: int, seed: int, fd_step: float = 1e-3,
+                      spacing: float = 1.0, width: float = 0.8):
+    """(n_samples, N) ordered positions; see sample_configurations."""
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+    if not width < spacing:
+        raise ValidationError(f"width ({width}) must be smaller than spacing ({spacing})")
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / math.sqrt(p.omega)
+    centers = (np.arange(p.n_particles) - (p.n_particles - 1) / 2) * spacing * scale
+    half = width * scale / 2
+    out, attempts = np.empty((0, p.n_particles)), 0
+    while len(out) < n_samples:
+        if attempts >= 100 * n_samples:
+            raise ValidationError(
+                f"could not draw {n_samples} valid configurations in {attempts} attempts; "
+                "widen the windows or reduce fd_step")
+        # rows come in stream order, as if drawn one configuration at a time
+        x = centers + rng.uniform(-half, half, (n_samples - len(out), p.n_particles))
+        attempts += len(x)
+        out = np.concatenate([out, x[np.min(np.diff(x, axis=1), axis=1) >= 10 * fd_step]])
+    return out
 
 
 def sample_configurations(p: ModelParams, n_samples: int, seed: int,
@@ -92,27 +133,8 @@ def sample_configurations(p: ModelParams, n_samples: int, seed: int,
     are ordered by construction.  Draws violating the 10*fd_step separation
     rule are rejected and redrawn (up to 100x oversampling).
     """
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
-    if not width < spacing:
-        raise ValidationError(f"width ({width}) must be smaller than spacing ({spacing})")
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / math.sqrt(p.omega)
-    centers = (np.arange(p.n_particles) - (p.n_particles - 1) / 2) * spacing * scale
-    half = width * scale / 2
-    out = []
-    attempts = 0
-    while len(out) < n_samples:
-        attempts += 1
-        if attempts > 100 * n_samples:
-            raise ValidationError(
-                f"could not draw {n_samples} valid configurations in {attempts} attempts; "
-                "widen the windows or reduce fd_step")
-        x = centers + rng.uniform(-half, half, p.n_particles)
-        if np.min(np.diff(x)) < 10 * fd_step:
-            continue
-        out.append(Configuration(tuple(x), min_separation=10 * fd_step))
-    return out
+    return [Configuration(tuple(x), min_separation=10 * fd_step)
+            for x in _sample_positions(p, n_samples, seed, fd_step, spacing, width)]
 
 
 @dataclass(frozen=True)
@@ -160,12 +182,12 @@ def constancy_scan(p: ModelParams, n_samples: int = 200, seed: int = 1,
     the result is independent of evaluation order; deterministic for a
     fixed seed.
     """
-    configs = sample_configurations(p, n_samples, seed, fd_step)
-    energies = [local_energy(c, p, fd_step, v_new_scale, wavefunction_params)
-                for c in configs]
+    x = _sample_positions(p, n_samples, seed, fd_step)
+    energies = local_energy(x, p, fd_step, v_new_scale, wavefunction_params)
     mean = math.fsum(energies) / n_samples
-    var = math.fsum((e - mean) ** 2 for e in energies) / n_samples
-    max_dev = max(abs(e - mean) for e in energies)
+    dev = energies - mean
+    var = math.fsum(dev ** 2) / n_samples
+    max_dev = float(np.max(np.abs(dev)))
     return ConstancyStats(
         params=p, n_samples=n_samples, seed=seed, mean=mean,
         stddev=math.sqrt(var), max_dev=max_dev, e_analytic=energy_level(0, p))

@@ -194,8 +194,8 @@ def turning_point_g(n, p: ModelParams, margin: float) -> float:
     return 2 * (2 * n + p.alpha + 1) + margin
 
 
-def v_interaction(c: Configuration, p: ModelParams) -> float:
-    """Two- plus three-body interaction energy of a configuration.
+def v_interaction(c, p: ModelParams):
+    """Two- plus three-body interaction energy.
 
     Two-body: lambda(lambda-1) / (x_i - x_j)^2 over pairs with |i-j| <= r.
     Three-body: lambda^2 (x_j - x_i)(x_j - x_k) / ((x_j - x_i)^2 (x_j - x_k)^2)
@@ -205,23 +205,20 @@ def v_interaction(c: Configuration, p: ModelParams) -> float:
     themselves, so only these boundary triples survive.  This is exactly the
     combination canceled by the kinetic action on the pair-product prefactor,
     and it makes the full-range limit r = N-1 three-body free.
+
+    c is a Configuration (a float) or an array of ordered positions with last
+    axis N (one value per row); the sums loop over index distances only.
     """
-    if c.n != p.n_particles:
-        raise ValidationError(
-            f"configuration has {c.n} positions but n_particles = {p.n_particles}")
-    x = np.asarray(c.positions)
-    lam, r = p.coupling, p.trunc_range
-    two = 0.0
-    for i in range(c.n):
-        for j in range(i + 1, min(c.n, i + r + 1)):
-            two += lam * (lam - 1) / (x[i] - x[j]) ** 2
-    three = 0.0
-    for j in range(1, c.n - 1):
-        for i in range(max(0, j - r), j):
-            for k in range(j + 1, min(c.n, j + r + 1)):
-                if k - i > r:
-                    three += lam ** 2 / ((x[j] - x[i]) * (x[j] - x[k]))
-    return two + three
+    x = np.asarray(c.positions if isinstance(c, Configuration) else c, dtype=float)
+    n, lam, r = x.shape[-1], p.coupling, p.trunc_range
+    if n != p.n_particles:
+        raise ValidationError(f"configuration has {n} positions but n_particles = {p.n_particles}")
+    gaps = [None] + [x[..., k:] - x[..., :-k] for k in range(1, r + 1)]  # x_{i+k} - x_i
+    total = lam * (lam - 1) * sum(np.sum(gap ** -2, axis=-1) for gap in gaps[1:])
+    for a in range(1, r + 1):  # triples (i, i+a, i+a+b) with a, b <= r < a+b
+        for b in range(r + 1 - a, min(r, n - 1 - a) + 1):
+            total -= lam ** 2 * np.sum(1 / (gaps[a][..., :n - a - b] * gaps[b][..., a:]), axis=-1)
+    return float(total) if isinstance(c, Configuration) else total
 
 
 def v_new(rho, p: ModelParams):

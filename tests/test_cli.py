@@ -162,3 +162,59 @@ def test_verify_numerical_error_exits_1_and_keeps_finished_reports(tmp_path, cap
     for suite in ("residual", "spectrum"):
         assert (out / f"report_{suite}.json").exists()
     assert not (out / "report_ortho.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cfg, e0", [
+    # exp(-g/2) underflowed Psi to 0 when Psi itself was evaluated
+    ({"N": 30, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": 0}, 44.0),
+    # Jastrow overflow times exp(-g/2) underflow gave a NaN mean
+    ({"N": 30, "lambda": 2, "r": 29, "omega": 1, "s": 0, "m": 1}, 885.0),
+])
+def test_local_energy_holds_at_n30(cfg, e0, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["local-energy", "--config", str(path), "--samples", "20", "--seed", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["E_analytic"] == e0
+    assert abs(doc["mean"] - e0) <= 1e-5 * e0
+
+
+def test_non_finite_local_energy_exits_1_without_nan(tmp_path, capsys):
+    # L_200^(alpha)(-g) overflows float64 here (numpy warns as it does)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 60, "lambda": 3, "r": 59, "omega": 1, "s": 0, "m": 200}))
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        assert main(["local-energy", "--config", str(path), "--samples", "4",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "xtcs: error: local energy: Psi ratio" in captured.err
+        assert captured.out == "" and not out.exists()
+        assert main(["verify", "--config", str(path), "--suite", "local-energy",
+                     "--samples", "4", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "xtcs: error: suite local-energy: local energy: Psi ratio" in captured.err
+    assert "NaN" not in captured.out and not out.exists()
+
+
+def test_nan_in_a_report_exits_1_and_writes_no_json(tmp_path, capsys):
+    # tau = 255: nodes ** tau overflows in the orthogonality quadrature
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 16, "lambda": 1, "r": 15, "omega": 1, "s": 0, "m": 0}))
+    out = tmp_path / "reports"
+    with pytest.warns(RuntimeWarning):
+        code = main(["verify", "--config", str(path), "--suite", "ortho", "--out", str(out)])
+    assert code == 1
+    assert "xtcs: error: suite ortho: JSON output" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["local-energy", "--samples", "5"],
+                                  ["verify", "--suite", "local-energy", "--samples", "5"],
+                                  ["table", "--what", "potential", "--points", "8"]])
+def test_unwritable_out_exits_1(argv, config, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(argv + ["--config", config, "--out", str(blocker)]) == 1
+    assert "xtcs: error: cannot write output:" in capsys.readouterr().err

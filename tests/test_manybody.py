@@ -1,14 +1,96 @@
 """Many-body local-energy oracle: constancy, negative controls, determinism."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from xtcs import (Configuration, ModelParams, ValidationError, constancy_scan,
-                  energy_level, local_energy, sample_configurations)
+                  energy_level, local_energy, manybody_groundstate, sample_configurations,
+                  v_interaction, v_new)
 
 from conftest import BATTERY_BASE, M_VALUES, make_params
+
+
+# -- reference: the scalar loop the batched path replaced ----------------------
+
+def reference_v_interaction(x, p):
+    """Interaction summed particle by particle and triple by triple."""
+    lam, r, n = p.coupling, p.trunc_range, len(x)
+    two = 0.0
+    for i in range(n):
+        for j in range(i + 1, min(n, i + r + 1)):
+            two += lam * (lam - 1) / (x[i] - x[j]) ** 2
+    three = 0.0
+    for j in range(1, n - 1):
+        for i in range(max(0, j - r), j):
+            for k in range(j + 1, min(n, j + r + 1)):
+                if k - i > r:
+                    three += lam ** 2 / ((x[j] - x[i]) * (x[j] - x[k]))
+    return two + three
+
+
+def reference_local_energy(c, p, fd_step=1e-3):
+    """(H Psi)/Psi from Psi itself (manybody_groundstate) at all 4N+1
+    stencil points, one validated Configuration per point."""
+    x = np.asarray(c.positions)
+
+    def psi(y):
+        return manybody_groundstate(Configuration(tuple(y), min_separation=1e-12), p)
+
+    psi0 = psi(x)
+    kinetic = 0.0
+    for i in range(c.n):
+        shifted = []
+        for d in (-2, -1, 1, 2):
+            xs = x.copy()
+            xs[i] += d * fd_step
+            shifted.append(psi(xs))
+        second = (-shifted[3] + 16 * shifted[2] - 30 * psi0 + 16 * shifted[1]
+                  - shifted[0]) / (12 * fd_step ** 2)
+        kinetic += -0.5 * second / psi0
+    trap = 0.5 * p.omega ** 2 * float(np.sum(x ** 2))
+    return kinetic + trap + reference_v_interaction(x, p) + float(v_new(c.hyperradius, p))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", (3, 8, 16))
+def test_batched_local_energy_matches_scalar_reference(n):
+    for r in (1, n - 1):
+        for m in M_VALUES:
+            p = ModelParams(n, 1.5, r, 0.9, ext_index=m)
+            configs = sample_configurations(p, 3, seed=n + 10 * r + 100 * m)
+            batched = local_energy(np.array([c.positions for c in configs]), p)
+            e0 = energy_level(0, p)
+            for c, e in zip(configs, batched):
+                assert abs(e - reference_local_energy(c, p)) <= 1e-7 * e0, (n, r, m, c)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_interaction_matches_scalar_reference_for_every_range():
+    n = 8
+    for r in range(1, n):
+        p = ModelParams(n, 1.7, r, 1.0)
+        x = np.array([c.positions for c in sample_configurations(p, 4, seed=r)])
+        batched = v_interaction(x, p)
+        for row, v in zip(x, batched):
+            ref = reference_v_interaction(row, p)
+            assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), (r, row)
+            assert v_interaction(Configuration(tuple(row)), p) == pytest.approx(v, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_single_configuration_is_the_batch_of_one():
+    p = ModelParams(8, 2.0, 3, 1.2, ext_index=2)
+    configs = sample_configurations(p, 30, seed=4)
+    batched = local_energy(np.array([c.positions for c in configs]), p)
+    singles = [local_energy(c, p) for c in configs]
+    np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=0)
+    stats = constancy_scan(p, n_samples=30, seed=4)
+    assert stats.mean == pytest.approx(math.fsum(singles) / 30, rel=1e-12)
+    assert stats.max_dev == pytest.approx(max(abs(e - stats.mean) for e in singles),
+                                          abs=1e-12 * stats.mean)
 
 
 def test_two_particle_ground_state_energy():
