@@ -35,13 +35,15 @@ __all__ = [
 # to 0, so the center drops out of sum_d w_d (Psi_d / Psi - 1).
 STENCIL_SHIFTS = np.array([-2.0, -1.0, 1.0, 2.0])
 STENCIL_WEIGHTS = np.array([-1.0, 16.0, 16.0, -1.0]) / 12
+# Step of the stencil; adjacent particles must stay 10 FD_STEP apart.
+FD_STEP = 1e-3
 
 
-def _log_psi_ratios(x, wp: ModelParams, fd_step: float):
+def _log_psi_ratios(x, wp: ModelParams):
     """log Psi(x + d h e_i) - log Psi(x), shape (S, N, 4), summed term by term as |log Psi|
     reaches ~1e3: lambda log1p(+-d h / |x_i - x_j|) per neighbor, -omega (2 x_i d h + d^2 h^2)/2
     from exp(-g/2), and the change in log L_m^(alpha)(-g) - log L_m^(alpha-1)(-g), rest of Phi_0."""
-    delta = fd_step * STENCIL_SHIFTS
+    delta = FD_STEP * STENCIL_SHIFTS
     dg = wp.omega * (2 * x[..., None] * delta + delta ** 2)
     out = -dg / 2
     for k in range(1, wp.trunc_range + 1):
@@ -56,14 +58,14 @@ def _log_psi_ratios(x, wp: ModelParams, fd_step: float):
     return out
 
 
-def local_energy(c, p: ModelParams, fd_step: float = 1e-3, v_new_scale: float = 1.0,
+def local_energy(c, p: ModelParams, v_new_scale: float = 1.0,
                  wavefunction_params: ModelParams | None = None):
     """(H Psi)/Psi with the ground-state Psi, for a Configuration (a float)
     or an (S, N) array of ordered positions (S values, same pass).
 
     The kinetic term is a fourth-order central second difference per
-    coordinate with step fd_step; adjacent separations must be at least
-    10 * fd_step so no stencil point crosses the ordered-sector boundary.
+    coordinate with step FD_STEP; adjacent separations must be at least
+    10 * FD_STEP so no stencil point crosses the ordered-sector boundary.
     wavefunction_params evaluates Psi with different parameters than the
     Hamiltonian (negative control: a perturbed Psi is not an eigenfunction);
     v_new_scale multiplies the extension term of H only.  A NaN or infinite
@@ -76,20 +78,18 @@ def local_energy(c, p: ModelParams, fd_step: float = 1e-3, v_new_scale: float = 
     if x.shape[-1] != p.n_particles:
         raise ValidationError(
             f"configuration has {x.shape[-1]} positions but n_particles = {p.n_particles}")
-    if not (np.isfinite(fd_step) and fd_step > 0):
-        raise ValidationError(f"fd_step must be > 0, got {fd_step!r}")
     gaps = np.diff(x, axis=-1)
-    if np.any(gaps < 10 * fd_step):
-        s, i = np.argwhere(gaps < 10 * fd_step)[0]
+    if np.any(gaps < 10 * FD_STEP):
+        s, i = np.argwhere(gaps < 10 * FD_STEP)[0]
         raise ValidationError(
-            f"separation x[{i + 1}]-x[{i}] = {gaps[s, i]:.3e} below 10 fd_step = {10 * fd_step:.3e}; "
+            f"separation x[{i + 1}]-x[{i}] = {gaps[s, i]:.3e} below 10 fd_step = {10 * FD_STEP:.3e}; "
             "the FD stencil would cross the ordered-sector boundary")
     wp = p if wavefunction_params is None else wavefunction_params
     if wp.degree != 0 or wp.n_particles != p.n_particles:
         raise ValidationError("wavefunction_params must have degree s = 0 and the same N")
 
-    ratios = np.expm1(_log_psi_ratios(x, wp, fd_step))
-    kinetic = -0.5 * np.sum(ratios @ STENCIL_WEIGHTS, axis=-1) / fd_step ** 2
+    ratios = np.expm1(_log_psi_ratios(x, wp))
+    kinetic = -0.5 * np.sum(ratios @ STENCIL_WEIGHTS, axis=-1) / FD_STEP ** 2
     rho2 = np.sum(x ** 2, axis=-1)
     extension = v_new_scale * v_new(np.sqrt(rho2), p)
     for stage, term in (("Psi ratio", kinetic), ("v_new", extension)):
@@ -99,42 +99,36 @@ def local_energy(c, p: ModelParams, fd_step: float = 1e-3, v_new_scale: float = 
     return float(energies[0]) if single else energies
 
 
-def _sample_positions(p: ModelParams, n_samples: int, seed: int, fd_step: float = 1e-3,
-                      spacing: float = 1.0, width: float = 0.8):
+def _sample_positions(p: ModelParams, n_samples: int, seed: int):
     """(n_samples, N) ordered positions; see sample_configurations."""
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
-    if not width < spacing:
-        raise ValidationError(f"width ({width}) must be smaller than spacing ({spacing})")
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(p.omega)
-    centers = (np.arange(p.n_particles) - (p.n_particles - 1) / 2) * spacing * scale
-    half = width * scale / 2
+    centers = (np.arange(p.n_particles) - (p.n_particles - 1) / 2) * scale
+    half = 0.8 * scale / 2
     out, attempts = np.empty((0, p.n_particles)), 0
     while len(out) < n_samples:
         if attempts >= 100 * n_samples:
             raise ValidationError(
-                f"could not draw {n_samples} valid configurations in {attempts} attempts; "
-                "widen the windows or reduce fd_step")
+                f"could not draw {n_samples} valid configurations in {attempts} attempts")
         # rows come in stream order, as if drawn one configuration at a time
         x = centers + rng.uniform(-half, half, (n_samples - len(out), p.n_particles))
         attempts += len(x)
-        out = np.concatenate([out, x[np.min(np.diff(x, axis=1), axis=1) >= 10 * fd_step]])
+        out = np.concatenate([out, x[np.min(np.diff(x, axis=1), axis=1) >= 10 * FD_STEP]])
     return out
 
 
-def sample_configurations(p: ModelParams, n_samples: int, seed: int,
-                          fd_step: float = 1e-3, spacing: float = 1.0,
-                          width: float = 0.8):
+def sample_configurations(p: ModelParams, n_samples: int, seed: int):
     """Ordered configurations from a product of disjoint uniform windows.
 
-    Window i is centered at (i - (N-1)/2) * spacing/sqrt(omega) with width
-    width/sqrt(omega); spacing > width keeps the windows disjoint, so draws
-    are ordered by construction.  Draws violating the 10*fd_step separation
-    rule are rejected and redrawn (up to 100x oversampling).
+    Window i is centered at (i - (N-1)/2)/sqrt(omega) with width
+    0.8/sqrt(omega); the windows are disjoint, so draws are ordered by
+    construction.  Draws violating the 10*FD_STEP separation rule are
+    rejected and redrawn (up to 100x oversampling).
     """
-    return [Configuration(tuple(x), min_separation=10 * fd_step)
-            for x in _sample_positions(p, n_samples, seed, fd_step, spacing, width)]
+    return [Configuration(tuple(x), min_separation=10 * FD_STEP)
+            for x in _sample_positions(p, n_samples, seed)]
 
 
 @dataclass(frozen=True)
@@ -157,8 +151,8 @@ class ConstancyStats:
     def relative_mean_error(self) -> float:
         return abs(self.mean - self.e_analytic) / abs(self.e_analytic)
 
-    def passed(self, tol: float = 1e-5) -> bool:
-        return self.relative_spread <= tol and self.relative_mean_error <= tol
+    def passed(self) -> bool:
+        return self.relative_spread <= 1e-5 and self.relative_mean_error <= 1e-5
 
     def to_json_dict(self):
         return {
@@ -174,7 +168,7 @@ class ConstancyStats:
 
 
 def constancy_scan(p: ModelParams, n_samples: int = 200, seed: int = 1,
-                   fd_step: float = 1e-3, v_new_scale: float = 1.0,
+                   v_new_scale: float = 1.0,
                    wavefunction_params: ModelParams | None = None) -> ConstancyStats:
     """Local-energy statistics over seeded configurations.
 
@@ -182,8 +176,8 @@ def constancy_scan(p: ModelParams, n_samples: int = 200, seed: int = 1,
     the result is independent of evaluation order; deterministic for a
     fixed seed.
     """
-    x = _sample_positions(p, n_samples, seed, fd_step)
-    energies = local_energy(x, p, fd_step, v_new_scale, wavefunction_params)
+    x = _sample_positions(p, n_samples, seed)
+    energies = local_energy(x, p, v_new_scale, wavefunction_params)
     mean = math.fsum(energies) / n_samples
     dev = energies - mean
     var = math.fsum(dev ** 2) / n_samples

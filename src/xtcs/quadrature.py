@@ -17,19 +17,18 @@ from .errors import ValidationError
 __all__ = ["QuadratureSpec", "panel_nodes"]
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre(n):
-    return np.polynomial.legendre.leggauss(n)
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    return np.polynomial.legendre.leggauss(64)
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite rule: n_panels panels on [0, rho_max], equal widths in g."""
+    """Composite rule: n_panels 64-point panels on [0, rho_max], equal widths in g."""
 
     rho_max: float
     omega: float
     n_panels: int = 8
-    points_per_panel: int = 64
 
     def __post_init__(self):
         if not (np.isfinite(self.rho_max) and self.rho_max > 0):
@@ -38,20 +37,15 @@ class QuadratureSpec:
             raise ValidationError(f"omega must be > 0, got {self.omega!r}")
         if self.n_panels < 1:
             raise ValidationError(f"n_panels must be >= 1, got {self.n_panels}")
-        if self.points_per_panel < 2:
-            raise ValidationError(f"points_per_panel must be >= 2, got {self.points_per_panel}")
 
     def edges(self):
         g_max = self.omega * self.rho_max ** 2
         return np.sqrt(np.linspace(0.0, g_max, self.n_panels + 1) / self.omega)
 
-    def with_panels(self, n_panels):
-        return QuadratureSpec(self.rho_max, self.omega, n_panels, self.points_per_panel)
 
-
-def panel_nodes(edges, points_per_panel=64):
-    """Nodes and weights of the composite rule over the given panel edges."""
-    xg, wg = _gauss_legendre(points_per_panel)
+def panel_nodes(edges):
+    """Nodes and weights of the composite 64-point rule over the given panel edges."""
+    xg, wg = _gauss_legendre()
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
     nodes = (0.5 * (hi - lo)[:, None] * xg + 0.5 * (hi + lo)[:, None]).ravel()

@@ -21,15 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .laguerre import r_variant_residuals, resolve_r_denominator
+from .laguerre import r_variant_residuals
 from .model import (ModelParams, energy_level, ext_constants, turning_point_g, v_new,
                     v_new_x1_two_term)
 from .solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenpairs,
                      lowest_eigenvalues, matrix_norm1, richardson, solver_grid,
                      sturm_count)
-from .wavefunctions import default_quadrature, radial_eigenfunction
-from .wavefunctions import norm as wavefunctions_norm
-from .quadrature import panel_nodes
+from .wavefunctions import _gram, default_quadrature, radial_eigenfunction
 
 __all__ = [
     "CheckItem",
@@ -237,12 +235,12 @@ def numeric_spectrum(p: ModelParams, k: int, grid: RadialGrid | None = None,
 
 
 def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = None,
-                         tol_abs=None, tol_iso=None,
                          v_new_scale: float = 1.0) -> VerificationReport:
     """Extended vs conventional vs analytic spectra, as a structured report.
 
-    Defaults: tol_abs = 1e-6 E_n; tol_iso = max(1e-8 w, 25 eps ||T_fine||_1),
-    the second term being the bisection roundoff floor of the fine grid.
+    Tolerances: 1e-6 E_n against the analytic ladder; tol_iso =
+    max(1e-8 w, 25 eps ||T_fine||_1) between the two numeric spectra, the
+    second term being the bisection roundoff floor of the fine grid.
     v_new_scale != 1 perturbs the extension term (negative control); failure
     is reported, not raised.
     """
@@ -251,8 +249,7 @@ def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = N
     d_fine, e_fine = hamiltonian_diagonals(p, grid.refined(), extended=True,
                                            v_new_scale=v_new_scale)
     noise_floor = 25 * np.finfo(float).eps * matrix_norm1(d_fine, e_fine)
-    if tol_iso is None:
-        tol_iso = max(1e-8 * p.omega, noise_floor)
+    tol_iso = max(1e-8 * p.omega, noise_floor)
     conv = numeric_spectrum(p, k, grid, extended=False)
     ext = numeric_spectrum(p, k, grid, extended=True, v_new_scale=v_new_scale)
     report = VerificationReport("isospectrality of the extended radial problem", p)
@@ -261,8 +258,7 @@ def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = N
         "bisection_noise_floor": noise_floor, "v_new_scale": v_new_scale,
     })
     for n in range(k):
-        e_ref = energy_level(n, p)
-        ta = (1e-6 * e_ref) if tol_abs is None else tol_abs
+        ta = 1e-6 * energy_level(n, p)
         report.add(f"|E_conv({n}) - E_analytic({n})|",
                    conv.rows[n].abs_err, ta)
         report.add(f"|E_ext({n}) - E_analytic({n})|",
@@ -283,16 +279,16 @@ def level_count_below(p: ModelParams, energy: float, grid: RadialGrid | None = N
     return sturm_count(d, e, energy)
 
 
-def eigenvector_overlap(p: ModelParams, k: int = 4, grid: RadialGrid | None = None,
-                        extended: bool = True):
-    """Normalized overlaps between numeric eigenvectors and analytic Phi_n.
+def eigenvector_overlap(p: ModelParams, k: int = 4, grid: RadialGrid | None = None):
+    """Normalized overlaps between numeric eigenvectors of the extended
+    problem and analytic Phi_n.
 
     The numeric vector approximates u_n = rho^(tau/2) Phi_n on the grid, so
     the comparison needs no interpolation beyond the shared nodes.
     """
     if grid is None:
         grid = solver_grid(p, k, n_points=8001)
-    d, e = hamiltonian_diagonals(p, grid, extended)
+    d, e = hamiltonian_diagonals(p, grid, extended=True)
     _, vecs = lowest_eigenpairs(d, e, k)
     rho = grid.nodes
     overlaps = []
@@ -323,12 +319,7 @@ def orthogonality_matrix(p: ModelParams, k: int, quad=None):
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if quad is None:
-        quad = default_quadrature(p, k - 1)
-    wavefunctions_norm(k - 1, p, quad)  # raises on an unconverged tail
-    nodes, weights = panel_nodes(quad.edges(), quad.points_per_panel)
-    basis = np.stack([radial_eigenfunction(n, p, nodes) for n in range(k)])
-    gram = (basis * weights * nodes ** p.tau) @ basis.T
+    gram = _gram(range(k), p, default_quadrature(p, k - 1) if quad is None else quad)
     scale = np.sqrt(np.diag(gram))
     return gram / np.outer(scale, scale)
 
@@ -363,7 +354,7 @@ def consistency_suite(p: ModelParams) -> VerificationReport:
     a = p.alpha
     worst = r_variant_residuals(
         (n, m, a, g) for n in range(4) for m in (1, 2, 3) for g in (0.5, 2.0, a + 1.0, 11.3))
-    resolved = resolve_r_denominator()
+    resolved = min(worst, key=worst.get)
     rejected = "alpha" if resolved == "alpha-1" else "alpha-1"
     report.add(f"R coefficient, denominator parameter {resolved}: scaled residual",
                worst[resolved], 1e-9,
@@ -394,9 +385,10 @@ class ConvergenceStudy:
                 "raw_slope": self.raw_slope, "extrapolated_slope": self.extrapolated_slope}
 
 
-def convergence_orders(p: ModelParams, k: int = 3, levels=(80, 160, 320, 640),
-                       extended: bool = True) -> ConvergenceStudy:
-    """Measured h-scaling of the eigenvalue error on successively halved grids.
+def convergence_orders(p: ModelParams, k: int = 3,
+                       levels=(80, 160, 320, 640)) -> ConvergenceStudy:
+    """Measured h-scaling of the extended problem's eigenvalue error on
+    successively halved grids.
 
     levels are outer-node counts R/h; each must double the last so the
     extrapolated pairs share their fine grids.  Expected slopes: 2 raw,
@@ -410,7 +402,7 @@ def convergence_orders(p: ModelParams, k: int = 3, levels=(80, 160, 320, 640),
     for lev in levels:
         h = radius / lev
         grid = RadialGrid(h, (lev - 1) * h, lev - 1)
-        d, e = hamiltonian_diagonals(p, grid, extended)
+        d, e = hamiltonian_diagonals(p, grid, extended=True)
         spectra.append(lowest_eigenvalues(d, e, k))
     hs = [radius / lev for lev in levels]
     raw = [float(np.max(np.abs(s - e_exact))) for s in spectra]

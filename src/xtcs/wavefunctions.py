@@ -25,7 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import QuadratureError, ResolutionError, ValidationError
-from .laguerre import _check_index, _lag, _maybe_scalar, xm_denominator, xm_laguerre
+from .laguerre import (_check_index, _lag, _maybe_scalar, x1_laguerre, xm_denominator,
+                       xm_laguerre)
 from .model import Configuration, ModelParams, turning_point_g
 from .quadrature import QuadratureSpec, panel_nodes
 from .solver import RadialGrid
@@ -69,8 +70,7 @@ def radial_eigenfunction(n, p: ModelParams, rho, x1_denominator="g_plus_alpha"):
     elif x1_denominator == "2g_plus_alpha":
         if m != 1:
             raise ValidationError("the 2g_plus_alpha variant exists only for m = 1")
-        poly = -(g + a + 1) * _lag(n, a, g) + _lag(n - 1, a, g)
-        val = envelope * poly / (2 * g + a)
+        val = envelope * x1_laguerre(n + 1, a, g) / (2 * g + a)
     else:
         val = envelope * xm_laguerre(n, m, a, g) / xm_denominator(m, a, g)
     return _maybe_scalar(val, rho)
@@ -111,46 +111,44 @@ def default_quadrature(p: ModelParams, n_max: int) -> QuadratureSpec:
     return QuadratureSpec(rho_max=rho_max, omega=p.omega, n_panels=n_panels)
 
 
-def _weighted_integral(f, p: ModelParams, quad: QuadratureSpec):
-    """integral of f(rho) rho^tau d rho over [0, rho_max], plus a tail estimate
-    from extending the rule to 1.5x the g-range."""
-    nodes, weights = panel_nodes(quad.edges(), quad.points_per_panel)
-    total = float(np.sum(f(nodes) * nodes ** p.tau * weights))
-    g_max = quad.omega * quad.rho_max ** 2
-    ext_edges = np.sqrt(np.array([g_max, 1.25 * g_max, 1.5 * g_max]) / quad.omega)
-    tn, tw = panel_nodes(ext_edges, quad.points_per_panel)
-    tail = float(np.sum(f(tn) * tn ** p.tau * tw))
-    return total, tail
+def _gram(levels, p: ModelParams, quad: QuadratureSpec):
+    """Gram matrix <Phi_i, Phi_j> under rho^tau d rho over the given levels.
 
-
-def norm(n, p: ModelParams, quad: QuadratureSpec | None = None) -> float:
-    """Squared-amplitude integral of Phi_n under the measure rho^tau d rho."""
-    if quad is None:
-        quad = default_quadrature(p, n)
+    The highest level is integrated first, on [0, rho_max] and on the tail
+    rule extending the g-range to 1.5x; a non-positive norm or a tail above
+    TAIL_TOLERANCE raises before the other levels are evaluated.
+    """
+    n_max = max(levels)
     g_max = quad.omega * quad.rho_max ** 2
-    g_need = turning_point_g(n, p, 20)
+    g_need = turning_point_g(n_max, p, 20)
     if g_max < g_need:
         raise ValidationError(
-            f"rho_max too small: omega rho_max^2 = {g_max:.3f} < {g_need:.3f} required for level {n}")
-    total, tail = _weighted_integral(
-        lambda rho: radial_eigenfunction(n, p, rho) ** 2, p, quad)
+            f"rho_max too small: omega rho_max^2 = {g_max:.3f} < {g_need:.3f} required for level {n_max}")
+    nodes, weights = panel_nodes(quad.edges())
+    top = radial_eigenfunction(n_max, p, nodes)
+    measure = nodes ** p.tau
+    total = float(np.sum(top ** 2 * measure * weights))
+    tn, tw = panel_nodes(np.sqrt(np.array([g_max, 1.25 * g_max, 1.5 * g_max]) / quad.omega))
+    tail = float(np.sum(radial_eigenfunction(n_max, p, tn) ** 2 * tn ** p.tau * tw))
     if not total > 0:
         raise QuadratureError(f"norm came out non-positive ({total!r})")
     if tail > TAIL_TOLERANCE * total:
         raise QuadratureError(
             f"norm tail estimate {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} of total {total:.6e}; "
             "increase rho_max")
-    return total
+    basis = np.stack([top if n == n_max else radial_eigenfunction(n, p, nodes) for n in levels])
+    return (basis * weights * measure) @ basis.T
+
+
+def norm(n, p: ModelParams, quad: QuadratureSpec | None = None) -> float:
+    """Squared-amplitude integral of Phi_n under the measure rho^tau d rho."""
+    return float(_gram((n,), p, default_quadrature(p, n) if quad is None else quad)[0, 0])
 
 
 def radial_inner_product(i, j, p: ModelParams, quad: QuadratureSpec | None = None) -> float:
     """<Phi_i, Phi_j> under rho^tau d rho (unnormalized amplitudes)."""
     i, j = _check_index("i", i, 0), _check_index("j", j, 0)
-    if quad is None:
-        quad = default_quadrature(p, max(i, j))
-    total, _ = _weighted_integral(
-        lambda rho: radial_eigenfunction(i, p, rho) * radial_eigenfunction(j, p, rho), p, quad)
-    return total
+    return float(_gram((i, j), p, default_quadrature(p, max(i, j)) if quad is None else quad)[0, 1])
 
 
 def default_node_grid(n, p: ModelParams) -> RadialGrid:
@@ -176,8 +174,9 @@ def count_nodes(n, p: ModelParams, grid: RadialGrid | None = None) -> int:
         raise ResolutionError(
             f"grid has {grid.n_points} points over a g-span of {g_span:.2f}; "
             "need >= 200 points per unit g")
-    values = radial_eigenfunction(n, p, grid.nodes)
-    signs = np.sign(values)
+    # Phi_n = Xm polynomial * exp(-g/2) / L_m^(alpha-1)(-g), the last factor positive; the
+    # polynomial keeps its sign where exp(-g/2) underflows (large alpha)
+    signs = np.sign(xm_laguerre(n, p.ext_index, p.alpha, p.omega * grid.nodes ** 2))
     nz = signs != 0
     compact = signs[nz]
     flips = np.nonzero(compact[:-1] * compact[1:] < 0)[0]

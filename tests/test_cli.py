@@ -1,6 +1,9 @@
 """CLI contract: subcommands, exit codes, table schemas, determinism."""
 
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -218,3 +221,14 @@ def test_unwritable_out_exits_1(argv, config, tmp_path, capsys):
     blocker.write_text("")
     assert main(argv + ["--config", config, "--out", str(blocker)]) == 1
     assert "xtcs: error: cannot write output:" in capsys.readouterr().err
+
+
+def test_traced_functions_still_exist():
+    # the benchmark's tracer wraps these by name; a missing one breaks run.py --trace 1
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(module, func) for module, func, _ in spans.WRAPPED
+               if not callable(getattr(importlib.import_module(f"xtcs.{module}"), func, None))]
+    assert missing == []

@@ -93,7 +93,7 @@ def test_sturm_count_matches_analytic_ladder():
 
 def test_eigenvector_overlap_with_analytic():
     p = make_params((3, 1.5, 2, 0, 1.0), 2)
-    overlaps = eigenvector_overlap(p, 4, extended=True)
+    overlaps = eigenvector_overlap(p, 4)
     assert np.all(overlaps >= 1 - 1e-6)
 
 

@@ -138,7 +138,7 @@ def test_norm_positive_and_panel_converged():
             quad = default_quadrature(p, 2)
             val = norm(2, p, quad)
             assert val > 0
-            doubled = norm(2, p, quad.with_panels(2 * quad.n_panels))
+            doubled = norm(2, p, dataclasses.replace(quad, n_panels=2 * quad.n_panels))
             assert abs(doubled - val) <= 1e-10 * val
 
 
@@ -146,6 +146,19 @@ def test_norm_rejects_short_domain():
     p = ModelParams(2, 1.0, 1, 1.0)
     with pytest.raises(ValidationError):
         norm(3, p, QuadratureSpec(rho_max=2.0, omega=p.omega))
+
+
+def test_inner_product_rejects_short_domain():
+    p = ModelParams(2, 1.0, 1, 1.0)
+    with pytest.raises(ValidationError, match="rho_max too small"):
+        radial_inner_product(1, 3, p, QuadratureSpec(rho_max=2.0, omega=p.omega))
+
+
+def test_norm_overflow_reported_as_non_positive():
+    p = ModelParams(30, 2.0, 29, 1.0, ext_index=1)  # tau = 1769: rho^tau overflows
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(QuadratureError, match=r"non-positive \(nan\)"):
+        norm(4, p)
 
 
 def test_norm_tail_error_reported():
@@ -178,6 +191,14 @@ def test_node_counts_match_level():
             p = make_params(base, m)
             for n in range(5):
                 assert count_nodes(n, p) == n
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m", (0, 2))
+def test_node_counts_hold_at_large_alpha(m):
+    # alpha ~ 2359: exp(-g/2) underflows over the whole oscillation region
+    p = ModelParams(40, 3.0, 39, 1.0, ext_index=m)
+    assert [count_nodes(n, p) for n in range(5)] == [0, 1, 2, 3, 4]
 
 
 def test_node_count_rejects_coarse_grid():
