@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", default="all", choices=SUITES + ("all",))
     sp.add_argument("--out", metavar="DIR", default=None)
     sp.add_argument("--levels", type=int, default=4)
-    sp.add_argument("--points", type=int, default=20001)
+    sp.add_argument("--points", type=int, default=None,
+                    help="solver grid points (default: chosen from tau and --levels)")
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--perturb", type=float, default=1.0,
@@ -141,8 +142,7 @@ def cmd_params(args) -> int:
 def cmd_table(args) -> int:
     p = load_params(args.config)
     if args.what == "spectrum":
-        grid = solver_grid(p, args.levels, args.points) if args.points else None
-        rows = spectrum_csv_rows(p, args.levels, grid)
+        rows = spectrum_csv_rows(p, args.levels, solver_grid(p, args.levels, args.points))
         header = ("n", "E_analytic", "E_conv_numeric", "E_ext_numeric",
                   "rel_err_conv", "rel_err_ext")
     else:

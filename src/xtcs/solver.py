@@ -73,17 +73,40 @@ class RadialGrid:
         return RadialGrid(h2, self.rho_max + h2, 2 * self.n_points + 1)
 
 
-def solver_grid(p: ModelParams, k: int, n_points: int = 20001) -> RadialGrid:
-    """Default eigensolver grid for the lowest k levels.
+def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGrid:
+    """Eigensolver grid for the lowest k levels, sized from tau and k.
 
     The outer Dirichlet radius R sits at g = w R^2 = turning point of level
-    k-1 plus 30, i.e. w^2 R^2 / 2 = E_{k-1} + 15 w, so the harmonic wall
-    leaves ~15 quanta of classically forbidden margin; the domain-truncation
-    shift is then far below discretization error.
+    k-1 plus a margin of classically forbidden region; n_points, unless
+    given, follows from tau and k.  The constants were measured with
+    `isospectrality_check` (Richardson pair on n and 2n+1 points):
+
+    * tau >= 4: 500 k + 1 points, margin 40.  Bisection roundoff, not
+      truncation, limits the 20001-point grid: its floor 25 eps ||T_fine||
+      grows like 1/h^2, so tol_iso falls from 8.2e-7 to 1.0e-8 at tau = 6
+      (N=3, lambda=1, r=1, m=2) on 2001 points.  500 points per level sit at
+      the truncation/roundoff crossover: at k = 4 the worst |E - E_n| is
+      3.2e-5 of the 1e-6 E_n gate at tau = 4, against 2.0e-3 at 125,
+      1.3e-4 at 250 and 1.1e-4 at 1000 points per level.  The lower floor
+      exposes the wall shift of the top level: at tau = 6, k = 12, margin 30
+      leaves |E_ext - E_conv| = 3.9e-8 on every grid from 2001 to 20001
+      points (tol_iso 1e-8 on the smallest), margin 40 leaves 1.5e-10 to
+      3.0e-10 on 2001 to 6001 points.
+    * tau < 4: 20001 points, margin 30, as before.  u ~ rho^(tau/2) is too
+      rough at the origin for the pair to be fourth order: its error falls
+      like h^(tau-1) (slope 1.2 at tau = 2.2, 1.5 at 2.5, 2 at 3).  At tau = 3
+      (N=2, lambda=1, r=1, m=1..3) 2001 points give |E_ext - E_conv| = 15 to
+      45 tol_iso; at tau = 4 they give <= 0.016 tol_iso.  Margin 40 here would
+      stretch h enough to fail N=2, lambda=0.75, r=1, m=2 (tau = 2.5).
+
+    An explicit n_points keeps the margin of its tau regime.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    radius = float(np.sqrt(turning_point_g(k - 1, p, 30) / p.omega))
+    smooth = p.tau >= 4
+    if n_points is None:
+        n_points = 500 * k + 1 if smooth else 20001
+    radius = float(np.sqrt(turning_point_g(k - 1, p, 40 if smooth else 30) / p.omega))
     h = radius / (n_points + 1)
     return RadialGrid(h, n_points * h, n_points)
 

@@ -126,10 +126,13 @@ def _gram(levels, p: ModelParams, quad: QuadratureSpec):
             f"rho_max too small: omega rho_max^2 = {g_max:.3f} < {g_need:.3f} required for level {n_max}")
     nodes, weights = panel_nodes(quad.edges())
     top = radial_eigenfunction(n_max, p, nodes)
-    measure = nodes ** p.tau
-    total = float(np.sum(top ** 2 * measure * weights))
-    tn, tw = panel_nodes(np.sqrt(np.array([g_max, 1.25 * g_max, 1.5 * g_max]) / quad.omega))
-    tail = float(np.sum(radial_eigenfunction(n_max, p, tn) ** 2 * tn ** p.tau * tw))
+    # rho^tau overflows from tau ~ 255; the non-positive norm check below, or the
+    # NaN it leaves in the report, stops the suite, so numpy need not warn too
+    with np.errstate(over="ignore", invalid="ignore"):
+        measure = nodes ** p.tau
+        total = float(np.sum(top ** 2 * measure * weights))
+        tn, tw = panel_nodes(np.sqrt(np.array([g_max, 1.25 * g_max, 1.5 * g_max]) / quad.omega))
+        tail = float(np.sum(radial_eigenfunction(n_max, p, tn) ** 2 * tn ** p.tau * tw))
     if not total > 0:
         raise QuadratureError(f"norm came out non-positive ({total!r})")
     if tail > TAIL_TOLERANCE * total:
@@ -137,7 +140,8 @@ def _gram(levels, p: ModelParams, quad: QuadratureSpec):
             f"norm tail estimate {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} of total {total:.6e}; "
             "increase rho_max")
     basis = np.stack([top if n == n_max else radial_eigenfunction(n, p, nodes) for n in levels])
-    return (basis * weights * measure) @ basis.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (basis * weights * measure) @ basis.T
 
 
 def norm(n, p: ModelParams, quad: QuadratureSpec | None = None) -> float:

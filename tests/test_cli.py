@@ -3,6 +3,9 @@
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,6 +128,30 @@ def test_verify_perturbed_fails(config, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cfg, argv, code", [
+    # tau = 21: the 1 % shift (1.1e-6) clears the default grid's floor (6.2e-8)
+    ({"N": 8, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": 1}, ["--perturb", "1.01"], 2),
+    # tau = 4: twenty levels on the default grid agree with the conventional ones
+    ({"N": 2, "lambda": 1.5, "r": 1, "omega": 1, "s": 0, "m": 2}, ["--levels", "20"], 0),
+])
+def test_spectrum_verdict_on_default_grid(cfg, argv, code, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path), "--suite", "spectrum"] + argv) == code
+
+
+def test_non_spectrum_calls_leave_scipy_unimported(config):
+    # scipy.linalg costs ~0.3 s to import, which a cold `params` call must not pay
+    script = (f"import sys\nfrom xtcs.cli import main\n"
+              f"assert main(['params', '--json', '--config', {config!r}]) == 0\n"
+              f"assert main(['verify', '--suite', 'residual', '--config', {config!r}]) == 0\n"
+              "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_verify_consistency_reports_diagnosis(config, tmp_path):
     out = tmp_path / "reports"
     assert main(["verify", "--config", config, "--suite", "consistency",
@@ -151,8 +178,10 @@ def test_local_energy_subcommand(config, capsys):
     assert doc["E_analytic"] == 2.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_numerical_error_exits_1_and_keeps_finished_reports(tmp_path, capsys):
-    # tau = 407: the ortho quadrature fails after residual and spectrum pass
+    # tau = 407: the ortho quadrature fails after residual and spectrum pass, with one
+    # line on stderr (rho ** tau overflows, quietly)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"N": 12, "lambda": 3, "r": 11, "omega": 1, "s": 0, "m": 1}))
     out = tmp_path / "reports"
@@ -160,7 +189,7 @@ def test_verify_numerical_error_exits_1_and_keeps_finished_reports(tmp_path, cap
                  "--samples", "10", "--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()
-    assert "suite ortho:" in captured.err
+    assert captured.err == "xtcs: error: suite ortho: norm came out non-positive (nan)\n"
     assert "residual: PASS" in captured.out and "spectrum: PASS" in captured.out
     for suite in ("residual", "spectrum"):
         assert (out / f"report_{suite}.json").exists()

@@ -25,6 +25,23 @@ def test_grid_refinement_halves_spacing():
     assert f.rho_max + f.spacing == pytest.approx(g.rho_max + g.spacing, rel=1e-12)
 
 
+@pytest.mark.parametrize("p, k, n_points, margin", [
+    (ModelParams(2, 1.0, 1, 1.0, ext_index=2), 4, 20001, 30),  # tau = 3: grid as before
+    (ModelParams(2, 0.75, 1, 1.0, ext_index=2), 20, 20001, 30),  # tau = 2.5
+    (ModelParams(2, 1.5, 1, 1.0, ext_index=2), 4, 2001, 40),  # tau = 4
+    (ModelParams(8, 1.0, 1, 1.0, ext_index=1), 20, 10001, 40),  # tau = 21
+])
+def test_solver_grid_sized_from_tau_and_k(p, k, n_points, margin):
+    grid = solver_grid(p, k)
+    radius = float(np.sqrt((2 * (2 * (k - 1) + p.alpha + 1) + margin) / p.omega))
+    assert grid.n_points == n_points
+    assert grid.rho_max == pytest.approx(radius * n_points / (n_points + 1), rel=1e-14)
+    assert grid.rho_max + grid.spacing == pytest.approx(radius, rel=1e-14)
+    explicit = solver_grid(p, k, n_points=3001)
+    assert explicit.n_points == 3001
+    assert explicit.rho_max + explicit.spacing == pytest.approx(radius, rel=1e-14)
+
+
 def test_low_tau_rejected():
     # N=2, lambda=0.4, r=1, s=0: tau = 1 + 0.8 < 2
     p = ModelParams(2, 0.4, 1, 1.0)

@@ -154,10 +154,10 @@ def test_inner_product_rejects_short_domain():
         radial_inner_product(1, 3, p, QuadratureSpec(rho_max=2.0, omega=p.omega))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_norm_overflow_reported_as_non_positive():
     p = ModelParams(30, 2.0, 29, 1.0, ext_index=1)  # tau = 1769: rho^tau overflows
-    with pytest.warns(RuntimeWarning), \
-            pytest.raises(QuadratureError, match=r"non-positive \(nan\)"):
+    with pytest.raises(QuadratureError, match=r"non-positive \(nan\)"):  # raised, not warned
         norm(4, p)
 
 
