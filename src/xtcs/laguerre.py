@@ -78,11 +78,10 @@ def _maybe_scalar(arr, like):
 def _lag(n, alpha, x):
     """Recurrence core; zero polynomial for any n < 0, no validation."""
     x = np.asarray(x, dtype=float)
-    if n < 0:
-        return np.zeros_like(x)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for k in range(n):
+    if n < 1:
+        return np.full_like(x, float(n == 0))
+    prev, cur = 1.0, 1 + alpha - x  # the k = 0 step
+    for k in range(1, n):
         cur, prev = ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1), cur
     return cur
 
@@ -176,16 +175,16 @@ class OdeCoefficients:
 
 
 def _coefficient_parts(m, alpha, g):
-    """(q, r_linear, r_linear_shifted) of the Xm equation at g > 0."""
+    """(q, r_linear, r_linear_shifted) of the Xm equation at g > 0; g scalar or array."""
     m = _check_index("m", m, 1)
     if alpha <= 0:
         raise ValidationError(f"alpha must be > 0, got {alpha}")
-    g = float(g)
-    if not g > 0:
+    g = _check_argument("g", g)
+    if not np.all(g > 0):
         raise ValidationError(f"g must be > 0 (coefficients have a 1/g pole), got {g}")
-    num = float(_lag(m - 1, alpha, -g))
-    den_shift = float(_lag(m, alpha - 1.0, -g))
-    den_plain = float(_lag(m, alpha, -g))
+    num = _lag(m - 1, alpha, -g)
+    den_shift = _lag(m, alpha - 1.0, -g)
+    den_plain = _lag(m, alpha, -g)
     q = ((alpha + 1 - g) - 2 * g * num / den_shift) / g
     return q, -2 * alpha * num / den_plain / g, -2 * alpha * num / den_shift / g
 
@@ -200,11 +199,11 @@ def ode_coefficients(m, alpha, g):
     `resolve_r_denominator` reports which variant the closed-form polynomial
     actually satisfies.
     """
-    return OdeCoefficients(*_coefficient_parts(m, alpha, g))
+    return OdeCoefficients(*(_maybe_scalar(c, g) for c in _coefficient_parts(m, alpha, g)))
 
 
 def xm_ode_residual(n, m, alpha, g, r_denominator="alpha-1"):
-    """Residual g y'' + g Q y' + g R y on the closed-form Xm polynomial.
+    """Residual g y'' + g Q y' + g R y on the closed-form Xm polynomial; scalar or array g.
 
     Derivatives are analytic (product rule on the classical representation),
     so a nonzero residual measures coefficient inconsistency, not numerics.
@@ -212,37 +211,41 @@ def xm_ode_residual(n, m, alpha, g, r_denominator="alpha-1"):
     """
     n = _check_index("n", n, 0)
     m = _check_index("m", m, 1)
-    g = float(g)
     if r_denominator not in ("alpha-1", "alpha"):
         raise ValidationError(f"r_denominator must be 'alpha-1' or 'alpha', got {r_denominator!r}")
     a = float(alpha)
-    A, B = _lag(m, a, -g), _lag(n, a - 1, g)
-    C, D = _lag(m, a - 1, -g), _lag(n - 1, a, g)
-    dA, dB = _lag(m - 1, a + 1, -g), -_lag(n - 1, a, g)
-    dC, dD = _lag(m - 1, a, -g), -_lag(n - 2, a + 1, g)
-    d2A, d2B = _lag(m - 2, a + 2, -g), _lag(n - 2, a + 1, g)
-    d2C, d2D = _lag(m - 2, a + 1, -g), _lag(n - 3, a + 2, g)
+    ga = _check_argument("g", g)
+    A, B = _lag(m, a, -ga), _lag(n, a - 1, ga)
+    C, D = _lag(m, a - 1, -ga), _lag(n - 1, a, ga)
+    dA, dB = _lag(m - 1, a + 1, -ga), -_lag(n - 1, a, ga)
+    dC, dD = _lag(m - 1, a, -ga), -_lag(n - 2, a + 1, ga)
+    d2A, d2B = _lag(m - 2, a + 2, -ga), _lag(n - 2, a + 1, ga)
+    d2C, d2D = _lag(m - 2, a + 1, -ga), _lag(n - 3, a + 2, ga)
     y = A * B + C * D
     y1 = dA * B + A * dB + dC * D + C * dD
     y2 = d2A * B + 2 * dA * dB + A * d2B + d2C * D + 2 * dC * dD + C * d2D
-    q, r_plain, r_shifted = _coefficient_parts(m, a, g)
-    r = (n + m) / g + (r_shifted if r_denominator == "alpha-1" else r_plain)
-    return float(g * y2 + g * q * y1 + g * r * y)
+    q, r_plain, r_shifted = _coefficient_parts(m, a, ga)
+    r = (n + m) / ga + (r_shifted if r_denominator == "alpha-1" else r_plain)
+    return _maybe_scalar(ga * y2 + ga * q * y1 + ga * r * y, g)
 
 
 def r_variant_residuals(probes):
     """Worst scaled residual of each R variant over (n, m, alpha, g) probes.
 
     Each residual is scaled by max(1, |y|) (n + m + alpha + g), the size of
-    the terms that cancel in it.  Returns {"alpha-1": worst, "alpha": worst}.
+    the terms that cancel in it.  Probes sharing (n, m, alpha) form one array
+    of g; a NaN residual makes the worst NaN.  Returns {variant: worst}.
     """
-    worst = {"alpha-1": 0.0, "alpha": 0.0}
+    groups = {}
     for n, m, a, g in probes:
-        scale = max(1.0, abs(xm_laguerre(n, m, a, g))) * (n + m + a + g)
-        for variant in worst:
-            res = abs(xm_ode_residual(n, m, a, g, r_denominator=variant))
-            worst[variant] = max(worst[variant], res / scale)
-    return worst
+        groups.setdefault((n, m, a), []).append(g)
+    scaled = {"alpha-1": [], "alpha": []}
+    for (n, m, a), gs in groups.items():
+        g = np.array(gs, dtype=float)
+        scale = np.maximum(1.0, np.abs(xm_laguerre(n, m, a, g))) * (n + m + a + g)
+        for variant, out in scaled.items():
+            out.append(np.abs(xm_ode_residual(n, m, a, g, r_denominator=variant)) / scale)
+    return {variant: float(np.max(np.concatenate(out))) for variant, out in scaled.items()}
 
 
 @lru_cache(maxsize=1)

@@ -319,7 +319,7 @@ def orthogonality_matrix(p: ModelParams, k: int, quad=None):
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    gram = _gram(range(k), p, default_quadrature(p, k - 1) if quad is None else quad)
+    gram, _ = _gram(range(k), p, default_quadrature(p, k - 1) if quad is None else quad)
     scale = np.sqrt(np.diag(gram))
     return gram / np.outer(scale, scale)
 

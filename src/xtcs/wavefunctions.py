@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import QuadratureError, ResolutionError, ValidationError
+from .errors import NonFiniteError, QuadratureError, ResolutionError, ValidationError
 from .laguerre import (_check_index, _lag, _maybe_scalar, x1_laguerre, xm_denominator,
                        xm_laguerre)
 from .model import Configuration, ModelParams, turning_point_g
@@ -46,6 +46,9 @@ X1_DENOMINATOR_FORMS = ("g_plus_alpha", "2g_plus_alpha")
 
 # Tail of the norm integrand past the default rho_max, relative to the total.
 TAIL_TOLERANCE = 1e-10
+# Panels whose log-integrand sits further below every level's peak (e^-70 ~ 4e-31 of it)
+# are not integrated.
+PANEL_MARGIN = 70.0
 
 
 def radial_eigenfunction(n, p: ModelParams, rho, x1_denominator="g_plus_alpha"):
@@ -111,81 +114,120 @@ def default_quadrature(p: ModelParams, n_max: int) -> QuadratureSpec:
     return QuadratureSpec(rho_max=rho_max, omega=p.omega, n_panels=n_panels)
 
 
-def _gram(levels, p: ModelParams, quad: QuadratureSpec):
-    """Gram matrix <Phi_i, Phi_j> under rho^tau d rho over the given levels.
+def _log_rows(levels, p: ModelParams, rho):
+    """sign(Phi_n) and log|Phi_n| + (tau/2) log rho, one row per level, never forming Phi_n
+    (exp(-g/2) and rho^tau leave float64 from tau ~ 255); NaN or +inf (overflow) raises."""
+    m, a = p.ext_index, p.alpha
+    g = p.omega * rho ** 2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lm, den = _lag(m, a, -g), _lag(m, a - 1, -g)
+        poly = np.stack([lm * _lag(n, a - 1, g) + den * _lag(n - 1, a, g) for n in levels])
+        log = np.log(np.abs(poly)) - (g / 2 + np.log(den) - 0.5 * p.tau * np.log(rho))
+    if np.any(np.isnan(log) | (log == np.inf)):
+        raise NonFiniteError("radial quadrature: log|Phi_n| is not finite (Laguerre overflow)")
+    return np.sign(poly), log
 
-    The highest level is integrated first, on [0, rho_max] and on the tail
-    rule extending the g-range to 1.5x; a non-positive norm or a tail above
-    TAIL_TOLERANCE raises before the other levels are evaluated.
+
+def _gram(levels, p: ModelParams, quad: QuadratureSpec):
+    """Shifted Gram matrix <Phi_i, Phi_j> e^(-s_i - s_j) under rho^tau d rho, and the shifts s.
+
+    Row n is sign(Phi_n) exp(log|Phi_n| + (tau/2) log rho + (1/2) log w - s_n), s_n its peak.
+    Only the hull of the panels where some level's log-integrand, at a panel edge, lies within
+    PANEL_MARGIN of its peak is integrated, plus one neighbour panel on each side.  The top
+    level's norm is also integrated on the tail rule extending the g-range to 1.5x; a
+    non-positive norm or a tail above TAIL_TOLERANCE raises.
     """
+    levels = list(levels)
     n_max = max(levels)
     g_max = quad.omega * quad.rho_max ** 2
     g_need = turning_point_g(n_max, p, 20)
     if g_max < g_need:
         raise ValidationError(
             f"rho_max too small: omega rho_max^2 = {g_max:.3f} < {g_need:.3f} required for level {n_max}")
-    nodes, weights = panel_nodes(quad.edges())
-    top = radial_eigenfunction(n_max, p, nodes)
-    # rho^tau overflows from tau ~ 255; the non-positive norm check below, or the
-    # NaN it leaves in the report, stops the suite, so numpy need not warn too
-    with np.errstate(over="ignore", invalid="ignore"):
-        measure = nodes ** p.tau
-        total = float(np.sum(top ** 2 * measure * weights))
-        tn, tw = panel_nodes(np.sqrt(np.array([g_max, 1.25 * g_max, 1.5 * g_max]) / quad.omega))
-        tail = float(np.sum(radial_eigenfunction(n_max, p, tn) ** 2 * tn ** p.tau * tw))
+    edges = quad.edges()
+    at_edges = _log_rows(levels, p, edges)[1]
+    near = np.any(at_edges >= np.max(at_edges, axis=1, keepdims=True) - PANEL_MARGIN, axis=0)
+    hit = np.nonzero(near[:-1] | near[1:])[0]  # panel i spans edges i and i + 1
+    lo, hi = max(hit[0] - 1, 0), min(hit[-1] + 1, quad.n_panels - 1)
+    nodes, weights = panel_nodes(edges[lo:hi + 2])
+    sign, log = _log_rows(levels, p, nodes)
+    shift = np.max(log, axis=1)
+    rows = sign * np.exp(log - shift[:, None] + 0.5 * np.log(weights))
+    gram, top = rows @ rows.T, levels.index(n_max)
+    total = float(gram[top, top])  # not a 1-d dot: threaded OpenBLAS took ~7 ms on 17k nodes
+    tn, tw = panel_nodes(np.sqrt(np.array([g_max, 1.25 * g_max, 1.5 * g_max]) / quad.omega))
+    tail = float(np.sum(np.exp(2 * (_log_rows([n_max], p, tn)[1][0] - shift[top])) * tw))
     if not total > 0:
         raise QuadratureError(f"norm came out non-positive ({total!r})")
     if tail > TAIL_TOLERANCE * total:
         raise QuadratureError(
-            f"norm tail estimate {tail:.3e} exceeds {TAIL_TOLERANCE:.0e} of total {total:.6e}; "
+            f"norm tail estimate is {tail / total:.3e} of the total, above {TAIL_TOLERANCE:.0e}; "
             "increase rho_max")
-    basis = np.stack([top if n == n_max else radial_eigenfunction(n, p, nodes) for n in levels])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (basis * weights * measure) @ basis.T
+    return gram, shift
+
+
+def _unshift(value, shift, what):
+    """value e^shift, or a QuadratureError naming the overflow where that leaves float64."""
+    log_abs = (np.log(abs(value)) if value else -np.inf) + shift
+    if log_abs > np.log(np.finfo(float).max):
+        raise QuadratureError(f"{what} overflows float64: log |{what}| = {log_abs:.17g}")
+    return float(np.copysign(np.exp(log_abs), value))
 
 
 def norm(n, p: ModelParams, quad: QuadratureSpec | None = None) -> float:
     """Squared-amplitude integral of Phi_n under the measure rho^tau d rho."""
-    return float(_gram((n,), p, default_quadrature(p, n) if quad is None else quad)[0, 0])
+    gram, shift = _gram((n,), p, default_quadrature(p, n) if quad is None else quad)
+    return _unshift(gram[0, 0], 2 * shift[0], "norm")
 
 
 def radial_inner_product(i, j, p: ModelParams, quad: QuadratureSpec | None = None) -> float:
     """<Phi_i, Phi_j> under rho^tau d rho (unnormalized amplitudes)."""
     i, j = _check_index("i", i, 0), _check_index("j", j, 0)
-    return float(_gram((i, j), p, default_quadrature(p, max(i, j)) if quad is None else quad)[0, 1])
+    gram, shift = _gram((i, j), p, default_quadrature(p, max(i, j)) if quad is None else quad)
+    return _unshift(gram[0, 1], shift[0] + shift[1], "inner product")
 
 
 def default_node_grid(n, p: ModelParams) -> RadialGrid:
-    """Grid resolving the oscillations of Phi_n: >= 220 points per unit g."""
+    """Uniform rho-grid resolving the zeros of Phi_n: >= 220 points per unit sqrt(omega) rho.
+
+    For large alpha the zeros sit about dx_Hermite / sqrt(2 omega) apart in rho, whatever
+    alpha is, so the grid grows like sqrt(alpha), not like alpha."""
     g_max = turning_point_g(n, p, 10)
     rho_max = float(np.sqrt(g_max / p.omega))
-    n_points = max(2001, int(np.ceil(220 * g_max)))
+    n_points = max(2001, int(np.ceil(220 * np.sqrt(g_max))))
     return RadialGrid(rho_max / n_points, rho_max, n_points)
+
+
+def _sign_changes(signs):
+    """Indices of the cells where the sign changes, zeros skipped."""
+    nz = np.nonzero(signs)[0]
+    kept = signs[nz]
+    return nz[np.nonzero(kept[:-1] * kept[1:] < 0)[0]]
 
 
 def count_nodes(n, p: ModelParams, grid: RadialGrid | None = None) -> int:
     """Sign changes of Phi_n on the open interval covered by the grid.
 
-    Requires on average >= 200 grid points per unit of g across the grid; a
-    pair of sign changes in adjacent cells (an unresolved near-tangency) is
-    rejected rather than silently counted.
+    Requires >= 200 grid points per unit of sqrt(omega) rho, no pair of sign changes in
+    adjacent cells (an unresolved near-tangency), and the same count on the grid and on its
+    halving (2 n_points - 1 points).
     """
     n = _check_index("n", n, 0)
     if grid is None:
         grid = default_node_grid(n, p)
-    g_span = p.omega * (grid.rho_max ** 2 - grid.rho_min ** 2)
-    if grid.n_points < 200 * g_span:
-        raise ResolutionError(
-            f"grid has {grid.n_points} points over a g-span of {g_span:.2f}; "
-            "need >= 200 points per unit g")
+    span = np.sqrt(p.omega) * (grid.rho_max - grid.rho_min)
+    if grid.n_points < 200 * span:
+        raise ResolutionError(f"grid has {grid.n_points} points over a sqrt(omega) rho span "
+                              f"of {span:.2f}; need >= 200 points per unit")
+    halved = RadialGrid(grid.rho_min, grid.rho_max, 2 * grid.n_points - 1)
     # Phi_n = Xm polynomial * exp(-g/2) / L_m^(alpha-1)(-g), the last factor positive; the
     # polynomial keeps its sign where exp(-g/2) underflows (large alpha)
-    signs = np.sign(xm_laguerre(n, p.ext_index, p.alpha, p.omega * grid.nodes ** 2))
-    nz = signs != 0
-    compact = signs[nz]
-    flips = np.nonzero(compact[:-1] * compact[1:] < 0)[0]
-    original = np.nonzero(nz)[0][flips]
-    if len(original) > 1 and np.any(np.diff(original) <= 2):
+    signs = np.sign(xm_laguerre(n, p.ext_index, p.alpha, p.omega * halved.nodes ** 2))
+    cells, count_halved = _sign_changes(signs[::2]), len(_sign_changes(signs))
+    if np.any(np.diff(cells) <= 2):
         raise ResolutionError(
             "two sign changes within adjacent cells: suspected tangency, refine the grid")
-    return int(len(flips))
+    if count_halved != len(cells):
+        raise ResolutionError(f"{len(cells)} sign changes on the grid but {count_halved} on "
+                              "its halving; refine the grid")
+    return len(cells)

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from xtcs import NonFiniteError, cli, verify
 from xtcs.cli import main
+from xtcs.verify import VerificationReport
 
 
 @pytest.fixture()
@@ -179,9 +181,13 @@ def test_local_energy_subcommand(config, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_verify_numerical_error_exits_1_and_keeps_finished_reports(tmp_path, capsys):
-    # tau = 407: the ortho quadrature fails after residual and spectrum pass, with one
-    # line on stderr (rho ** tau overflows, quietly)
+def test_verify_numerical_error_exits_1_and_keeps_finished_reports(tmp_path, capsys, monkeypatch):
+    # tau = 407: residual and spectrum pass, then the ortho quadrature raises (here made to
+    # raise as it does where the Laguerre recurrence overflows), with one line on stderr
+    def overflowing_gram(levels, p, quad):
+        raise NonFiniteError("radial quadrature: log|Phi_0| is not finite (Laguerre overflow)")
+
+    monkeypatch.setattr(verify, "_gram", overflowing_gram)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"N": 12, "lambda": 3, "r": 11, "omega": 1, "s": 0, "m": 1}))
     out = tmp_path / "reports"
@@ -189,11 +195,43 @@ def test_verify_numerical_error_exits_1_and_keeps_finished_reports(tmp_path, cap
                  "--samples", "10", "--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()
-    assert captured.err == "xtcs: error: suite ortho: norm came out non-positive (nan)\n"
+    assert captured.err == ("xtcs: error: suite ortho: radial quadrature: log|Phi_0| is not "
+                            "finite (Laguerre overflow)\n")
     assert "residual: PASS" in captured.out and "spectrum: PASS" in captured.out
     for suite in ("residual", "spectrum"):
         assert (out / f"report_{suite}.json").exists()
     assert not (out / "report_ortho.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ortho_laguerre_overflow_exits_1_with_one_line(tmp_path, capsys):
+    # L_200^(alpha)(-g) overflows float64 here; the log-domain rows see it and stop the suite
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 60, "lambda": 3, "r": 59, "omega": 1, "s": 0, "m": 200}))
+    out = tmp_path / "reports"
+    assert main(["verify", "--config", str(path), "--suite", "ortho", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("xtcs: error: suite ortho: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cfg", [
+    {"N": 16, "lambda": 1, "r": 15, "omega": 1, "s": 0, "m": 0},  # tau = 255
+    {"N": 12, "lambda": 3, "r": 11, "omega": 1, "s": 0, "m": 1},  # tau = 407
+    {"N": 30, "lambda": 2, "r": 29, "omega": 1, "s": 0, "m": 1},  # tau = 1769
+    {"N": 40, "lambda": 3, "r": 39, "omega": 1, "s": 0, "m": 2},  # tau = 4719
+])
+def test_ortho_passes_at_large_tau(cfg, tmp_path, capsys):
+    # rho^tau alone overflows float64 from tau ~ 255; the Gram rows are built in the log domain
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "reports"
+    assert main(["verify", "--config", str(path), "--suite", "ortho", "--out", str(out)]) == 0
+    items = json.loads((out / "report_ortho.json").read_text())["items"]
+    assert items[0]["name"].startswith("worst off-diagonal") and items[0]["value"] <= 1e-12
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -231,15 +269,31 @@ def test_non_finite_local_energy_exits_1_without_nan(tmp_path, capsys):
 
 
 def test_nan_in_a_report_exits_1_and_writes_no_json(tmp_path, capsys):
-    # tau = 255: nodes ** tau overflows in the orthogonality quadrature
+    # L_200^(alpha)(-g) overflows in the residual suite's eigenfunctions: NaN residuals
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"N": 16, "lambda": 1, "r": 15, "omega": 1, "s": 0, "m": 0}))
+    path.write_text(json.dumps({"N": 60, "lambda": 3, "r": 59, "omega": 1, "s": 0, "m": 200}))
     out = tmp_path / "reports"
     with pytest.warns(RuntimeWarning):
-        code = main(["verify", "--config", str(path), "--suite", "ortho", "--out", str(out)])
+        code = main(["verify", "--config", str(path), "--suite", "residual", "--out", str(out)])
     assert code == 1
-    assert "xtcs: error: suite ortho: JSON output" in capsys.readouterr().err
+    assert "xtcs: error: suite residual: JSON output" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_parser_is_built_once_and_each_call_sees_only_its_arguments(config, monkeypatch):
+    seen = []
+
+    def record(p, args):
+        seen.append((args.suite, args.points, args.perturb))
+        return VerificationReport("recorded", p)
+
+    for suite in ("spectrum", "consistency"):
+        monkeypatch.setitem(cli._SUITE_RUNNERS, suite, record)
+    assert main(["verify", "--config", config, "--suite", "spectrum", "--points", "3001",
+                 "--perturb", "1.01"]) == 0
+    assert main(["verify", "--config", config, "--suite", "consistency"]) == 0
+    assert seen == [("spectrum", 3001, 1.01), ("consistency", None, 1.0)]
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("argv", [["local-energy", "--samples", "5"],

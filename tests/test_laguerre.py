@@ -7,6 +7,9 @@ import pytest
 from xtcs import (ValidationError, laguerre, laguerre_derivative, ode_coefficients,
                   resolve_r_denominator, x1_laguerre, xm_denominator, xm_laguerre,
                   xm_ode_residual)
+from xtcs.laguerre import r_variant_residuals
+
+from conftest import battery
 
 
 def series_laguerre(n, alpha, x):
@@ -194,3 +197,35 @@ def test_resolved_variant_annihilates_closed_form():
 def test_unshifted_variant_fails():
     bad = xm_ode_residual(1, 1, 1.0, 2.0, r_denominator="alpha")
     assert abs(bad) > 1e-2
+
+
+def per_probe_r_variant_residuals(probes):
+    """Reference: the worst scaled residual of each R variant, one scalar probe at a time."""
+    worst = {"alpha-1": 0.0, "alpha": 0.0}
+    for n, m, a, g in probes:
+        scale = max(1.0, abs(xm_laguerre(n, m, a, g))) * (n + m + a + g)
+        for variant in worst:
+            res = abs(xm_ode_residual(n, m, a, g, r_denominator=variant))
+            worst[variant] = max(worst[variant], res / scale)
+    return worst
+
+
+def test_batched_r_variants_match_per_probe_reference():
+    assert resolve_r_denominator() == "alpha-1"
+    alphas = sorted({p.alpha for p in battery()} | {884.0})  # 884: tau = 1769
+    for a in alphas:
+        probes = [(n, m, a, g) for n in range(4) for m in (1, 2, 3)
+                  for g in (0.5, 2.0, a + 1.0, 11.3)]
+        got, want = r_variant_residuals(probes), per_probe_r_variant_residuals(probes)
+        for variant in want:
+            assert got[variant] == pytest.approx(want[variant], rel=1e-12, abs=0)
+
+
+def test_residual_and_coefficients_take_arrays():
+    g = np.array([0.4, 1.7, 6.3])
+    res = xm_ode_residual(2, 3, 2.5, g, r_denominator="alpha")
+    assert res.shape == (3,)
+    assert list(res) == [xm_ode_residual(2, 3, 2.5, x, r_denominator="alpha") for x in g]
+    assert isinstance(xm_ode_residual(2, 3, 2.5, 1.7), float)
+    c = ode_coefficients(2, 1.5, np.array([0.5, 0.5]))
+    assert np.all(c.q == ode_coefficients(2, 1.5, 0.5).q)

@@ -8,12 +8,12 @@ import pytest
 
 from xtcs import (Configuration, ModelParams, QuadratureError, ResolutionError,
                   ValidationError, count_nodes, default_quadrature, jastrow, laguerre,
-                  manybody_groundstate, norm, radial_eigenfunction,
-                  radial_inner_product)
-from xtcs.quadrature import QuadratureSpec
+                  manybody_groundstate, norm, orthogonality_matrix, radial_eigenfunction,
+                  radial_inner_product, xm_laguerre)
+from xtcs.quadrature import QuadratureSpec, panel_nodes
 from xtcs.solver import RadialGrid
 
-from conftest import BATTERY_BASE, M_VALUES, make_params
+from conftest import BATTERY_BASE, M_VALUES, battery, make_params
 
 
 def high_precision_phi(n, m, alpha, omega, rho):
@@ -156,9 +156,16 @@ def test_inner_product_rejects_short_domain():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_norm_overflow_reported_as_non_positive():
-    p = ModelParams(30, 2.0, 29, 1.0, ext_index=1)  # tau = 1769: rho^tau overflows
-    with pytest.raises(QuadratureError, match=r"non-positive \(nan\)"):  # raised, not warned
+    # tau = 1769: the norm is ~e^5141, which no float64 holds; the overflow is raised with
+    # its log norm, not warned and not returned as inf or NaN
+    p = ModelParams(30, 2.0, 29, 1.0, ext_index=1)
+    with pytest.raises(QuadratureError, match=r"norm overflows float64: log \|norm\| = 5141\.0"):
         norm(4, p)
+    # m = 0, n = 0, omega = 1: the log norm is log Gamma(alpha + 1) - log 2
+    with pytest.raises(QuadratureError) as err:
+        norm(0, dataclasses.replace(p, ext_index=0))
+    log_norm = float(str(err.value).rsplit("= ", 1)[1])
+    assert log_norm == pytest.approx(math.lgamma(p.alpha + 1) - math.log(2), rel=1e-13)
 
 
 def test_norm_tail_error_reported():
@@ -205,3 +212,45 @@ def test_node_count_rejects_coarse_grid():
     p = ModelParams(2, 1.0, 1, 1.0)
     with pytest.raises(ResolutionError):
         count_nodes(2, p, RadialGrid(0.05, 5.0, 200))
+
+
+def old_node_grid(n, p):
+    """The node grid before it was sized from sqrt(omega) rho: >= 220 points per unit g."""
+    g_max = 2 * (2 * n + p.alpha + 1) + 10
+    n_points = max(2001, math.ceil(220 * g_max))
+    return RadialGrid(math.sqrt(g_max / p.omega) / n_points, math.sqrt(g_max / p.omega), n_points)
+
+
+def test_node_counts_match_the_old_dense_grid():
+    for base in BATTERY_BASE:
+        for m in (0, 1, 2, 3, 20, 60):
+            for omega in (0.05, 1.0, 20.0):
+                p = dataclasses.replace(make_params(base, m), omega=omega)
+                for n in range(5):
+                    assert count_nodes(n, p) == count_nodes(n, p, old_node_grid(n, p)) == n
+
+
+# -- pruned log-domain Gram matrix ------------------------------------------------
+
+def full_panel_overlaps(p, k):
+    """Normalized Gram matrix over every panel of the default rule, rows built in the log
+    domain and shifted by their peaks."""
+    rho, w = panel_nodes(default_quadrature(p, k - 1).edges())
+    g = p.omega * rho ** 2
+    log_den = np.log(laguerre(p.ext_index, p.alpha - 1, -g))
+    rows = []
+    for n in range(k):
+        poly = xm_laguerre(n, p.ext_index, p.alpha, g)
+        with np.errstate(divide="ignore"):
+            log = np.log(np.abs(poly)) - g / 2 - log_den + 0.5 * p.tau * np.log(rho)
+        rows.append(np.sign(poly) * np.exp(log - np.max(log) + 0.5 * np.log(w)))
+    gram = np.array(rows) @ np.array(rows).T
+    scale = np.sqrt(np.diag(gram))
+    return gram / np.outer(scale, scale)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pruned_gram_matches_full_panel_reference():
+    for p in battery() + [ModelParams(30, 2.0, 29, 1.0, ext_index=1)]:
+        got = orthogonality_matrix(p, 5)
+        assert np.max(np.abs(got - full_panel_overlaps(p, 5))) <= 1e-13
