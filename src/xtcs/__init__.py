@@ -18,13 +18,13 @@ from .laguerre import (OdeCoefficients, laguerre, laguerre_derivative,
 from .model import (Configuration, ExtConstants, ModelParams, energy_level, ext_constants,
                     v_eff_radial, v_interaction, v_new, v_new_x1_two_term)
 from .quadrature import QuadratureSpec
-from .solver import RadialGrid, richardson, solver_grid, sturm_count
+from .solver import RadialGrid, richardson, solver_grid
 from .wavefunctions import (count_nodes, default_node_grid, default_quadrature,
                             jastrow, manybody_groundstate, norm,
                             radial_eigenfunction, radial_inner_product)
 from .verify import (ConvergenceStudy, SpectrumReport, VerificationReport,
                      consistency_suite, convergence_orders, eigenvector_overlap,
-                     isospectrality_check, level_count_below, numeric_spectrum,
+                     isospectrality_check, numeric_spectrum,
                      ode_residual, ode_residual_diagnosis, orthogonality_matrix,
                      spectrum_csv_rows)
 from .manybody import ConstancyStats, constancy_scan, local_energy, sample_configurations
@@ -36,12 +36,12 @@ __all__ = [
     "OdeCoefficients", "ode_coefficients", "xm_ode_residual", "resolve_r_denominator",
     "ModelParams", "Configuration", "ExtConstants", "energy_level", "v_interaction",
     "v_new", "v_new_x1_two_term", "ext_constants", "v_eff_radial",
-    "QuadratureSpec", "RadialGrid", "solver_grid", "sturm_count", "richardson",
+    "QuadratureSpec", "RadialGrid", "solver_grid", "richardson",
     "radial_eigenfunction", "jastrow", "manybody_groundstate", "norm",
     "radial_inner_product", "count_nodes", "default_node_grid", "default_quadrature",
     "SpectrumReport", "VerificationReport", "ConvergenceStudy",
     "numeric_spectrum", "isospectrality_check", "orthogonality_matrix",
     "consistency_suite", "convergence_orders", "ode_residual", "ode_residual_diagnosis",
-    "level_count_below", "eigenvector_overlap", "spectrum_csv_rows",
+    "eigenvector_overlap", "spectrum_csv_rows",
     "ConstancyStats", "constancy_scan", "local_energy", "sample_configurations",
 ]

@@ -29,10 +29,12 @@ __all__ = [
     "hamiltonian_diagonals",
     "lowest_eigenvalues",
     "lowest_eigenpairs",
-    "sturm_count",
     "matrix_norm1",
     "richardson",
 ]
+
+# WKB decay of the top level between its turning point and the outer wall.
+WALL_DECAY_NATS = 19.3
 
 
 @dataclass(frozen=True)
@@ -76,22 +78,34 @@ class RadialGrid:
 def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGrid:
     """Eigensolver grid for the lowest k levels, sized from tau and k.
 
-    The outer Dirichlet radius R sits at g = w R^2 = turning point of level
-    k-1 plus a margin of classically forbidden region; n_points, unless
-    given, follows from tau and k.  The constants were measured with
+    The outer Dirichlet radius R sits at g = w R^2 = g_t + margin, where
+    g_t = 2 E_(k-1) / w is the turning point of the top level; n_points,
+    unless given, follows from tau and k.  The constants were measured with
     `isospectrality_check` (Richardson pair on n and 2n+1 points):
 
-    * tau >= 4: 500 k + 1 points, margin 40.  Bisection roundoff, not
-      truncation, limits the 20001-point grid: its floor 25 eps ||T_fine||
-      grows like 1/h^2, so tol_iso falls from 8.2e-7 to 1.0e-8 at tau = 6
-      (N=3, lambda=1, r=1, m=2) on 2001 points.  500 points per level sit at
-      the truncation/roundoff crossover: at k = 4 the worst |E - E_n| is
-      3.2e-5 of the 1e-6 E_n gate at tau = 4, against 2.0e-3 at 125,
-      1.3e-4 at 250 and 1.1e-4 at 1000 points per level.  The lower floor
-      exposes the wall shift of the top level: at tau = 6, k = 12, margin 30
-      leaves |E_ext - E_conv| = 3.9e-8 on every grid from 2001 to 20001
-      points (tol_iso 1e-8 on the smallest), margin 40 leaves 1.5e-10 to
-      3.0e-10 on 2001 to 6001 points.
+    * tau >= 4: max(501, 250 k + 1) points; margin
+      max(40, (3 S sqrt(g_t))^(2/3)) with S = WALL_DECAY_NATS = 19.3.
+      Margin: past g_t the top level decays like exp(-int kappa d rho) with
+      kappa = sqrt(w (g - g_t)).  With d rho = dg / (2 sqrt(w g)) and
+      D = g - g_t << g_t the exponent is D^(3/2) / (3 sqrt(g_t)), so a fixed
+      margin buys less decay as g_t grows.  Margin 40 gives 19.3 nats at
+      k = 4, tau = 6 (g_t = 19), where it removed the top level's wall
+      shift, but only 7.4 nats at k = 32 (g_t = 131): there N=3, lambda=1,
+      r=1, m=60 shows a wall shift of 0.86 tol_iso (0.87 at w = 20), which
+      passed only because 16001 points inflated tol_iso, and on 8001 points
+      it reads 3.47 tol_iso.  Holding S fixed puts that wall at margin 76
+      and the shift at 0.03 tol_iso.
+      Points: bisection roundoff, not truncation, limits large grids: the
+      floor 25 eps ||T_fine|| grows like 1/h^2 (tol_iso 8.2e-7 on 20001
+      points, 1.0e-8 on 2001 at N=3, lambda=1, r=1, m=2).  Over five configs
+      (tau = 4 ... 1769) x w in {0.05, 1, 20} at k = 4, 125 points per level
+      leave |E_ext - E_conv| <= 0.27 tol_iso and |E - E_n| <= 2.5e-2 of the
+      1e-6 E_n gate, 250 leave 0.022 and 1.5e-3, 500 leave 0.047 and
+      3.2e-4 at 1.6x the time.  Over 860 configs (tau = 4 ... 10679,
+      k = 1 ... 32, m = 0 ... 60, w = 0.05 ... 20) this rule keeps both
+      within 0.051 tol_iso and 8.8e-3 of the gate, and the 1.01-scaled
+      extension term (N=8, r=1, k=4) still fails up to tau = 52.5 (m = 1),
+      73.5 (m = 2) and 87.5 (m = 3).
     * tau < 4: 20001 points, margin 30, as before.  u ~ rho^(tau/2) is too
       rough at the origin for the pair to be fourth order: its error falls
       like h^(tau-1) (slope 1.2 at tau = 2.2, 1.5 at 2.5, 2 at 3).  At tau = 3
@@ -99,14 +113,16 @@ def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGr
       45 tol_iso; at tau = 4 they give <= 0.016 tol_iso.  Margin 40 here would
       stretch h enough to fail N=2, lambda=0.75, r=1, m=2 (tau = 2.5).
 
-    An explicit n_points keeps the margin of its tau regime.
+    An explicit n_points keeps the margin rule of its tau regime.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     smooth = p.tau >= 4
     if n_points is None:
-        n_points = 500 * k + 1 if smooth else 20001
-    radius = float(np.sqrt(turning_point_g(k - 1, p, 40 if smooth else 30) / p.omega))
+        n_points = max(501, 250 * k + 1) if smooth else 20001
+    g_t = turning_point_g(k - 1, p, 0)
+    margin = max(40.0, (3 * WALL_DECAY_NATS * np.sqrt(g_t)) ** (2 / 3)) if smooth else 30.0
+    radius = float(np.sqrt((g_t + margin) / p.omega))
     h = radius / (n_points + 1)
     return RadialGrid(h, n_points * h, n_points)
 
@@ -150,21 +166,6 @@ def lowest_eigenpairs(diag, off, k):
     if k > len(diag):
         raise ValidationError(f"k = {k} exceeds matrix dimension {len(diag)}")
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-
-
-def sturm_count(diag, off, x: float) -> int:
-    """Number of eigenvalues strictly below x (Sturm sequence sign count)."""
-    tiny = np.finfo(float).tiny
-    count = 0
-    q = diag[0] - x
-    if q < 0:
-        count += 1
-    for i in range(1, len(diag)):
-        denom = q if q != 0.0 else tiny
-        q = diag[i] - x - off[i - 1] ** 2 / denom
-        if q < 0:
-            count += 1
-    return count
 
 
 def matrix_norm1(diag, off) -> float:

@@ -25,8 +25,7 @@ from .laguerre import r_variant_residuals
 from .model import (ModelParams, energy_level, ext_constants, turning_point_g, v_new,
                     v_new_x1_two_term)
 from .solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenpairs,
-                     lowest_eigenvalues, matrix_norm1, richardson, solver_grid,
-                     sturm_count)
+                     lowest_eigenvalues, matrix_norm1, richardson, solver_grid)
 from .wavefunctions import _gram, default_quadrature, radial_eigenfunction
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "ode_residual_diagnosis",
     "numeric_spectrum",
     "isospectrality_check",
-    "level_count_below",
     "eigenvector_overlap",
     "spectrum_csv_rows",
     "orthogonality_matrix",
@@ -211,9 +209,21 @@ class SpectrumReport:
         }
 
 
-def _solve(p, k, grid, extended, v_new_scale):
-    d, e = hamiltonian_diagonals(p, grid, extended, v_new_scale)
-    return lowest_eigenvalues(d, e, k)
+def _spectrum(p, k, grid, extended, v_new_scale):
+    """SpectrumReport on the pair (grid, grid.refined()), plus the 1-norm of
+    the fine matrix, which sets the bisection roundoff floor."""
+    radius = grid.rho_max + grid.spacing
+    if p.omega * radius ** 2 < turning_point_g(k - 1, p, 30) * (1 - 1e-9):
+        raise ValidationError(
+            f"grid radius {radius:.3f} too small for k = {k}: need w^2 R^2/2 >= E_(k-1) + 15 w")
+    coarse = lowest_eigenvalues(*hamiltonian_diagonals(p, grid, extended, v_new_scale), k)
+    d_fine, e_fine = hamiltonian_diagonals(p, grid.refined(), extended, v_new_scale)
+    fine = lowest_eigenvalues(d_fine, e_fine, k)
+    extrap = richardson(coarse, fine)
+    rows = tuple(SpectrumRow(n, energy_level(n, p), float(extrap[n])) for n in range(k))
+    report = SpectrumReport(p, extended, rows, grid, tuple(map(float, coarse)),
+                            tuple(map(float, fine)))
+    return report, matrix_norm1(d_fine, e_fine)
 
 
 def numeric_spectrum(p: ModelParams, k: int, grid: RadialGrid | None = None,
@@ -222,16 +232,7 @@ def numeric_spectrum(p: ModelParams, k: int, grid: RadialGrid | None = None,
     paired with the analytic ladder."""
     if grid is None:
         grid = solver_grid(p, k)
-    radius = grid.rho_max + grid.spacing
-    if p.omega * radius ** 2 < turning_point_g(k - 1, p, 30) * (1 - 1e-9):
-        raise ValidationError(
-            f"grid radius {radius:.3f} too small for k = {k}: need w^2 R^2/2 >= E_(k-1) + 15 w")
-    coarse = _solve(p, k, grid, extended, v_new_scale)
-    fine = _solve(p, k, grid.refined(), extended, v_new_scale)
-    extrap = richardson(coarse, fine)
-    rows = tuple(SpectrumRow(n, energy_level(n, p), float(extrap[n])) for n in range(k))
-    return SpectrumReport(p, extended, rows, grid, tuple(map(float, coarse)),
-                          tuple(map(float, fine)))
+    return _spectrum(p, k, grid, extended, v_new_scale)[0]
 
 
 def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = None,
@@ -240,22 +241,25 @@ def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = N
 
     Tolerances: 1e-6 E_n against the analytic ladder; tol_iso =
     max(1e-8 w, 25 eps ||T_fine||_1) between the two numeric spectra, the
-    second term being the bisection roundoff floor of the fine grid.
-    v_new_scale != 1 perturbs the extension term (negative control); failure
-    is reported, not raised.
+    second term being the bisection roundoff floor of the fine extended
+    matrix.  v_new_scale != 1 perturbs the extension term (negative
+    control); failure is reported, not raised.  Each of the four matrices
+    (conventional and extended, coarse and fine) is assembled once.
     """
     if grid is None:
         grid = solver_grid(p, k)
-    d_fine, e_fine = hamiltonian_diagonals(p, grid.refined(), extended=True,
-                                           v_new_scale=v_new_scale)
-    noise_floor = 25 * np.finfo(float).eps * matrix_norm1(d_fine, e_fine)
+    conv, _ = _spectrum(p, k, grid, False, 1.0)
+    ext, norm_fine = _spectrum(p, k, grid, True, v_new_scale)
+    noise_floor = 25 * np.finfo(float).eps * norm_fine
     tol_iso = max(1e-8 * p.omega, noise_floor)
-    conv = numeric_spectrum(p, k, grid, extended=False)
-    ext = numeric_spectrum(p, k, grid, extended=True, v_new_scale=v_new_scale)
+    radius = grid.rho_max + grid.spacing
     report = VerificationReport("isospectrality of the extended radial problem", p)
     report.metadata.update({
-        "k": k, "grid_points": grid.n_points, "tol_iso": tol_iso,
-        "bisection_noise_floor": noise_floor, "v_new_scale": v_new_scale,
+        "k": k, "grid_points": grid.n_points, "spacing": grid.spacing,
+        "outer_radius": radius,
+        "outer_margin_g": p.omega * radius ** 2 - turning_point_g(k - 1, p, 0),
+        "tol_iso": tol_iso, "bisection_noise_floor": noise_floor,
+        "v_new_scale": v_new_scale,
     })
     for n in range(k):
         ta = 1e-6 * energy_level(n, p)
@@ -268,15 +272,6 @@ def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = N
     report.metadata["conventional"] = conv.to_json_dict()
     report.metadata["extended"] = ext.to_json_dict()
     return report
-
-
-def level_count_below(p: ModelParams, energy: float, grid: RadialGrid | None = None,
-                      extended: bool = False) -> int:
-    """Number of discretized levels below `energy`, by a direct Sturm count."""
-    if grid is None:
-        grid = solver_grid(p, 8)
-    d, e = hamiltonian_diagonals(p, grid, extended)
-    return sturm_count(d, e, energy)
 
 
 def eigenvector_overlap(p: ModelParams, k: int = 4, grid: RadialGrid | None = None):

@@ -135,6 +135,8 @@ def test_verify_perturbed_fails(config, capsys):
     ({"N": 8, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": 1}, ["--perturb", "1.01"], 2),
     # tau = 4: twenty levels on the default grid agree with the conventional ones
     ({"N": 2, "lambda": 1.5, "r": 1, "omega": 1, "s": 0, "m": 2}, ["--levels", "20"], 0),
+    # tau = 49: the 1 % shift (8.8e-8) clears the default grid's floor (5.3e-8)
+    ({"N": 8, "lambda": 3, "r": 1, "omega": 1, "s": 0, "m": 1}, ["--perturb", "1.01"], 2),
 ])
 def test_spectrum_verdict_on_default_grid(cfg, argv, code, tmp_path):
     path = tmp_path / "cfg.json"

@@ -5,13 +5,14 @@ import pytest
 
 from xtcs import (ModelParams, ValidationError, consistency_suite, convergence_orders,
                   eigenvector_overlap, energy_level, isospectrality_check,
-                  level_count_below, numeric_spectrum, ode_residual,
-                  ode_residual_diagnosis, orthogonality_matrix, solver_grid,
-                  spectrum_csv_rows, sturm_count)
-from xtcs.solver import RadialGrid, hamiltonian_diagonals, richardson
+                  numeric_spectrum, ode_residual, ode_residual_diagnosis,
+                  orthogonality_matrix, solver_grid, spectrum_csv_rows)
+from xtcs.solver import RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, richardson
 from xtcs.verify import default_residual_grid
 
 from conftest import BATTERY_BASE, make_params
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FAST_POINTS = 6001  # sufficient for unit-level tolerances; acceptance uses the default
 
@@ -25,11 +26,18 @@ def test_grid_refinement_halves_spacing():
     assert f.rho_max + f.spacing == pytest.approx(g.rho_max + g.spacing, rel=1e-12)
 
 
+def _wkb_margin(g_t):
+    # margin at which the harmonic WKB decay margin^(3/2) / (3 sqrt(g_t)) reaches 19.3 nats
+    return max(40.0, (3 * 19.3 * np.sqrt(g_t)) ** (2 / 3))
+
+
 @pytest.mark.parametrize("p, k, n_points, margin", [
     (ModelParams(2, 1.0, 1, 1.0, ext_index=2), 4, 20001, 30),  # tau = 3: grid as before
     (ModelParams(2, 0.75, 1, 1.0, ext_index=2), 20, 20001, 30),  # tau = 2.5
-    (ModelParams(2, 1.5, 1, 1.0, ext_index=2), 4, 2001, 40),  # tau = 4
-    (ModelParams(8, 1.0, 1, 1.0, ext_index=1), 20, 10001, 40),  # tau = 21
+    (ModelParams(2, 1.5, 1, 1.0, ext_index=2), 4, 1001, 40),  # tau = 4, g_t = 17
+    pytest.param(ModelParams(8, 1.0, 1, 1.0, ext_index=1), 20, 5001, _wkb_margin(98),
+                 id="p3-20-5001-wkb69"),  # tau = 21, g_t = 98
+    (ModelParams(2, 1.5, 1, 1.0, ext_index=2), 1, 501, 40),  # tau = 4: 501-point floor
 ])
 def test_solver_grid_sized_from_tau_and_k(p, k, n_points, margin):
     grid = solver_grid(p, k)
@@ -95,17 +103,38 @@ def test_isospectrality_negative_control():
     assert worst > 10 * tol_iso
 
 
-def test_sturm_count_matches_analytic_ladder():
+@pytest.mark.parametrize("k", [1, 32])
+def test_top_level_clears_the_outer_wall_on_the_default_grid(k):
+    # tau = 6, m = 60: at k = 32 a wall at margin 40 shifts the top level by 0.86 tol_iso
+    report = isospectrality_check(ModelParams(3, 1.0, 1, 1.0, ext_index=60), k)
+    tol_iso = report.metadata["tol_iso"]
+    iso = [item.value for item in report.items
+           if item.name.startswith("|E_ext") and "E_conv" in item.name]
+    assert len(iso) == k
+    assert max(iso) <= 0.25 * tol_iso, report.to_text()
+    assert report.passed
+
+
+def test_spectrum_report_records_its_wall():
+    p = make_params((3, 1.5, 2, 0, 1.0), 2)
+    grid = solver_grid(p, 4)
+    meta = isospectrality_check(p, 4).metadata
+    radius = grid.rho_max + grid.spacing
+    assert meta["spacing"] == grid.spacing
+    assert meta["outer_radius"] == radius
+    assert meta["outer_margin_g"] == pytest.approx(_wkb_margin(24), rel=1e-12)  # tau = 11
+
+
+def test_eigenvalue_count_below_mid_gap_matches_analytic_ladder():
     for base in BATTERY_BASE[:3]:
         p = make_params(base, 2)
-        grid = solver_grid(p, 6, FAST_POINTS)
+        grid = solver_grid(p, 8)
         for ext in (False, True):
-            d, e = hamiltonian_diagonals(p, grid, extended=ext)
+            levels = lowest_eigenvalues(*hamiltonian_diagonals(p, grid, extended=ext), 8)
             for probe_level in (1, 3, 5):
                 energy = energy_level(probe_level, p) - p.omega  # between levels
                 analytic = sum(1 for n in range(8) if energy_level(n, p) < energy)
-                assert sturm_count(d, e, energy) == analytic
-                assert level_count_below(p, energy, grid, extended=ext) == analytic
+                assert np.count_nonzero(levels < energy) == analytic
 
 
 def test_eigenvector_overlap_with_analytic():
