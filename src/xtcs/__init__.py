@@ -20,12 +20,10 @@ from .model import (Configuration, ExtConstants, ModelParams, energy_level, ext_
 from .quadrature import QuadratureSpec
 from .solver import RadialGrid, richardson, solver_grid
 from .wavefunctions import (count_nodes, default_node_grid, default_quadrature,
-                            jastrow, manybody_groundstate, norm,
-                            radial_eigenfunction, radial_inner_product)
+                            jastrow, manybody_groundstate, norm, radial_eigenfunction)
 from .verify import (ConvergenceStudy, SpectrumReport, VerificationReport,
-                     consistency_suite, convergence_orders, eigenvector_overlap,
-                     isospectrality_check, numeric_spectrum,
-                     ode_residual, ode_residual_diagnosis, orthogonality_matrix,
+                     consistency_suite, convergence_orders, isospectrality_check,
+                     numeric_spectrum, ode_residual, orthogonality_matrix,
                      spectrum_csv_rows)
 from .manybody import ConstancyStats, constancy_scan, local_energy, sample_configurations
 
@@ -38,10 +36,9 @@ __all__ = [
     "v_new", "v_new_x1_two_term", "ext_constants", "v_eff_radial",
     "QuadratureSpec", "RadialGrid", "solver_grid", "richardson",
     "radial_eigenfunction", "jastrow", "manybody_groundstate", "norm",
-    "radial_inner_product", "count_nodes", "default_node_grid", "default_quadrature",
+    "count_nodes", "default_node_grid", "default_quadrature",
     "SpectrumReport", "VerificationReport", "ConvergenceStudy",
     "numeric_spectrum", "isospectrality_check", "orthogonality_matrix",
-    "consistency_suite", "convergence_orders", "ode_residual", "ode_residual_diagnosis",
-    "eigenvector_overlap", "spectrum_csv_rows",
+    "consistency_suite", "convergence_orders", "ode_residual", "spectrum_csv_rows",
     "ConstancyStats", "constancy_scan", "local_energy", "sample_configurations",
 ]

@@ -71,6 +71,15 @@ def _check_argument(name, x):
     return arr
 
 
+def _check_alpha_g(alpha, g):
+    if alpha <= 0:
+        raise ValidationError(f"alpha must be > 0, got {alpha}")
+    ga = _check_argument("g", g)
+    if np.any(ga < 0):
+        raise ValidationError("g must be >= 0")
+    return ga
+
+
 def _maybe_scalar(arr, like):
     return float(arr) if np.isscalar(like) or np.ndim(like) == 0 else arr
 
@@ -111,11 +120,7 @@ def x1_laguerre(n_hat, alpha, g):
     The family starts at degree 1; n_hat = n + 1 with n >= 0.
     """
     n_hat = _check_index("n_hat", n_hat, 1)
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
-    ga = _check_argument("g", g)
-    if np.any(ga < 0):
-        raise ValidationError("g must be >= 0")
+    ga = _check_alpha_g(alpha, g)
     n = n_hat - 1
     val = -(ga + alpha + 1) * _lag(n, alpha, ga) + _lag(n - 1, alpha, ga)
     return _maybe_scalar(val, g)
@@ -129,11 +134,7 @@ def xm_laguerre(n, m, alpha, g):
     """
     n = _check_index("n", n, 0)
     m = _check_index("m", m, 0)
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
-    ga = _check_argument("g", g)
-    if np.any(ga < 0):
-        raise ValidationError("g must be >= 0")
+    ga = _check_alpha_g(alpha, g)
     val = _lag(m, alpha, -ga) * _lag(n, alpha - 1, ga) \
         + _lag(m, alpha - 1, -ga) * _lag(n - 1, alpha, ga)
     return _maybe_scalar(val, g)
@@ -148,11 +149,7 @@ def xm_denominator(m, alpha, g):
     positivity guarantee would be void.
     """
     m = _check_index("m", m, 0)
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
-    ga = _check_argument("g", g)
-    if np.any(ga < 0):
-        raise ValidationError("g must be >= 0")
+    ga = _check_alpha_g(alpha, g)
     return _maybe_scalar(_lag(m, float(alpha) - 1.0, -ga), g)
 
 

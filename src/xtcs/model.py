@@ -194,6 +194,13 @@ def turning_point_g(n, p: ModelParams, margin: float) -> float:
     return 2 * (2 * n + p.alpha + 1) + margin
 
 
+def _check_rho(rho):
+    rho_a = np.asarray(rho, dtype=float)
+    if not np.all(np.isfinite(rho_a)) or np.any(rho_a < 0):
+        raise ValidationError("rho must be finite and >= 0")
+    return rho_a
+
+
 def v_interaction(c, p: ModelParams):
     """Two- plus three-body interaction energy.
 
@@ -230,9 +237,7 @@ def v_new(rho, p: ModelParams):
     with a = alpha, w = omega.  Identically zero at m = 0.  D > 0 on the whole
     domain, so the term is pole-free.  Accepts scalar or ndarray rho.
     """
-    rho_a = np.asarray(rho, dtype=float)
-    if not np.all(np.isfinite(rho_a)) or np.any(rho_a < 0):
-        raise ValidationError("rho must be finite and >= 0")
+    rho_a = _check_rho(rho)
     m, a, w = p.ext_index, p.alpha, p.omega
     if m == 0:
         return _maybe_scalar(np.zeros_like(rho_a), rho)
@@ -256,9 +261,7 @@ def v_new_x1_two_term(rho, p: ModelParams):
     """
     if p.ext_index != 1:
         raise ValidationError(f"two-term form is defined for ext_index m = 1, got m = {p.ext_index}")
-    rho_a = np.asarray(rho, dtype=float)
-    if not np.all(np.isfinite(rho_a)) or np.any(rho_a < 0):
-        raise ValidationError("rho must be finite and >= 0")
+    rho_a = _check_rho(rho)
     w, tau = p.omega, p.tau
     den = 2 * w * rho_a ** 2 + tau - 1
     return _maybe_scalar(4 * w / den - 8 * w * (tau - 1) / den ** 2, rho)

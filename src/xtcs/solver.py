@@ -28,7 +28,6 @@ __all__ = [
     "solver_grid",
     "hamiltonian_diagonals",
     "lowest_eigenvalues",
-    "lowest_eigenpairs",
     "matrix_norm1",
     "richardson",
 ]
@@ -158,14 +157,6 @@ def lowest_eigenvalues(diag, off, k):
         raise ValidationError(f"k = {k} exceeds matrix dimension {len(diag)}")
     return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
                                 lapack_driver="stebz")
-
-
-def lowest_eigenpairs(diag, off, k):
-    """Lowest k eigenpairs (bisection + inverse iteration)."""
-    from scipy.linalg import eigh_tridiagonal
-    if k > len(diag):
-        raise ValidationError(f"k = {k} exceeds matrix dimension {len(diag)}")
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
 
 
 def matrix_norm1(diag, off) -> float:

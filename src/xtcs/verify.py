@@ -24,8 +24,8 @@ from .errors import ValidationError
 from .laguerre import r_variant_residuals
 from .model import (ModelParams, energy_level, ext_constants, turning_point_g, v_new,
                     v_new_x1_two_term)
-from .solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenpairs,
-                     lowest_eigenvalues, matrix_norm1, richardson, solver_grid)
+from .solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, matrix_norm1,
+                     richardson, solver_grid)
 from .wavefunctions import _gram, default_quadrature, radial_eigenfunction
 
 __all__ = [
@@ -35,10 +35,8 @@ __all__ = [
     "SpectrumReport",
     "default_residual_grid",
     "ode_residual",
-    "ode_residual_diagnosis",
     "numeric_spectrum",
     "isospectrality_check",
-    "eigenvector_overlap",
     "spectrum_csv_rows",
     "orthogonality_matrix",
     "consistency_suite",
@@ -146,20 +144,6 @@ def ode_residual(n, p: ModelParams, grid: RadialGrid | None = None,
     return float(np.max(np.abs(resid)) / scale)
 
 
-def ode_residual_diagnosis(n, p: ModelParams, grid: RadialGrid | None = None,
-                           x1_denominator="g_plus_alpha"):
-    """(residual, kind): kind is 'fd-limited' when halving h shrinks the
-    residual by roughly the fourth-order factor (the value is then an upper
-    bound set by the grid, not by the eigenfunction), else 'model-mismatch'."""
-    if grid is None:
-        grid = default_residual_grid(n, p)
-    fine = RadialGrid(grid.rho_min, grid.rho_max, 2 * grid.n_points - 1)
-    r_c = ode_residual(n, p, grid, x1_denominator)
-    r_f = ode_residual(n, p, fine, x1_denominator)
-    kind = "fd-limited" if r_c > 8 * r_f else "model-mismatch"
-    return r_c, kind
-
-
 # ---------------------------------------------------------------------------
 # numeric spectra
 
@@ -190,7 +174,6 @@ class SpectrumReport:
     grid: RadialGrid
     raw_coarse: tuple
     raw_fine: tuple
-    extrapolation_order: int = 4
 
     @property
     def eigenvalues(self):
@@ -200,7 +183,7 @@ class SpectrumReport:
         return {
             "params": self.params.to_json_dict(),
             "extended": self.extended,
-            "extrapolation_order": self.extrapolation_order,
+            "extrapolation_order": 4,
             "grid": {"rho_min": self.grid.rho_min, "rho_max": self.grid.rho_max,
                      "n_points": self.grid.n_points},
             "levels": [row.to_json_dict() for row in self.rows],
@@ -272,27 +255,6 @@ def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = N
     report.metadata["conventional"] = conv.to_json_dict()
     report.metadata["extended"] = ext.to_json_dict()
     return report
-
-
-def eigenvector_overlap(p: ModelParams, k: int = 4, grid: RadialGrid | None = None):
-    """Normalized overlaps between numeric eigenvectors of the extended
-    problem and analytic Phi_n.
-
-    The numeric vector approximates u_n = rho^(tau/2) Phi_n on the grid, so
-    the comparison needs no interpolation beyond the shared nodes.
-    """
-    if grid is None:
-        grid = solver_grid(p, k, n_points=8001)
-    d, e = hamiltonian_diagonals(p, grid, extended=True)
-    _, vecs = lowest_eigenpairs(d, e, k)
-    rho = grid.nodes
-    overlaps = []
-    for n in range(k):
-        u_exact = rho ** (p.tau / 2) * radial_eigenfunction(n, p, rho)
-        u_num = vecs[:, n]
-        ov = abs(np.dot(u_num, u_exact)) / (np.linalg.norm(u_num) * np.linalg.norm(u_exact))
-        overlaps.append(float(ov))
-    return np.array(overlaps)
 
 
 def spectrum_csv_rows(p: ModelParams, k: int = 4, grid: RadialGrid | None = None):

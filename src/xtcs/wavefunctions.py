@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NonFiniteError, QuadratureError, ResolutionError, ValidationError
 from .laguerre import (_check_index, _lag, _maybe_scalar, x1_laguerre, xm_denominator,
                        xm_laguerre)
-from .model import Configuration, ModelParams, turning_point_g
+from .model import Configuration, ModelParams, _check_rho, turning_point_g
 from .quadrature import QuadratureSpec, panel_nodes
 from .solver import RadialGrid
 
@@ -37,7 +37,6 @@ __all__ = [
     "manybody_groundstate",
     "default_quadrature",
     "norm",
-    "radial_inner_product",
     "default_node_grid",
     "count_nodes",
 ]
@@ -62,9 +61,7 @@ def radial_eigenfunction(n, p: ModelParams, rho, x1_denominator="g_plus_alpha"):
     if x1_denominator not in X1_DENOMINATOR_FORMS:
         raise ValidationError(
             f"x1_denominator must be one of {X1_DENOMINATOR_FORMS}, got {x1_denominator!r}")
-    rho_a = np.asarray(rho, dtype=float)
-    if not np.all(np.isfinite(rho_a)) or np.any(rho_a < 0):
-        raise ValidationError("rho must be finite and >= 0")
+    rho_a = _check_rho(rho)
     m, a = p.ext_index, p.alpha
     g = p.omega * rho_a ** 2
     envelope = np.exp(-g / 2)
@@ -178,13 +175,6 @@ def norm(n, p: ModelParams, quad: QuadratureSpec | None = None) -> float:
     """Squared-amplitude integral of Phi_n under the measure rho^tau d rho."""
     gram, shift = _gram((n,), p, default_quadrature(p, n) if quad is None else quad)
     return _unshift(gram[0, 0], 2 * shift[0], "norm")
-
-
-def radial_inner_product(i, j, p: ModelParams, quad: QuadratureSpec | None = None) -> float:
-    """<Phi_i, Phi_j> under rho^tau d rho (unnormalized amplitudes)."""
-    i, j = _check_index("i", i, 0), _check_index("j", j, 0)
-    gram, shift = _gram((i, j), p, default_quadrature(p, max(i, j)) if quad is None else quad)
-    return _unshift(gram[0, 1], shift[0] + shift[1], "inner product")
 
 
 def default_node_grid(n, p: ModelParams) -> RadialGrid:

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from xtcs import (ModelParams, ValidationError, consistency_suite, convergence_orders,
-                  eigenvector_overlap, energy_level, isospectrality_check,
-                  numeric_spectrum, ode_residual, ode_residual_diagnosis,
+                  energy_level, isospectrality_check, numeric_spectrum, ode_residual,
                   orthogonality_matrix, solver_grid, spectrum_csv_rows)
-from xtcs.solver import RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, richardson
-from xtcs.verify import default_residual_grid
+from xtcs.solver import hamiltonian_diagonals, lowest_eigenvalues, richardson
 
 from conftest import BATTERY_BASE, make_params
 
@@ -137,12 +135,6 @@ def test_eigenvalue_count_below_mid_gap_matches_analytic_ladder():
                 assert np.count_nonzero(levels < energy) == analytic
 
 
-def test_eigenvector_overlap_with_analytic():
-    p = make_params((3, 1.5, 2, 0, 1.0), 2)
-    overlaps = eigenvector_overlap(p, 4)
-    assert np.all(overlaps >= 1 - 1e-6)
-
-
 def test_richardson_combination():
     assert richardson(1.0, 2.0) == pytest.approx((4 * 2.0 - 1.0) / 3)
 
@@ -174,16 +166,6 @@ def test_residual_broken_denominator_fails():
     p = ModelParams(2, 1.0, 1, 1.0, ext_index=1)
     bad = ode_residual(0, p, x1_denominator="2g_plus_alpha")
     assert bad > 1e-2
-    value, kind = ode_residual_diagnosis(0, p, x1_denominator="2g_plus_alpha")
-    assert kind == "model-mismatch"
-
-
-def test_residual_diagnosis_fd_limited():
-    p = ModelParams(2, 1.0, 1, 1.0, ext_index=1)
-    coarse = default_residual_grid(0, p)
-    coarse = RadialGrid(coarse.rho_min, coarse.rho_max, coarse.n_points // 4)
-    value, kind = ode_residual_diagnosis(0, p, coarse)
-    assert kind == "fd-limited"
 
 
 # -- quadrature-based orthogonality ---------------------------------------------

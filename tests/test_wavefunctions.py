@@ -9,7 +9,7 @@ import pytest
 from xtcs import (Configuration, ModelParams, QuadratureError, ResolutionError,
                   ValidationError, count_nodes, default_quadrature, jastrow, laguerre,
                   manybody_groundstate, norm, orthogonality_matrix, radial_eigenfunction,
-                  radial_inner_product, xm_laguerre)
+                  xm_laguerre)
 from xtcs.quadrature import QuadratureSpec, panel_nodes
 from xtcs.solver import RadialGrid
 
@@ -148,12 +148,6 @@ def test_norm_rejects_short_domain():
         norm(3, p, QuadratureSpec(rho_max=2.0, omega=p.omega))
 
 
-def test_inner_product_rejects_short_domain():
-    p = ModelParams(2, 1.0, 1, 1.0)
-    with pytest.raises(ValidationError, match="rho_max too small"):
-        radial_inner_product(1, 3, p, QuadratureSpec(rho_max=2.0, omega=p.omega))
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_norm_overflow_reported_as_non_positive():
     # tau = 1769: the norm is ~e^5141, which no float64 holds; the overflow is raised with
@@ -178,12 +172,8 @@ def test_norm_tail_error_reported():
 
 def test_orthogonality_m0_classical():
     p = make_params((3, 1.0, 1, 0, 1.0), 0)
-    quad = default_quadrature(p, 4)
-    norms = [norm(n, p, quad) for n in range(5)]
-    for i in range(5):
-        for j in range(i + 1, 5):
-            inner = radial_inner_product(i, j, p, quad)
-            assert abs(inner) / math.sqrt(norms[i] * norms[j]) <= 1e-8
+    gram = orthogonality_matrix(p, 5, default_quadrature(p, 4))
+    assert np.max(np.abs(gram - np.eye(5))) <= 1e-8
 
 
 # -- node counts ----------------------------------------------------------------
