@@ -229,25 +229,24 @@ def v_interaction(c, p: ModelParams):
 
 
 def v_new(rho, p: ModelParams):
-    """Rational extension term of the radial potential, for g = omega rho^2:
+    """Rational extension term of the radial potential, for g = omega rho^2, a = alpha,
+    w = omega, D = L_m^(a-1) and every L at -g:
 
-        v_new = -2 w g L_{m-2}^(a+1)(-g)/D + 2 w (a + g - 1) L_{m-1}^(a)(-g)/D
-                + 4 w g (L_{m-1}^(a)(-g)/D)^2 - 2 m w,      D = L_m^(a-1)(-g)
+        v_new = 2 w [(a-1) L_{m-2}^(a) - g L_{m-2}^(a+1) - m L_{m-1}^(a-1)] / D
+                + 4 w g (L_{m-1}^(a) / D)^2
 
-    with a = alpha, w = omega.  Identically zero at m = 0.  D > 0 on the whole
-    domain, so the term is pole-free.  Accepts scalar or ndarray rho.
+    In the paper's form the bracket reads -g L_{m-2}^(a+1) + (a+g-1) L_{m-1}^(a) - m D, whose
+    O(m) terms cancel to O(1/a); m D = (m+a-1) L_{m-1}^(a-1) + g L_{m-1}^(a) and L_{m-1}^(a)
+    - L_{m-1}^(a-1) = L_{m-2}^(a) remove that cancellation.  Zero at m = 0; D > 0: no pole.
     """
     rho_a = _check_rho(rho)
     m, a, w = p.ext_index, p.alpha, p.omega
     if m == 0:
         return _maybe_scalar(np.zeros_like(rho_a), rho)
     g = w * rho_a ** 2
-    den = _lag(m, a - 1, -g)
-    ratio = _lag(m - 1, a, -g) / den
-    val = (-2 * w * g * _lag(m - 2, a + 1, -g) / den
-           + 2 * w * (a + g - 1) * ratio
-           + 4 * w * g * ratio ** 2
-           - 2 * m * w)
+    den, l1, l2 = _lag(m, a - 1, -g), _lag(m - 1, a, -g), _lag(m - 2, a, -g)
+    val = (2 * w * ((a - 1) * l2 - g * _lag(m - 2, a + 1, -g) - m * (l1 - l2)) / den
+           + 4 * w * g * (l1 / den) ** 2)
     return _maybe_scalar(val, rho)
 
 

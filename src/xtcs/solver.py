@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NonFiniteError, ValidationError
 from .model import ModelParams, turning_point_g, v_eff_radial, v_new
 
 __all__ = [
@@ -145,6 +145,8 @@ def hamiltonian_diagonals(p: ModelParams, grid: RadialGrid, extended: bool,
     pot = v_eff_radial(rho, p, extended=False)
     if extended:
         pot = pot + v_new_scale * v_new(rho, p)
+        if not np.all(np.isfinite(pot)):
+            raise NonFiniteError("spectrum: v_new is not finite (Laguerre overflow)")
     diag = 1.0 / h ** 2 + pot
     off = np.full(grid.n_points - 1, -0.5 / h ** 2)
     return diag, off

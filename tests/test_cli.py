@@ -282,6 +282,21 @@ def test_nan_in_a_report_exits_1_and_writes_no_json(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["verify", "--suite", "spectrum", "--out", "reports"],
+                                  ["table", "--what", "spectrum", "--out", "tables"]])
+def test_spectrum_laguerre_overflow_exits_1_with_one_line(argv, tmp_path, capsys, monkeypatch):
+    # L_200^(alpha)(-g) overflows float64 here, so v_new is NaN on the solver grid
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 60, "lambda": 3, "r": 59, "omega": 1, "s": 0, "m": 200}))
+    with pytest.warns(RuntimeWarning):
+        assert main(argv + ["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("xtcs: error: ") and "spectrum: v_new is not finite" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / argv[-1]).exists()
+
+
 def test_parser_is_built_once_and_each_call_sees_only_its_arguments(config, monkeypatch):
     seen = []
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from xtcs import (AttractiveCouplingWarning, Configuration, ModelParams,
-                  ValidationError, energy_level, ext_constants,
+                  ValidationError, consistency_suite, energy_level, ext_constants,
                   v_eff_radial, v_interaction, v_new, v_new_x1_two_term)
 from xtcs.wavefunctions import jastrow
 
@@ -192,6 +192,19 @@ def test_v_new_m2_against_high_precision():
     want = high_precision_v_new(2, 4.0, 1.0, 1.0)
     assert want == pytest.approx(-0.43288241415192508, rel=1e-15)
     assert v_new(1.0, p) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("n, lam, r", [(60, 5.0, 59), (100, 3.0, 99), (200, 10.0, 199)])
+def test_v_new_at_large_alpha_against_high_precision(n, lam, r):
+    # alpha = 8879, 14899, 199099: the paper's form loses 1.4e-12 to 7.7e-11 relative here,
+    # because its 2w(a+g-1)L_{m-1}^(a)/D and -2mw terms cancel to O(w/a)
+    rho = np.linspace(0.05, 10.0, 12)
+    for m in (1, 2, 3):
+        p = ModelParams(n, lam, r, 1.0, ext_index=m)
+        want = np.array([high_precision_v_new(m, p.alpha, 1.0, x) for x in rho])
+        assert np.max(np.abs(v_new(rho, p) - want) / np.abs(want)) <= 2e-15
+    item = consistency_suite(p).items[0]
+    assert item.name.startswith("m=1 extension: general form vs two-term form") and item.passed
 
 
 def test_v_new_frequency_scaling():
