@@ -163,18 +163,15 @@ def _gram(levels, p: ModelParams, quad: QuadratureSpec):
     return gram, shift
 
 
-def _unshift(value, shift, what):
-    """value e^shift, or a QuadratureError naming the overflow where that leaves float64."""
-    log_abs = (np.log(abs(value)) if value else -np.inf) + shift
-    if log_abs > np.log(np.finfo(float).max):
-        raise QuadratureError(f"{what} overflows float64: log |{what}| = {log_abs:.17g}")
-    return float(np.copysign(np.exp(log_abs), value))
-
-
 def norm(n, p: ModelParams, quad: QuadratureSpec | None = None) -> float:
-    """Squared-amplitude integral of Phi_n under the measure rho^tau d rho."""
+    """Squared-amplitude integral of Phi_n under the measure rho^tau d rho.
+
+    Where it leaves float64, a QuadratureError gives its log instead."""
     gram, shift = _gram((n,), p, default_quadrature(p, n) if quad is None else quad)
-    return _unshift(gram[0, 0], 2 * shift[0], "norm")
+    log_norm = np.log(gram[0, 0]) + 2 * shift[0]  # _gram raises unless gram[0, 0] > 0
+    if log_norm > np.log(np.finfo(float).max):
+        raise QuadratureError(f"norm overflows float64: log |norm| = {log_norm:.17g}")
+    return float(np.exp(log_norm))
 
 
 def default_node_grid(n, p: ModelParams) -> RadialGrid:
