@@ -25,8 +25,9 @@ from .errors import NonFiniteError, QuadratureError, ResolutionError, Validation
 from .manybody import constancy_scan
 from .model import ModelParams, energy_level, ext_constants, turning_point_g, v_eff_radial
 from .solver import solver_grid
-from .verify import (VerificationReport, _fmt, consistency_suite, isospectrality_check,
-                     ode_residual, orthogonality_matrix, spectrum_csv_rows)
+from .verify import (RESIDUAL_FD_ORDER, VerificationReport, _fmt, consistency_suite,
+                     default_residual_grid, isospectrality_check, ode_residual,
+                     orthogonality_matrix, spectrum_csv_rows)
 from .wavefunctions import count_nodes, radial_eigenfunction
 
 SUITES = ("residual", "spectrum", "ortho", "consistency", "local-energy")
@@ -178,15 +179,17 @@ def cmd_table(args) -> int:
 
 def _suite_residual(p, args) -> VerificationReport:
     report = VerificationReport("eigen-equation residuals", p)
-    for n in range(4):
+    grids = [default_residual_grid(n, p) for n in range(4)]
+    for n, grid in enumerate(grids):
         report.add(f"scaled residual, level {n} (m={p.ext_index})",
-                   ode_residual(n, p), 1e-8)
+                   ode_residual(n, p, grid), 1e-8)
     # the inconsistent m=1 denominator must fail; run it on the m=1 family
     p1 = dataclasses.replace(p, ext_index=1)
     report.add("scaled residual, level 0, m=1 denominator variant 2g+alpha",
-               ode_residual(0, p1, x1_denominator="2g_plus_alpha"), 1e-2,
-               comparison=">=",
+               ode_residual(0, p1, x1_denominator="2g_plus_alpha"), 1e-2, comparison=">=",
                detail="variant rejected: only g+alpha solves the extended radial equation")
+    report.metadata.update(fd_order=RESIDUAL_FD_ORDER, spacing=[g.spacing for g in grids],
+                           grid_points=[g.n_points for g in grids])
     return report
 
 
@@ -237,7 +240,7 @@ def cmd_verify(args) -> int:
         try:
             report = _SUITE_RUNNERS[name](p, args)
             text = _json(report.to_json_dict())
-        except (QuadratureError, ResolutionError, NonFiniteError) as exc:
+        except (QuadratureError, ResolutionError, NonFiniteError, ValidationError) as exc:
             print(f"xtcs: error: suite {name}: {exc}", file=sys.stderr)
             return 1
         all_passed &= report.passed

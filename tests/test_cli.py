@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from xtcs import NonFiniteError, cli, verify
-from xtcs.cli import main
+from xtcs.cli import SUITES, main
 from xtcs.verify import VerificationReport
 
 
@@ -250,6 +250,38 @@ def test_local_energy_holds_at_n30(cfg, e0, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["E_analytic"] == e0
     assert abs(doc["mean"] - e0) <= 1e-5 * e0
+
+
+@pytest.mark.parametrize("m", [60, 100, 200])
+def test_residual_passes_at_large_m(m, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 2, "omega": 1, "s": 0, "m": m}))
+    out = tmp_path / "reports"
+    assert main(["verify", "--config", str(path), "--suite", "residual", "--out", str(out)]) == 0
+    doc = json.loads((out / "report_residual.json").read_text())
+    assert [item["value"] < 1e-8 for item in doc["items"][:4]] == [True] * 4
+    meta = doc["metadata"]
+    assert meta["fd_order"] == 8 and len(meta["spacing"]) == len(meta["grid_points"]) == 4
+    assert all(5.9e-3 < h <= 6e-3 for h in meta["spacing"])  # omega = 1
+    assert meta["grid_points"] == sorted(set(meta["grid_points"]))  # higher levels reach further
+    text = (out / "report_residual.txt").read_text()
+    assert "# fd_order: 8" in text and "grid_points" not in text
+
+
+@pytest.mark.parametrize("cfg, suite, message", [
+    # tau = 1.6: the residual suite passes, the solver rejects tau <= 2
+    ({"N": 2, "lambda": 0.3, "r": 1, "omega": 1, "s": 0, "m": 1}, "spectrum", "tau = 1.6 <= 2"),
+    # s = 1: four suites pass, the many-body local energy exists for s = 0 only
+    ({"N": 3, "lambda": 2, "r": 1, "omega": 1, "s": 1, "m": 1}, "local-energy",
+     "local energy implemented for degree s = 0 only"),
+])
+def test_validation_error_inside_a_suite_names_the_suite(cfg, suite, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path), "--samples", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"xtcs: error: suite {suite}: {message}")
+    assert captured.out.count(": PASS") == SUITES.index(suite)
 
 
 def test_non_finite_local_energy_exits_1_without_nan(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from xtcs import (ModelParams, ValidationError, consistency_suite, convergence_orders,
                   energy_level, isospectrality_check, numeric_spectrum, ode_residual,
                   orthogonality_matrix, solver_grid, spectrum_csv_rows)
-from xtcs.solver import hamiltonian_diagonals, lowest_eigenvalues, richardson
+from xtcs.solver import RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, richardson
 
 from conftest import BATTERY_BASE, make_params
 
@@ -166,6 +166,29 @@ def test_residual_broken_denominator_fails():
     p = ModelParams(2, 1.0, 1, 1.0, ext_index=1)
     bad = ode_residual(0, p, x1_denominator="2g_plus_alpha")
     assert bad > 1e-2
+
+
+def test_residual_stencil_is_eighth_order():
+    # Both grids evaluate the residual on [1, 4], where truncation (1.9e-11 at h = 0.05)
+    # sits two decades above roundoff, so halving h must cut it by about 2^8.
+    p = ModelParams(3, 1.0, 1, 1.0)
+
+    def residual(h):
+        return ode_residual(0, p, RadialGrid(1.0 - 4 * h, 4.0 + 4 * h, round(3.0 / h) + 9))
+
+    assert 2 ** 7 <= residual(0.1) / residual(0.05) <= 2 ** 9
+
+
+def test_residual_grid_starts_at_one_step_for_small_omega():
+    # h = 6e-3/sqrt(omega) exceeds 0.1 below omega = 3.6e-3; a grid from 0.05 would sit
+    # below h/2, which RadialGrid rejects.
+    for omega in (1e-3, 1e-5):
+        assert ode_residual(0, ModelParams(3, 1.0, 2, omega, ext_index=2)) <= 1e-8
+
+
+def test_residual_rejects_grids_shorter_than_the_stencil():
+    with pytest.raises(ValidationError, match="9 points"):
+        ode_residual(0, ModelParams(2, 1.0, 1, 1.0), RadialGrid(0.5, 1.0, 8))
 
 
 # -- quadrature-based orthogonality ---------------------------------------------
