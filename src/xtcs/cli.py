@@ -40,6 +40,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="xtcs", description=__doc__)
@@ -72,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="solver grid points (default: chosen from tau and --levels)")
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--perturb", type=float, default=1.0,
+    sp.add_argument("--perturb", type=_finite_float, default=1.0,
                     help="scale the extension term of H (negative control)")
 
     sp = sub.add_parser("local-energy", help="many-body local-energy constancy scan")
@@ -149,8 +156,13 @@ def cmd_table(args) -> int:
         header = ("n", "E_analytic", "E_conv_numeric", "E_ext_numeric",
                   "rel_err_conv", "rel_err_ext")
     else:
-        n_points = args.points or 1001
-        rho_max = args.rho_max or float(np.sqrt(turning_point_g(args.level, p, 10) / p.omega))
+        n_points = 1001 if args.points is None else args.points
+        rho_max = (float(np.sqrt(turning_point_g(args.level, p, 10) / p.omega))
+                   if args.rho_max is None else args.rho_max)
+        if n_points < 2:
+            raise ValidationError(f"--points must be >= 2, got {n_points}")
+        if not (np.isfinite(rho_max) and rho_max > 0):
+            raise ValidationError(f"--rho-max must be finite and > 0, got {rho_max}")
         rho = np.linspace(rho_max / n_points, rho_max, n_points)
         g = p.omega * rho ** 2
         v_conv = v_eff_radial(rho, p, extended=False)

@@ -12,6 +12,40 @@ Boundary handling: the grid starts one spacing away from the origin, with
 Dirichlet values at rho = 0 and rho = rho_max + h.  The zero at the origin
 is exact (u ~ rho^(tau/2) for tau > 2), so the 1/rho^2 singularity is never
 discretized; tau <= 2 is rejected.
+
+Brackets: an isospectrality check solves four ladders (conventional and
+extended, coarse and fine).  `isospectral_ladders` bisects only the
+conventional coarse one over the full index range; each level of the other
+three is bisected inside a bracket taken from a ladder already solved, which
+`lowest_eigenvalues` certifies by Sturm counts or abandons for the full call.
+The half-widths were measured with `isospectrality_check` over 627 configs
+(tau = 3 ... 10679, k in {1, 4, 12}, w in {0.05, 1, 20}, m in {0, 1, 2, 3, 20},
+plus the 1.01-scaled extension term at w = 1, m <= 3):
+
+* conventional fine: (E_c, E_c (1 + 2 FINE_BRACKET)] around each coarse level
+  E_c, FINE_BRACKET = 2e-5.  The three-point Laplacian underestimates the
+  kinetic energy, so the fine level lies above the coarse one, by 5.9e-9 to
+  1.76e-5 of E_c over tau = 2.2 ... 10679, k = 1 ... 32, w = 0.05 ... 20
+  (largest at tau = 4, k = 4); the bracket leaves a 2.3x margin and never
+  missed.
+* extended coarse: E_c +- EXT_BRACKET eps ||T_fine||, EXT_BRACKET = 1e3 (40
+  tol_iso).  On one grid the extended and conventional levels differ by
+  their h^2 error terms: <= 2.0 eps ||T_fine|| from tau = 127.6 up, up to
+  852 at tau = 21, 1.2e4 at tau = 11 and 4.8e6 at tau = 4 (k = 1, m = 20).
+  So at small tau, and for most perturbed controls, this bracket misses and
+  the full call runs: 138 of the 627 configs, 93 of them unperturbed at
+  tau = 4, 6 and 11.
+* extended fine: E_f +- max(2 |x_c - E_c|, EXT_FINE_FLOOR eps ||T_fine||)
+  around each conventional fine level E_f, x_c the extended coarse level,
+  EXT_FINE_FLOOR = 8.  An h^2 difference shrinks 4x on the fine grid and a
+  real one (the controls) stays; the floor covers bisection noise (<= 0.92
+  eps ||T_fine|| at tau = 1769).  It missed on 5 perturbed controls.
+
+Where the extended matrices are bitwise the conventional ones (m = 0) their
+ladders are reused, so |E_ext - E_conv| reads exactly 0 there.  Against the
+full call on every ladder: no verdict changed and every report item moved by
+<= 0.07 tol_iso (a bracketed level may differ from the full call's by up to
+eps ||T||); the 627 checks took 16.6 s instead of 27.5 s (2 vCPUs).
 """
 
 from __future__ import annotations
@@ -28,12 +62,17 @@ __all__ = [
     "solver_grid",
     "hamiltonian_diagonals",
     "lowest_eigenvalues",
+    "isospectral_ladders",
     "matrix_norm1",
     "richardson",
 ]
 
 # WKB decay of the top level between its turning point and the outer wall.
 WALL_DECAY_NATS = 19.3
+# Bracket half-widths for isospectral_ladders (see the module docstring).
+FINE_BRACKET = 2e-5  # of each coarse level
+EXT_BRACKET = 1e3  # eps ||T_fine||
+EXT_FINE_FLOOR = 8  # eps ||T_fine||
 
 
 @dataclass(frozen=True)
@@ -132,7 +171,7 @@ def hamiltonian_diagonals(p: ModelParams, grid: RadialGrid, extended: bool,
 
     Requires rho_min == spacing (exact Dirichlet zero at the origin) and
     tau > 2, the regime where u vanishes at the origin fast enough for that
-    boundary treatment.
+    boundary treatment, and a finite v_new_scale.
     """
     h = grid.spacing
     if abs(grid.rho_min - h) > 1e-9 * h:
@@ -144,6 +183,8 @@ def hamiltonian_diagonals(p: ModelParams, grid: RadialGrid, extended: bool,
     rho = grid.nodes
     pot = v_eff_radial(rho, p, extended=False)
     if extended:
+        if not np.isfinite(v_new_scale):
+            raise ValidationError(f"v_new_scale must be finite, got {v_new_scale!r}")
         pot = pot + v_new_scale * v_new(rho, p)
         if not np.all(np.isfinite(pot)):
             raise NonFiniteError("spectrum: v_new is not finite (Laguerre overflow)")
@@ -152,13 +193,78 @@ def hamiltonian_diagonals(p: ModelParams, grid: RadialGrid, extended: bool,
     return diag, off
 
 
-def lowest_eigenvalues(diag, off, k):
-    """Lowest k eigenvalues of the symmetric tridiagonal matrix by bisection."""
-    from scipy.linalg import eigvalsh_tridiagonal  # ~0.3 s and ~28 MB; only the solver needs it
+def lowest_eigenvalues(diag, off, k, guesses=None, half_widths=None):
+    """Lowest k eigenvalues of the symmetric tridiagonal matrix by bisection, and how
+    they were found: "bracketed" or "full".
+
+    Without guesses (or when they fail) one *stebz* call over the index range 0..k-1
+    ("full"); most of its ~160 Sturm sweeps locate that index window inside the
+    Gershgorin interval, ~1e6 wide on the solver grids.  With guesses, level n is
+    bisected only in the bracket (guesses[n] - half_widths[n], guesses[n] +
+    half_widths[n]].  The brackets must be nonempty, ordered and disjoint; one
+    count-only call (RANGE = 'V' over (Gershgorin bound, top bracket's upper end],
+    tolerance inf: two Sturm counts) must find exactly k eigenvalues, and one call per
+    bracket must find exactly one.  Those k are then the lowest k in order
+    ("bracketed"), each to the full call's tolerance eps ||T||, so the two answers
+    differ by up to eps ||T||.  On any miss the full call runs: the guesses set the
+    cost, never which levels come back.
+
+    Cost on a 2003-row solver matrix (k = 4, 2 vCPUs): full 2.5-2.9 ms; count 0.09 ms;
+    a bracket 2^j eps ||T|| wide ~(5.5 + j) sweeps of 16 us, i.e. 0.16 ms at j = 4 and
+    0.47 ms at j = 21.  One RANGE = 'V' call over all k brackets took 2.0 ms against
+    1.6 ms for the k calls, since its window spans the gaps.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal, lapack  # ~0.3 s and ~28 MB; only the solver needs it
     if k > len(diag):
         raise ValidationError(f"k = {k} exceeds matrix dimension {len(diag)}")
+    if guesses is not None:
+        found = _bracketed(lapack.dstebz, diag, off, k, guesses, half_widths)
+        if found is not None:
+            return found, "bracketed"
     return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
-                                lapack_driver="stebz")
+                                lapack_driver="stebz"), "full"
+
+
+def _bracketed(stebz, diag, off, k, guesses, half_widths):
+    """The k eigenvalues certified inside their brackets, or None."""
+    guesses = np.asarray(guesses, dtype=float)
+    lo, hi = guesses - half_widths, guesses + half_widths
+    if not (lo.shape == (k,) and np.all(lo < hi) and np.all(hi[:-1] <= lo[1:])
+            and np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        return None  # the full call rejects a non-finite matrix
+    # RANGE = 'V' (1) counts in (vl, vu]; stebz clips vl = -inf to its Gershgorin bound
+    count, _, _, _, info = stebz(diag, off, 1, -np.inf, hi[-1], 0, 0, np.inf, "E")
+    if info or count != k:
+        return None
+    values = np.empty(k)
+    for n in reversed(range(k)):  # the top level moves most: a miss shows up first
+        count, w, _, _, info = stebz(diag, off, 1, lo[n], hi[n], 0, 0, 0.0, "E")
+        if info or count != 1:
+            return None
+        values[n] = w[0]
+    return values
+
+
+def isospectral_ladders(conv, ext, k):
+    """Lowest k eigenvalues of the conventional and extended matrices of one grid pair.
+
+    conv and ext are ((diag, off) on the coarse grid, (diag, off) on the fine grid).
+    Returns, for conv and then ext, ((coarse, fine) eigenvalues, (how, how)): how each
+    ladder was solved, "full", "bracketed", or "reused" where the extended matrices are
+    bitwise the conventional ones, as at m = 0.  Only the conventional coarse ladder
+    needs the full call; the brackets are set as in the module docstring.
+    """
+    coarse, how_coarse = lowest_eigenvalues(*conv[0], k)
+    shift = FINE_BRACKET * np.abs(coarse)  # the fine level sits above the coarse one
+    fine, how_fine = lowest_eigenvalues(*conv[1], k, coarse + shift, shift)
+    solved = ((coarse, fine), (how_coarse, how_fine))
+    if all(np.array_equal(a, b) for a, b in zip(ext[0] + ext[1], conv[0] + conv[1])):
+        return solved, ((coarse, fine), ("reused", "reused"))
+    ulp_norm = np.finfo(float).eps * matrix_norm1(*ext[1])
+    x_coarse, how_x_coarse = lowest_eigenvalues(*ext[0], k, coarse, EXT_BRACKET * ulp_norm)
+    x_fine, how_x_fine = lowest_eigenvalues(
+        *ext[1], k, fine, np.maximum(2 * np.abs(x_coarse - coarse), EXT_FINE_FLOOR * ulp_norm))
+    return solved, ((x_coarse, x_fine), (how_x_coarse, how_x_fine))
 
 
 def matrix_norm1(diag, off) -> float:

@@ -24,8 +24,8 @@ from .errors import ValidationError
 from .laguerre import r_variant_residuals
 from .model import (ModelParams, energy_level, ext_constants, turning_point_g, v_new,
                     v_new_x1_two_term)
-from .solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, matrix_norm1,
-                     richardson, solver_grid)
+from .solver import (RadialGrid, hamiltonian_diagonals, isospectral_ladders,
+                     lowest_eigenvalues, matrix_norm1, richardson, solver_grid)
 from .wavefunctions import _gram, default_quadrature, radial_eigenfunction
 
 __all__ = [
@@ -186,6 +186,7 @@ class SpectrumReport:
     grid: RadialGrid
     raw_coarse: tuple
     raw_fine: tuple
+    solves: tuple  # how the coarse and fine ladders were solved (isospectral_ladders)
 
     @property
     def eigenvalues(self):
@@ -201,24 +202,25 @@ class SpectrumReport:
             "levels": [row.to_json_dict() for row in self.rows],
             "raw_coarse": list(self.raw_coarse),
             "raw_fine": list(self.raw_fine),
+            "solves": dict(zip(("coarse", "fine"), self.solves)),
         }
 
 
-def _spectrum(p, k, grid, extended, v_new_scale):
-    """SpectrumReport on the pair (grid, grid.refined()), plus the 1-norm of
-    the fine matrix, which sets the bisection roundoff floor."""
+def _check_radius(p, k, grid):
     radius = grid.rho_max + grid.spacing
     if p.omega * radius ** 2 < turning_point_g(k - 1, p, 30) * (1 - 1e-9):
         raise ValidationError(
             f"grid radius {radius:.3f} too small for k = {k}: need w^2 R^2/2 >= E_(k-1) + 15 w")
-    coarse = lowest_eigenvalues(*hamiltonian_diagonals(p, grid, extended, v_new_scale), k)
-    d_fine, e_fine = hamiltonian_diagonals(p, grid.refined(), extended, v_new_scale)
-    fine = lowest_eigenvalues(d_fine, e_fine, k)
+
+
+def _report(p, grid, extended, ladders, solves):
+    """SpectrumReport of the ladders solved on the pair (grid, grid.refined())."""
+    coarse, fine = ladders
     extrap = richardson(coarse, fine)
-    rows = tuple(SpectrumRow(n, energy_level(n, p), float(extrap[n])) for n in range(k))
-    report = SpectrumReport(p, extended, rows, grid, tuple(map(float, coarse)),
-                            tuple(map(float, fine)))
-    return report, matrix_norm1(d_fine, e_fine)
+    rows = tuple(SpectrumRow(n, energy_level(n, p), float(extrap[n]))
+                 for n in range(len(coarse)))
+    return SpectrumReport(p, extended, rows, grid, tuple(map(float, coarse)),
+                          tuple(map(float, fine)), solves)
 
 
 def numeric_spectrum(p: ModelParams, k: int, grid: RadialGrid | None = None,
@@ -227,7 +229,23 @@ def numeric_spectrum(p: ModelParams, k: int, grid: RadialGrid | None = None,
     paired with the analytic ladder."""
     if grid is None:
         grid = solver_grid(p, k)
-    return _spectrum(p, k, grid, extended, v_new_scale)[0]
+    _check_radius(p, k, grid)
+    solved = [lowest_eigenvalues(*hamiltonian_diagonals(p, g, extended, v_new_scale), k)
+              for g in (grid, grid.refined())]
+    return _report(p, grid, extended, *zip(*solved))  # (coarse, fine), (how, how)
+
+
+def _spectra(p, k, grid, v_new_scale):
+    """Conventional and extended SpectrumReports on one grid pair, plus the 1-norm
+    of the fine extended matrix, which sets the bisection roundoff floor.  Each of
+    the four matrices is assembled once; `isospectral_ladders` solves them."""
+    _check_radius(p, k, grid)
+    grids = (grid, grid.refined())
+    conv = tuple(hamiltonian_diagonals(p, g, False) for g in grids)
+    ext = tuple(hamiltonian_diagonals(p, g, True, v_new_scale) for g in grids)
+    conv_solved, ext_solved = isospectral_ladders(conv, ext, k)
+    return (_report(p, grid, False, *conv_solved), _report(p, grid, True, *ext_solved),
+            matrix_norm1(*ext[1]))
 
 
 def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = None,
@@ -238,13 +256,12 @@ def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = N
     max(1e-8 w, 25 eps ||T_fine||_1) between the two numeric spectra, the
     second term being the bisection roundoff floor of the fine extended
     matrix.  v_new_scale != 1 perturbs the extension term (negative
-    control); failure is reported, not raised.  Each of the four matrices
-    (conventional and extended, coarse and fine) is assembled once.
+    control); failure is reported, not raised.  Each ladder's metadata
+    records how its coarse and fine solves were done (`isospectral_ladders`).
     """
     if grid is None:
         grid = solver_grid(p, k)
-    conv, _ = _spectrum(p, k, grid, False, 1.0)
-    ext, norm_fine = _spectrum(p, k, grid, True, v_new_scale)
+    conv, ext, norm_fine = _spectra(p, k, grid, v_new_scale)
     noise_floor = 25 * np.finfo(float).eps * norm_fine
     tol_iso = max(1e-8 * p.omega, noise_floor)
     radius = grid.rho_max + grid.spacing
@@ -274,8 +291,7 @@ def spectrum_csv_rows(p: ModelParams, k: int = 4, grid: RadialGrid | None = None
     rel_err_ext) for the spectrum table."""
     if grid is None:
         grid = solver_grid(p, k)
-    conv = numeric_spectrum(p, k, grid, extended=False)
-    ext = numeric_spectrum(p, k, grid, extended=True)
+    conv, ext, _ = _spectra(p, k, grid, 1.0)
     return [(n, conv.rows[n].e_analytic, conv.rows[n].e_numeric, ext.rows[n].e_numeric,
              conv.rows[n].rel_err, ext.rows[n].rel_err) for n in range(k)]
 
@@ -372,7 +388,7 @@ def convergence_orders(p: ModelParams, k: int = 3,
         h = radius / lev
         grid = RadialGrid(h, (lev - 1) * h, lev - 1)
         d, e = hamiltonian_diagonals(p, grid, extended=True)
-        spectra.append(lowest_eigenvalues(d, e, k))
+        spectra.append(lowest_eigenvalues(d, e, k)[0])
     hs = [radius / lev for lev in levels]
     raw = [float(np.max(np.abs(s - e_exact))) for s in spectra]
     extrap = [float(np.max(np.abs(richardson(spectra[i], spectra[i + 1]) - e_exact)))

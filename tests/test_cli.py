@@ -105,6 +105,31 @@ def test_table_deterministic(config, capsys):
     assert first == second
 
 
+def test_table_uses_explicit_points_and_rho_max(config, capsys):
+    assert main(["table", "--config", config, "--what", "potential",
+                 "--points", "7", "--rho-max", "3"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 7
+    assert float(rows[-1].split(",")[0]) == 3.0
+
+
+@pytest.mark.parametrize("what", ["potential", "wavefunction"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--points", "0", "--points must be >= 2, got 0"),
+    ("--points", "1", "--points must be >= 2, got 1"),
+    ("--points", "-5", "--points must be >= 2, got -5"),
+    ("--rho-max", "0", "--rho-max must be finite and > 0, got 0.0"),
+    ("--rho-max", "-1", "--rho-max must be finite and > 0, got -1.0"),
+    ("--rho-max", "nan", "--rho-max must be finite and > 0, got nan"),
+    ("--rho-max", "inf", "--rho-max must be finite and > 0, got inf"),
+])
+def test_table_rejects_bad_points_and_rho_max(config, what, flag, value, message, capsys):
+    assert main(["table", "--config", config, "--what", what, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"xtcs: error: {message}\n"
+    assert captured.out == ""
+
+
 def test_table_out_dir(config, tmp_path):
     out = tmp_path / "tables"
     assert main(["table", "--config", config, "--what", "potential",
@@ -130,6 +155,17 @@ def test_verify_perturbed_fails(config, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite", ["spectrum", "local-energy"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_perturb_is_a_usage_error(config, suite, value, tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert main(["verify", "--config", config, "--suite", suite, f"--perturb={value}",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: argument --perturb: must be a finite number, got '{value}'" in captured.err
+    assert "v_new" not in captured.err and captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("cfg, argv, code", [
     # tau = 21: the 1 % shift (1.1e-6) clears the default grid's floor (6.2e-8)
     ({"N": 8, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": 1}, ["--perturb", "1.01"], 2),
@@ -145,9 +181,11 @@ def test_spectrum_verdict_on_default_grid(cfg, argv, code, tmp_path):
 
 
 def test_non_spectrum_calls_leave_scipy_unimported(config):
-    # scipy.linalg costs ~0.3 s to import, which a cold `params` call must not pay
+    # scipy.linalg costs ~0.3 s to import, which a cold `params` call must not pay; only
+    # the solver (lowest_eigenvalues) imports it
     script = (f"import sys\nfrom xtcs.cli import main\n"
               f"assert main(['params', '--json', '--config', {config!r}]) == 0\n"
+              f"assert main(['table', '--what', 'potential', '--config', {config!r}]) == 0\n"
               f"assert main(['verify', '--suite', 'residual', '--config', {config!r}]) == 0\n"
               "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -6,9 +6,10 @@ import pytest
 from xtcs import (ModelParams, ValidationError, consistency_suite, convergence_orders,
                   energy_level, isospectrality_check, numeric_spectrum, ode_residual,
                   orthogonality_matrix, solver_grid, spectrum_csv_rows)
-from xtcs.solver import RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, richardson
+from xtcs.solver import (RadialGrid, hamiltonian_diagonals, isospectral_ladders,
+                         lowest_eigenvalues, matrix_norm1, richardson)
 
-from conftest import BATTERY_BASE, make_params
+from conftest import BATTERY_BASE, battery, make_params
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -128,11 +129,109 @@ def test_eigenvalue_count_below_mid_gap_matches_analytic_ladder():
         p = make_params(base, 2)
         grid = solver_grid(p, 8)
         for ext in (False, True):
-            levels = lowest_eigenvalues(*hamiltonian_diagonals(p, grid, extended=ext), 8)
+            levels, _ = lowest_eigenvalues(*hamiltonian_diagonals(p, grid, extended=ext), 8)
             for probe_level in (1, 3, 5):
                 energy = energy_level(probe_level, p) - p.omega  # between levels
                 analytic = sum(1 for n in range(8) if energy_level(n, p) < energy)
                 assert np.count_nonzero(levels < energy) == analytic
+
+
+# -- bracketed bisection ----------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _four_matrices(p, k):
+    grid = solver_grid(p, k)
+    grids = (grid, grid.refined())
+    return (tuple(hamiltonian_diagonals(p, g, False) for g in grids),
+            tuple(hamiltonian_diagonals(p, g, True) for g in grids))
+
+
+def test_bracketed_ladders_match_the_full_range_call_on_the_battery():
+    for p in battery():
+        conv, ext = _four_matrices(p, 4)
+        (conv_ladders, conv_solves), (ext_ladders, ext_solves) = isospectral_ladders(conv, ext, 4)
+        assert conv_solves == ("full", "bracketed")
+        if p.ext_index == 0:
+            assert ext_solves == ("reused", "reused")
+        else:  # at tau < 15 the extended coarse bracket (1e3 eps ||T||) may miss
+            assert ext_solves[1] == "bracketed"
+        for matrix, values in zip(conv + ext, conv_ladders + ext_ladders):
+            full, how = lowest_eigenvalues(*matrix, 4)
+            assert how == "full"
+            assert np.max(np.abs(values - full)) <= EPS * matrix_norm1(*matrix), p
+
+
+def _fine_matrix_and_levels():
+    p = ModelParams(3, 1.5, 2, 1.0)
+    d, e = hamiltonian_diagonals(p, solver_grid(p, 4).refined(), False)
+    return d, e, lowest_eigenvalues(d, e, 5)[0]
+
+
+@pytest.mark.parametrize("case", ["right", "shifted up one level", "overlapping",
+                                  "one level twice", "nan guess", "bracket misses its level",
+                                  "wrong shape", "zero width"])
+def test_bracketed_call_certifies_its_guesses_or_falls_back(case):
+    d, e, levels = _fine_matrix_and_levels()
+    full = lowest_eigenvalues(d, e, 4)[0]
+    gap = np.min(np.diff(levels))
+    guesses, widths = levels[:4] + 1e-4 * gap, np.full(4, 1e-3 * gap)
+    if case == "shifted up one level":
+        guesses = levels[1:5]  # every bracket holds a level, but the lowest is left out
+    elif case == "overlapping":
+        widths[2] = gap
+    elif case == "one level twice":
+        guesses[2] = guesses[1]  # each bracket holds one level and k lie below the top
+    elif case == "nan guess":
+        guesses[1] = np.nan
+    elif case == "bracket misses its level":
+        guesses[2] += 0.3 * gap
+    elif case == "wrong shape":
+        guesses, widths = guesses[:3], 1e-3 * gap
+    elif case == "zero width":
+        widths[0] = 0.0
+    values, how = lowest_eigenvalues(d, e, 4, guesses, widths)
+    if case == "right":
+        assert how == "bracketed"
+        assert np.max(np.abs(values - full)) <= EPS * matrix_norm1(d, e)
+    else:
+        assert how == "full"
+        assert np.array_equal(values, full)
+
+
+def test_bracketed_call_rejects_a_non_finite_matrix_like_the_full_call():
+    d, e, levels = _fine_matrix_and_levels()
+    d[7] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lowest_eigenvalues(d, e, 4, levels[:4], 1e-3)
+
+
+def test_m0_isospectrality_items_are_exactly_zero():
+    for base in BATTERY_BASE:
+        report = isospectrality_check(make_params(base, 0), 4)
+        iso = [item.value for item in report.items if item.name.startswith("|E_ext")
+               and "E_conv" in item.name]
+        assert iso == [0.0] * 4
+        assert report.metadata["extended"]["solves"] == {"coarse": "reused", "fine": "reused"}
+
+
+@pytest.mark.parametrize("scale, ext_solves", [
+    (1.0, {"coarse": "bracketed", "fine": "bracketed"}),
+    # a 1 % extension term moves the coarse extended levels far outside 1e3 eps ||T||
+    (1.01, {"coarse": "full", "fine": "bracketed"}),
+])
+def test_spectrum_report_records_how_each_ladder_was_solved(scale, ext_solves):
+    p = ModelParams(8, 1.0, 1, 1.0, ext_index=1)  # tau = 21
+    meta = isospectrality_check(p, 4, v_new_scale=scale).metadata
+    assert meta["conventional"]["solves"] == {"coarse": "full", "fine": "bracketed"}
+    assert meta["extended"]["solves"] == ext_solves
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_isospectrality_rejects_a_non_finite_scale(scale):
+    with pytest.raises(ValidationError, match="v_new_scale must be finite"):
+        isospectrality_check(ModelParams(3, 1.0, 1, 1.0, ext_index=1), 2, v_new_scale=scale)
 
 
 def test_richardson_combination():
