@@ -50,7 +50,11 @@ eps ||T||); the 627 checks took 16.6 s instead of 27.5 s (2 vCPUs).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
 
@@ -197,41 +201,51 @@ def lowest_eigenvalues(diag, off, k, guesses=None, half_widths=None):
     """Lowest k eigenvalues of the symmetric tridiagonal matrix by bisection, and how
     they were found: "bracketed" or "full".
 
-    Without guesses (or when they fail) one *stebz* call over the index range 0..k-1
-    ("full"); most of its ~160 Sturm sweeps locate that index window inside the
-    Gershgorin interval, ~1e6 wide on the solver grids.  With guesses, level n is
-    bisected only in the bracket (guesses[n] - half_widths[n], guesses[n] +
-    half_widths[n]].  The brackets must be nonempty, ordered and disjoint; one
-    count-only call (RANGE = 'V' over (Gershgorin bound, top bracket's upper end],
-    tolerance inf: two Sturm counts) must find exactly k eigenvalues, and one call per
-    bracket must find exactly one.  Those k are then the lowest k in order
-    ("bracketed"), each to the full call's tolerance eps ||T||, so the two answers
-    differ by up to eps ||T||.  On any miss the full call runs: the guesses set the
-    cost, never which levels come back.
+    Both paths call LAPACK *stebz* (see `_stebz`).  A non-finite matrix raises
+    NonFiniteError naming the spectrum stage, and so does a full call that does not
+    return k levels with info = 0.  Without guesses (or when they fail) one call over
+    the index range 0..k-1 ("full"); most of its ~160 Sturm sweeps locate that index
+    window inside the Gershgorin interval, ~1e6 wide on the solver grids.  With
+    guesses, level n is bisected only in the bracket (guesses[n] - half_widths[n],
+    guesses[n] + half_widths[n]].  The brackets must be nonempty, ordered and
+    disjoint; one count-only call (RANGE = 'V' over (Gershgorin bound, top bracket's
+    upper end], tolerance inf: two Sturm counts) must find exactly k eigenvalues, and
+    one call per bracket must find exactly one.  Those k are then the lowest k in
+    order ("bracketed"), each to the full call's tolerance eps ||T||, so the two
+    answers differ by up to eps ||T||.  On any miss the full call runs: the guesses
+    set the cost, never which levels come back.
 
     Cost on a 2003-row solver matrix (k = 4, 2 vCPUs): full 2.5-2.9 ms; count 0.09 ms;
     a bracket 2^j eps ||T|| wide ~(5.5 + j) sweeps of 16 us, i.e. 0.16 ms at j = 4 and
     0.47 ms at j = 21.  One RANGE = 'V' call over all k brackets took 2.0 ms against
-    1.6 ms for the k calls, since its window spans the gaps.
+    1.6 ms for the k calls, since its window spans the gaps.  The first call in a
+    process also loads the LAPACK extension: 24-35 ms, `import scipy` included.
     """
-    from scipy.linalg import eigvalsh_tridiagonal, lapack  # ~0.3 s and ~28 MB; only the solver needs it
-    if k > len(diag):
-        raise ValidationError(f"k = {k} exceeds matrix dimension {len(diag)}")
+    if not 1 <= k <= len(diag) or len(diag) < 2:  # stebz's wrapper takes no 1-row matrix
+        raise ValidationError(
+            f"need 1 <= k <= matrix dimension >= 2, got k = {k} and dimension {len(diag)}")
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise NonFiniteError("spectrum: the tridiagonal matrix is not finite")
+    stebz = _stebz()
     if guesses is not None:
-        found = _bracketed(lapack.dstebz, diag, off, k, guesses, half_widths)
+        found = _bracketed(stebz, diag, off, k, guesses, half_widths)
         if found is not None:
             return found, "bracketed"
-    return eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
-                                lapack_driver="stebz"), "full"
+    # RANGE = 'I' (2), indices 1..k, tolerance 0 (stebz's own, ~eps ||T||), ORDER = 'E':
+    # the arguments of scipy's eigvalsh_tridiagonal(select="i", lapack_driver="stebz")
+    count, w, _, _, info = stebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0, "E")
+    if info or count != k:
+        raise NonFiniteError(
+            f"spectrum: stebz returned info = {info} and {count} of {k} levels")
+    return w[:k], "full"
 
 
 def _bracketed(stebz, diag, off, k, guesses, half_widths):
     """The k eigenvalues certified inside their brackets, or None."""
     guesses = np.asarray(guesses, dtype=float)
     lo, hi = guesses - half_widths, guesses + half_widths
-    if not (lo.shape == (k,) and np.all(lo < hi) and np.all(hi[:-1] <= lo[1:])
-            and np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
-        return None  # the full call rejects a non-finite matrix
+    if not (lo.shape == (k,) and np.all(lo < hi) and np.all(hi[:-1] <= lo[1:])):
+        return None
     # RANGE = 'V' (1) counts in (vl, vu]; stebz clips vl = -inf to its Gershgorin bound
     count, _, _, _, info = stebz(diag, off, 1, -np.inf, hi[-1], 0, 0, np.inf, "E")
     if info or count != k:
@@ -243,6 +257,32 @@ def _bracketed(stebz, diag, off, k, guesses, half_widths):
             return None
         values[n] = w[0]
     return values
+
+
+def _stebz():
+    """LAPACK dstebz from scipy's `scipy.linalg._flapack` extension.
+
+    `import scipy.linalg` costs ~0.35 s and ~24 MB of peak RSS (its `__init__` pulls in
+    numpy.f2py, numpy.testing and numpy.ma); the extension alone loads in 2-10 ms.
+    `import scipy` runs scipy's platform set-up first.  The extension is loaded under its
+    own name and registered in sys.modules, which caches it: later calls and a later
+    `import scipy.linalg` reuse this module, so it is never initialised twice.
+    """
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        candidates = [Path(scipy.__file__).parent / "linalg" / f"_flapack{suffix}"
+                      for suffix in EXTENSION_SUFFIXES]
+        path = next((c for c in candidates if c.is_file()), None)
+        if path is None:
+            looked_for = ", ".join(map(str, candidates))
+            raise ImportError(f"LAPACK extension not found: looked for {looked_for}", name=name)
+        loader = ExtensionFileLoader(name, str(path))
+        module = module_from_spec(spec_from_file_location(name, path, loader=loader))
+        sys.modules[name] = module
+        loader.exec_module(module)
+    return sys.modules[name].dstebz
 
 
 def isospectral_ladders(conv, ext, k):

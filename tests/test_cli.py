@@ -180,18 +180,38 @@ def test_spectrum_verdict_on_default_grid(cfg, argv, code, tmp_path):
     assert main(["verify", "--config", str(path), "--suite", "spectrum"] + argv) == code
 
 
-def test_non_spectrum_calls_leave_scipy_unimported(config):
-    # scipy.linalg costs ~0.3 s to import, which a cold `params` call must not pay; only
-    # the solver (lowest_eigenvalues) imports it
-    script = (f"import sys\nfrom xtcs.cli import main\n"
-              f"assert main(['params', '--json', '--config', {config!r}]) == 0\n"
-              f"assert main(['table', '--what', 'potential', '--config', {config!r}]) == 0\n"
-              f"assert main(['verify', '--suite', 'residual', '--config', {config!r}]) == 0\n"
-              "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+def _run_cold(script):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_non_spectrum_calls_leave_scipy_unimported(config):
+    # importing scipy costs time a cold `params` call must not pay; only the solver
+    # (lowest_eigenvalues) loads it, and then only its LAPACK extension
+    _run_cold(f"import sys\nfrom xtcs.cli import main\n"
+              f"assert main(['params', '--json', '--config', {config!r}]) == 0\n"
+              f"assert main(['table', '--what', 'potential', '--config', {config!r}]) == 0\n"
+              f"assert main(['verify', '--suite', 'residual', '--config', {config!r}]) == 0\n"
+              "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n")
+
+
+@pytest.mark.parametrize("argv, code", [([], 0), (["--perturb", "1.01"], 2)])
+def test_spectrum_calls_leave_the_scipy_linalg_package_unimported(argv, code, tmp_path):
+    # the scipy.linalg package costs ~0.3 s to import; the solver loads only the
+    # _flapack extension that holds dstebz
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": 2}))
+    _run_cold(f"import sys\nfrom xtcs.cli import main\n"
+              f"assert main(['verify', '--suite', 'spectrum', '--config', {str(path)!r}]"
+              f" + {argv!r}) == {code}\n"
+              "assert 'scipy.linalg' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+              "flapack = sys.modules['scipy.linalg._flapack']\n"
+              # a later import of the package reuses the loaded extension
+              "import scipy.linalg\nfrom xtcs import solver\n"
+              "assert scipy.linalg.lapack._flapack is flapack\n"
+              "assert scipy.linalg.lapack.dstebz is solver._stebz()\n")
 
 
 def test_verify_consistency_reports_diagnosis(config, tmp_path):

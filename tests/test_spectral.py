@@ -1,11 +1,13 @@
 """Finite-difference eigensolver and the verification reports built on it."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from xtcs import (ModelParams, ValidationError, consistency_suite, convergence_orders,
-                  energy_level, isospectrality_check, numeric_spectrum, ode_residual,
-                  orthogonality_matrix, solver_grid, spectrum_csv_rows)
+from xtcs import (ModelParams, NonFiniteError, ValidationError, consistency_suite,
+                  convergence_orders, energy_level, isospectrality_check, numeric_spectrum,
+                  ode_residual, orthogonality_matrix, solver, solver_grid, spectrum_csv_rows)
 from xtcs.solver import (RadialGrid, hamiltonian_diagonals, isospectral_ladders,
                          lowest_eigenvalues, matrix_norm1, richardson)
 
@@ -203,8 +205,41 @@ def test_bracketed_call_certifies_its_guesses_or_falls_back(case):
 def test_bracketed_call_rejects_a_non_finite_matrix_like_the_full_call():
     d, e, levels = _fine_matrix_and_levels()
     d[7] = np.nan
-    with pytest.raises(ValueError, match="infs or NaNs"):
+    with pytest.raises(NonFiniteError, match="spectrum: the tridiagonal matrix is not finite"):
         lowest_eigenvalues(d, e, 4, levels[:4], 1e-3)
+    with pytest.raises(NonFiniteError, match="spectrum: the tridiagonal matrix is not finite"):
+        lowest_eigenvalues(d, e, 4)
+
+
+@pytest.mark.parametrize("rows, k", [(5, 0), (5, 6), (1, 1)])
+def test_eigenvalue_count_and_matrix_size_validated(rows, k):
+    with pytest.raises(ValidationError, match=f"got k = {k} and dimension {rows}"):
+        lowest_eigenvalues(np.ones(rows), np.zeros(rows - 1), k)
+
+
+def test_full_call_rejects_a_stebz_failure():
+    # finite, but the Gershgorin bounds overflow: stebz reports info = 4 and no levels
+    d = np.array([1e308, -1e308, 1e308, -1e308, 1e308])
+    with pytest.raises(NonFiniteError, match=r"spectrum: stebz returned info = 4 and 0 of 3"):
+        lowest_eigenvalues(d, np.full(4, 1e308), 3, np.arange(3.0), 0.5)
+
+
+def test_full_call_is_bit_identical_to_scipy_on_the_battery():
+    import scipy.linalg  # the reference; the solver loads only its _flapack extension
+
+    for p in battery():
+        for d, e in sum(_four_matrices(p, 4), ()):
+            reference = scipy.linalg.eigvalsh_tridiagonal(
+                d, e, select="i", select_range=(0, 3), lapack_driver="stebz")
+            assert np.array_equal(lowest_eigenvalues(d, e, 4)[0], reference), p
+    assert scipy.linalg.lapack.dstebz is solver._stebz()  # one extension, loaded once
+
+
+def test_missing_lapack_extension_names_the_file(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(solver, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match=r"looked for \S+/linalg/_flapack\.missing$"):
+        solver._stebz()
 
 
 def test_m0_isospectrality_items_are_exactly_zero():
