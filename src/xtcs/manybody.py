@@ -103,6 +103,8 @@ def _sample_positions(p: ModelParams, n_samples: int, seed: int):
     """(n_samples, N) ordered positions; see sample_configurations."""
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(p.omega)
     centers = (np.arange(p.n_particles) - (p.n_particles - 1) / 2) * scale

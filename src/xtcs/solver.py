@@ -2,50 +2,38 @@
 
 The transformed eigenfunction u(rho) = rho^(tau/2) Phi(rho) satisfies
 -u''/2 + V_eff u = E u with u -> 0 at both ends.  Second-order central
-differences on a uniform grid give a symmetric tridiagonal matrix; its
-lowest eigenvalues are extracted by Sturm-sequence bisection (LAPACK
-*stebz*), which is robust for the singular centrifugal term and cheap when
-only a few levels are wanted.  Richardson extrapolation from grids h and
-h/2 upgrades the eigenvalues to effective fourth order.
+differences on a uniform grid give a symmetric tridiagonal matrix T; its
+lowest eigenvalues come from `lowest_eigenvalues`, and Richardson
+extrapolation from grids h and h/2 upgrades them to effective fourth order.
 
 Boundary handling: the grid starts one spacing away from the origin, with
 Dirichlet values at rho = 0 and rho = rho_max + h.  The zero at the origin
 is exact (u ~ rho^(tau/2) for tau > 2), so the 1/rho^2 singularity is never
 discretized; tau <= 2 is rejected.
 
-Brackets: an isospectrality check solves four ladders (conventional and
-extended, coarse and fine).  `isospectral_ladders` bisects only the
-conventional coarse one over the full index range; each level of the other
-three is bisected inside a bracket taken from a ladder already solved, which
-`lowest_eigenvalues` certifies by Sturm counts or abandons for the full call.
-The half-widths were measured with `isospectrality_check` over 627 configs
-(tau = 3 ... 10679, k in {1, 4, 12}, w in {0.05, 1, 20}, m in {0, 1, 2, 3, 20},
-plus the 1.01-scaled extension term at w = 1, m <= 3):
+Refinement: each level starts from a seed s and runs shifted inverse
+iteration with Rayleigh-quotient shifts: solve (T - s I) y = x by LAPACK
+*gtsv*, x = y / |y|_2, s = x^T T x, until r = |T x - s x|_2 <= 2 eps ||T||_1,
+r stops halving (its rounding floor: 3-7 eps ||T||_1 on the tau < 4 grids)
+or RQI_STEPS steps, starting from x = ones.
+Certificate: for symmetric T and unit x some eigenvalue lies within r of
+s, so the intervals s_n +- max(r_n, 4 eps ||T||) (the floor covers the
+residual's own rounding) each hold one if they are finite, ordered and
+disjoint, and they hold the lowest k, one each and in order, if one
+count-only Sturm call (*stebz*, RANGE = 'V') finds exactly k eigenvalues up
+to the top interval's end.  Any miss, a zero pivot in *gtsv* too, runs
+*stebz* bisection over the index range instead ("full"), so seeds set the
+cost, never which levels come back.
 
-* conventional fine: (E_c, E_c (1 + 2 FINE_BRACKET)] around each coarse level
-  E_c, FINE_BRACKET = 2e-5.  The three-point Laplacian underestimates the
-  kinetic energy, so the fine level lies above the coarse one, by 5.9e-9 to
-  1.76e-5 of E_c over tau = 2.2 ... 10679, k = 1 ... 32, w = 0.05 ... 20
-  (largest at tau = 4, k = 4); the bracket leaves a 2.3x margin and never
-  missed.
-* extended coarse: E_c +- EXT_BRACKET eps ||T_fine||, EXT_BRACKET = 1e3 (40
-  tol_iso).  On one grid the extended and conventional levels differ by
-  their h^2 error terms: <= 2.0 eps ||T_fine|| from tau = 127.6 up, up to
-  852 at tau = 21, 1.2e4 at tau = 11 and 4.8e6 at tau = 4 (k = 1, m = 20).
-  So at small tau, and for most perturbed controls, this bracket misses and
-  the full call runs: 138 of the 627 configs, 93 of them unperturbed at
-  tau = 4, 6 and 11.
-* extended fine: E_f +- max(2 |x_c - E_c|, EXT_FINE_FLOOR eps ||T_fine||)
-  around each conventional fine level E_f, x_c the extended coarse level,
-  EXT_FINE_FLOOR = 8.  An h^2 difference shrinks 4x on the fine grid and a
-  real one (the controls) stays; the floor covers bisection noise (<= 0.92
-  eps ||T_fine|| at tau = 1769).  It missed on 5 perturbed controls.
-
-Where the extended matrices are bitwise the conventional ones (m = 0) their
-ladders are reused, so |E_ext - E_conv| reads exactly 0 there.  Against the
-full call on every ladder: no verdict changed and every report item moved by
-<= 0.07 tol_iso (a bracketed level may differ from the full call's by up to
-eps ||T||); the 627 checks took 16.6 s instead of 27.5 s (2 vCPUs).
+Seeds (`isospectral_ladders`): the analytic E_n for the conventional coarse
+ladder, coarse + 3/4 (E_n - coarse) for the conventional fine one (the h^2
+error shrinks 4x), and the conventional ladder of the same grid for each
+extended one.  Over 3,240 `isospectrality_check` configs (N = 2 ... 30,
+lambda = 0.6 ... 2.5, r = 1 and N - 1, w = 0.05 ... 20, m in {0, 1, 2, 3, 20},
+k in {1, 4, 12}, extension term scaled by 1 and 1.01) all 11,664 ladders
+solved were refined, at 1.8 solves per level, each level within 0.65
+eps ||T|| of the full call; against bisection no verdict changed and every
+|E_ext - E_conv| item moved by <= 0.051 tol_iso.
 """
 
 from __future__ import annotations
@@ -73,10 +61,8 @@ __all__ = [
 
 # WKB decay of the top level between its turning point and the outer wall.
 WALL_DECAY_NATS = 19.3
-# Bracket half-widths for isospectral_ladders (see the module docstring).
-FINE_BRACKET = 2e-5  # of each coarse level
-EXT_BRACKET = 1e3  # eps ||T_fine||
-EXT_FINE_FLOOR = 8  # eps ||T_fine||
+# Cap on the Rayleigh-quotient inverse-iteration steps per refined level.
+RQI_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -197,29 +183,21 @@ def hamiltonian_diagonals(p: ModelParams, grid: RadialGrid, extended: bool,
     return diag, off
 
 
-def lowest_eigenvalues(diag, off, k, guesses=None, half_widths=None):
-    """Lowest k eigenvalues of the symmetric tridiagonal matrix by bisection, and how
-    they were found: "bracketed" or "full".
+def lowest_eigenvalues(diag, off, k, guesses=None):
+    """Lowest k eigenvalues of the symmetric tridiagonal matrix, and how they were
+    found: "refined" or "full".
 
-    Both paths call LAPACK *stebz* (see `_stebz`).  A non-finite matrix raises
-    NonFiniteError naming the spectrum stage, and so does a full call that does not
-    return k levels with info = 0.  Without guesses (or when they fail) one call over
-    the index range 0..k-1 ("full"); most of its ~160 Sturm sweeps locate that index
-    window inside the Gershgorin interval, ~1e6 wide on the solver grids.  With
-    guesses, level n is bisected only in the bracket (guesses[n] - half_widths[n],
-    guesses[n] + half_widths[n]].  The brackets must be nonempty, ordered and
-    disjoint; one count-only call (RANGE = 'V' over (Gershgorin bound, top bracket's
-    upper end], tolerance inf: two Sturm counts) must find exactly k eigenvalues, and
-    one call per bracket must find exactly one.  Those k are then the lowest k in
-    order ("bracketed"), each to the full call's tolerance eps ||T||, so the two
-    answers differ by up to eps ||T||.  On any miss the full call runs: the guesses
-    set the cost, never which levels come back.
+    With guesses, level n is refined from guesses[n] and certified as in the module
+    docstring ("refined").  Without guesses, or on any miss, one LAPACK *stebz* call
+    bisects over the index range 0..k-1 ("full"); most of its ~160 Sturm sweeps locate
+    that index window inside the Gershgorin interval, ~1e6 wide on the solver grids.
+    A non-finite matrix raises NonFiniteError naming the spectrum stage, and so does a
+    full call that does not return k levels with info = 0.
 
-    Cost on a 2003-row solver matrix (k = 4, 2 vCPUs): full 2.5-2.9 ms; count 0.09 ms;
-    a bracket 2^j eps ||T|| wide ~(5.5 + j) sweeps of 16 us, i.e. 0.16 ms at j = 4 and
-    0.47 ms at j = 21.  One RANGE = 'V' call over all k brackets took 2.0 ms against
-    1.6 ms for the k calls, since its window spans the gaps.  The first call in a
-    process also loads the LAPACK extension: 24-35 ms, `import scipy` included.
+    Cost on a 2003-row solver matrix (tau = 21, k = 4, 2 vCPUs): full 2.6 ms; refined
+    0.8 ms, each *gtsv* solve 0.05 ms (three Sturm sweeps) and the count 0.08 ms.  The
+    first call in a process also loads the LAPACK extension: 24-35 ms, `import scipy`
+    included.
     """
     if not 1 <= k <= len(diag) or len(diag) < 2:  # stebz's wrapper takes no 1-row matrix
         raise ValidationError(
@@ -228,9 +206,10 @@ def lowest_eigenvalues(diag, off, k, guesses=None, half_widths=None):
         raise NonFiniteError("spectrum: the tridiagonal matrix is not finite")
     stebz = _stebz()
     if guesses is not None:
-        found = _bracketed(stebz, diag, off, k, guesses, half_widths)
+        with np.errstate(all="ignore"):  # an overflow leaves non-finite values: a miss
+            found = _refined(stebz, diag, off, k, guesses)
         if found is not None:
-            return found, "bracketed"
+            return found, "refined"
     # RANGE = 'I' (2), indices 1..k, tolerance 0 (stebz's own, ~eps ||T||), ORDER = 'E':
     # the arguments of scipy's eigvalsh_tridiagonal(select="i", lapack_driver="stebz")
     count, w, _, _, info = stebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0, "E")
@@ -240,22 +219,38 @@ def lowest_eigenvalues(diag, off, k, guesses=None, half_widths=None):
     return w[:k], "full"
 
 
-def _bracketed(stebz, diag, off, k, guesses, half_widths):
-    """The k eigenvalues certified inside their brackets, or None."""
+def _refined(stebz, diag, off, k, guesses):
+    """The k eigenvalues refined from their guesses and certified, or None."""
     guesses = np.asarray(guesses, dtype=float)
-    lo, hi = guesses - half_widths, guesses + half_widths
-    if not (lo.shape == (k,) and np.all(lo < hi) and np.all(hi[:-1] <= lo[1:])):
+    if guesses.shape != (k,):
+        return None
+    gtsv = sys.modules["scipy.linalg._flapack"].dgtsv  # loaded by _stebz
+    ulp_norm = np.finfo(float).eps * matrix_norm1(diag, off)
+    values, radii = np.empty(k), np.empty(k)
+    for n, shift in enumerate(guesses):
+        x, last = np.ones(len(diag)), np.inf
+        for _ in range(RQI_STEPS):
+            *_, x, info = gtsv(off, diag - shift, off, x, overwrite_d=1, overwrite_b=1)
+            if info:  # an exact zero pivot: T - shift I is singular
+                return None
+            x /= np.sqrt(x @ x)
+            tx = diag * x
+            tx[:-1] += off * x[1:]
+            tx[1:] += off * x[:-1]
+            shift = x @ tx
+            tx -= shift * x
+            residual = np.sqrt(tx @ tx)
+            if residual <= 2 * ulp_norm or residual > last / 2:  # or at the rounding floor
+                break
+            last = residual
+        values[n], radii[n] = shift, max(residual, 4 * ulp_norm)
+    lo, hi = values - radii, values + radii
+    if not (np.all(np.isfinite(hi - lo)) and np.all(hi[:-1] < lo[1:])):
         return None
     # RANGE = 'V' (1) counts in (vl, vu]; stebz clips vl = -inf to its Gershgorin bound
     count, _, _, _, info = stebz(diag, off, 1, -np.inf, hi[-1], 0, 0, np.inf, "E")
     if info or count != k:
         return None
-    values = np.empty(k)
-    for n in reversed(range(k)):  # the top level moves most: a miss shows up first
-        count, w, _, _, info = stebz(diag, off, 1, lo[n], hi[n], 0, 0, 0.0, "E")
-        if info or count != 1:
-            return None
-        values[n] = w[0]
     return values
 
 
@@ -285,30 +280,27 @@ def _stebz():
     return sys.modules[name].dstebz
 
 
-def isospectral_ladders(conv, ext, k):
+def isospectral_ladders(conv, ext, k, guesses):
     """Lowest k eigenvalues of the conventional and extended matrices of one grid pair.
 
-    conv and ext are ((diag, off) on the coarse grid, (diag, off) on the fine grid).
-    Returns, for conv and then ext, ((coarse, fine) eigenvalues, (how, how)): how each
-    ladder was solved, "full", "bracketed", or "reused" where the extended matrices are
-    bitwise the conventional ones, as at m = 0.  Only the conventional coarse ladder
-    needs the full call; the brackets are set as in the module docstring.
+    conv and ext are ((diag, off) on the coarse grid, (diag, off) on the fine grid);
+    guesses (the analytic ladder) seed the refinement as in the module docstring and
+    set only the cost.  Returns, for conv and then ext, ((coarse, fine) eigenvalues,
+    (how, how)): how each ladder was solved, "refined", "full", or "reused" where the
+    extended matrices are bitwise the conventional ones, as at m = 0.
     """
-    coarse, how_coarse = lowest_eigenvalues(*conv[0], k)
-    shift = FINE_BRACKET * np.abs(coarse)  # the fine level sits above the coarse one
-    fine, how_fine = lowest_eigenvalues(*conv[1], k, coarse + shift, shift)
+    coarse, how_coarse = lowest_eigenvalues(*conv[0], k, guesses)
+    fine, how_fine = lowest_eigenvalues(*conv[1], k, coarse + 0.75 * (guesses - coarse))
     solved = ((coarse, fine), (how_coarse, how_fine))
     if all(np.array_equal(a, b) for a, b in zip(ext[0] + ext[1], conv[0] + conv[1])):
         return solved, ((coarse, fine), ("reused", "reused"))
-    ulp_norm = np.finfo(float).eps * matrix_norm1(*ext[1])
-    x_coarse, how_x_coarse = lowest_eigenvalues(*ext[0], k, coarse, EXT_BRACKET * ulp_norm)
-    x_fine, how_x_fine = lowest_eigenvalues(
-        *ext[1], k, fine, np.maximum(2 * np.abs(x_coarse - coarse), EXT_FINE_FLOOR * ulp_norm))
+    x_coarse, how_x_coarse = lowest_eigenvalues(*ext[0], k, coarse)
+    x_fine, how_x_fine = lowest_eigenvalues(*ext[1], k, fine)
     return solved, ((x_coarse, x_fine), (how_x_coarse, how_x_fine))
 
 
 def matrix_norm1(diag, off) -> float:
-    """1-norm of the tridiagonal matrix; sets the bisection roundoff scale."""
+    """1-norm of the tridiagonal matrix; sets the eigensolver's roundoff scale."""
     col = np.abs(diag).copy()
     col[:-1] += np.abs(off)
     col[1:] += np.abs(off)

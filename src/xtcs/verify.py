@@ -4,9 +4,11 @@ Nothing here trusts the closed forms it checks: eigenvalues come from the
 finite-difference solver, eigenfunction correctness from pointwise
 differential-equation residuals, orthogonality from quadrature.  The one
 analytic input is the energy formula E_n = omega (2n + alpha + 1), which is
-exactly what the spectrum checks are designed to confirm or refute.
+exactly what the spectrum checks are designed to confirm or refute.  The
+E_n also seed the eigensolver, for cost only: a level it returns is
+certified against the matrix, never taken from the seed.
 
-Tolerance note: Sturm bisection resolves eigenvalues of the assembled
+Tolerance note: the eigensolver resolves eigenvalues of the assembled
 matrix no better than a few ulps of its norm, and the norm grows like
 1/h^2 (plus the centrifugal factor), so isospectrality comparisons carry an
 irreducible floor of order eps * ||T||.  `isospectrality_check` folds that
@@ -237,13 +239,15 @@ def numeric_spectrum(p: ModelParams, k: int, grid: RadialGrid | None = None,
 
 def _spectra(p, k, grid, v_new_scale):
     """Conventional and extended SpectrumReports on one grid pair, plus the 1-norm
-    of the fine extended matrix, which sets the bisection roundoff floor.  Each of
-    the four matrices is assembled once; `isospectral_ladders` solves them."""
+    of the fine extended matrix, which sets the eigensolver's roundoff floor.  Each
+    of the four matrices is assembled once; `isospectral_ladders` solves them, seeded
+    with the analytic ladder."""
     _check_radius(p, k, grid)
     grids = (grid, grid.refined())
     conv = tuple(hamiltonian_diagonals(p, g, False) for g in grids)
     ext = tuple(hamiltonian_diagonals(p, g, True, v_new_scale) for g in grids)
-    conv_solved, ext_solved = isospectral_ladders(conv, ext, k)
+    conv_solved, ext_solved = isospectral_ladders(
+        conv, ext, k, [energy_level(n, p) for n in range(k)])
     return (_report(p, grid, False, *conv_solved), _report(p, grid, True, *ext_solved),
             matrix_norm1(*ext[1]))
 
@@ -254,7 +258,7 @@ def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = N
 
     Tolerances: 1e-6 E_n against the analytic ladder; tol_iso =
     max(1e-8 w, 25 eps ||T_fine||_1) between the two numeric spectra, the
-    second term being the bisection roundoff floor of the fine extended
+    second term being the eigensolver's roundoff floor on the fine extended
     matrix.  v_new_scale != 1 perturbs the extension term (negative
     control); failure is reported, not raised.  Each ladder's metadata
     records how its coarse and fine solves were done (`isospectral_ladders`).

@@ -360,6 +360,16 @@ def test_non_finite_local_energy_exits_1_without_nan(tmp_path, capsys):
     assert "NaN" not in captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["local-energy", "--seed", "-1"], ""),
+    (["verify", "--suite", "local-energy", "--seed", "-5"], "suite local-energy: "),
+])
+def test_negative_seed_exits_1_with_one_line(argv, prefix, config, capsys):
+    assert main(argv + ["--config", config, "--samples", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"xtcs: error: {prefix}seed must be >= 0, got {argv[-1]}\n"
+
+
 def test_nan_in_a_report_exits_1_and_writes_no_json(tmp_path, capsys):
     # L_200^(alpha)(-g) overflows in the residual suite's eigenfunctions: NaN residuals
     path = tmp_path / "cfg.json"

@@ -138,7 +138,7 @@ def test_eigenvalue_count_below_mid_gap_matches_analytic_ladder():
                 assert np.count_nonzero(levels < energy) == analytic
 
 
-# -- bracketed bisection ----------------------------------------------------------
+# -- refined ladders ---------------------------------------------------------------
 
 EPS = np.finfo(float).eps
 
@@ -150,15 +150,14 @@ def _four_matrices(p, k):
             tuple(hamiltonian_diagonals(p, g, True) for g in grids))
 
 
-def test_bracketed_ladders_match_the_full_range_call_on_the_battery():
+def test_refined_ladders_match_the_full_range_call_on_the_battery():
     for p in battery():
         conv, ext = _four_matrices(p, 4)
-        (conv_ladders, conv_solves), (ext_ladders, ext_solves) = isospectral_ladders(conv, ext, 4)
-        assert conv_solves == ("full", "bracketed")
-        if p.ext_index == 0:
-            assert ext_solves == ("reused", "reused")
-        else:  # at tau < 15 the extended coarse bracket (1e3 eps ||T||) may miss
-            assert ext_solves[1] == "bracketed"
+        analytic = [energy_level(n, p) for n in range(4)]
+        (conv_ladders, conv_solves), (ext_ladders, ext_solves) = isospectral_ladders(
+            conv, ext, 4, analytic)
+        assert conv_solves == ("refined", "refined")
+        assert ext_solves == (("reused", "reused") if p.ext_index == 0 else ("refined", "refined"))
         for matrix, values in zip(conv + ext, conv_ladders + ext_ladders):
             full, how = lowest_eigenvalues(*matrix, 4)
             assert how == "full"
@@ -171,42 +170,40 @@ def _fine_matrix_and_levels():
     return d, e, lowest_eigenvalues(d, e, 5)[0]
 
 
-@pytest.mark.parametrize("case", ["right", "shifted up one level", "overlapping",
-                                  "one level twice", "nan guess", "bracket misses its level",
-                                  "wrong shape", "zero width"])
-def test_bracketed_call_certifies_its_guesses_or_falls_back(case):
+@pytest.mark.parametrize("case", ["right", "shifted up one level", "one level twice",
+                                  "nan guess", "midway between levels", "wrong shape",
+                                  "zero pivot"])
+def test_refined_call_certifies_its_guesses_or_falls_back(case):
     d, e, levels = _fine_matrix_and_levels()
-    full = lowest_eigenvalues(d, e, 4)[0]
-    gap = np.min(np.diff(levels))
-    guesses, widths = levels[:4] + 1e-4 * gap, np.full(4, 1e-3 * gap)
+    guesses = levels[:4] + 1e-4 * np.min(np.diff(levels))
     if case == "shifted up one level":
-        guesses = levels[1:5]  # every bracket holds a level, but the lowest is left out
-    elif case == "overlapping":
-        widths[2] = gap
+        guesses = levels[1:5]  # every guess converges to a level, but the lowest is left out
     elif case == "one level twice":
-        guesses[2] = guesses[1]  # each bracket holds one level and k lie below the top
+        guesses[2] = guesses[1]
     elif case == "nan guess":
         guesses[1] = np.nan
-    elif case == "bracket misses its level":
-        guesses[2] += 0.3 * gap
+    elif case == "midway between levels":
+        guesses = (levels[:4] + levels[1:5]) / 2
     elif case == "wrong shape":
-        guesses, widths = guesses[:3], 1e-3 * gap
-    elif case == "zero width":
-        widths[0] = 0.0
-    values, how = lowest_eigenvalues(d, e, 4, guesses, widths)
+        guesses = guesses[:3]
+    elif case == "zero pivot":  # dgtsv meets an exact zero pivot and reports info > 0
+        d, e = np.arange(1.0, 7.0), np.zeros(5)
+        guesses = d[:4].copy()
+    full = lowest_eigenvalues(d, e, 4)[0]
+    values, how = lowest_eigenvalues(d, e, 4, guesses)
     if case == "right":
-        assert how == "bracketed"
+        assert how == "refined"
         assert np.max(np.abs(values - full)) <= EPS * matrix_norm1(d, e)
     else:
         assert how == "full"
         assert np.array_equal(values, full)
 
 
-def test_bracketed_call_rejects_a_non_finite_matrix_like_the_full_call():
+def test_refined_call_rejects_a_non_finite_matrix_like_the_full_call():
     d, e, levels = _fine_matrix_and_levels()
     d[7] = np.nan
     with pytest.raises(NonFiniteError, match="spectrum: the tridiagonal matrix is not finite"):
-        lowest_eigenvalues(d, e, 4, levels[:4], 1e-3)
+        lowest_eigenvalues(d, e, 4, levels[:4])
     with pytest.raises(NonFiniteError, match="spectrum: the tridiagonal matrix is not finite"):
         lowest_eigenvalues(d, e, 4)
 
@@ -221,7 +218,7 @@ def test_full_call_rejects_a_stebz_failure():
     # finite, but the Gershgorin bounds overflow: stebz reports info = 4 and no levels
     d = np.array([1e308, -1e308, 1e308, -1e308, 1e308])
     with pytest.raises(NonFiniteError, match=r"spectrum: stebz returned info = 4 and 0 of 3"):
-        lowest_eigenvalues(d, np.full(4, 1e308), 3, np.arange(3.0), 0.5)
+        lowest_eigenvalues(d, np.full(4, 1e308), 3, np.arange(3.0))
 
 
 def test_full_call_is_bit_identical_to_scipy_on_the_battery():
@@ -251,16 +248,12 @@ def test_m0_isospectrality_items_are_exactly_zero():
         assert report.metadata["extended"]["solves"] == {"coarse": "reused", "fine": "reused"}
 
 
-@pytest.mark.parametrize("scale, ext_solves", [
-    (1.0, {"coarse": "bracketed", "fine": "bracketed"}),
-    # a 1 % extension term moves the coarse extended levels far outside 1e3 eps ||T||
-    (1.01, {"coarse": "full", "fine": "bracketed"}),
-])
-def test_spectrum_report_records_how_each_ladder_was_solved(scale, ext_solves):
+@pytest.mark.parametrize("scale", [1.0, 1.01])  # 1.01: the control moves every level
+def test_spectrum_report_records_how_each_ladder_was_solved(scale):
     p = ModelParams(8, 1.0, 1, 1.0, ext_index=1)  # tau = 21
     meta = isospectrality_check(p, 4, v_new_scale=scale).metadata
-    assert meta["conventional"]["solves"] == {"coarse": "full", "fine": "bracketed"}
-    assert meta["extended"]["solves"] == ext_solves
+    assert meta["conventional"]["solves"] == {"coarse": "refined", "fine": "refined"}
+    assert meta["extended"]["solves"] == {"coarse": "refined", "fine": "refined"}
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
