@@ -25,15 +25,12 @@ to the top interval's end.  Any miss, a zero pivot in *gtsv* too, runs
 *stebz* bisection over the index range instead ("full"), so seeds set the
 cost, never which levels come back.
 
-Seeds (`isospectral_ladders`): the analytic E_n for the conventional coarse
-ladder, coarse + 3/4 (E_n - coarse) for the conventional fine one (the h^2
-error shrinks 4x), and the conventional ladder of the same grid for each
-extended one.  Over 3,240 `isospectrality_check` configs (N = 2 ... 30,
-lambda = 0.6 ... 2.5, r = 1 and N - 1, w = 0.05 ... 20, m in {0, 1, 2, 3, 20},
-k in {1, 4, 12}, extension term scaled by 1 and 1.01) all 11,664 ladders
-solved were refined, at 1.8 solves per level, each level within 0.65
-eps ||T|| of the full call; against bisection no verdict changed and every
-|E_ext - E_conv| item moved by <= 0.051 tol_iso.
+Seeds (`verify.numeric_spectrum`): the analytic E_n for the coarse ladder and
+coarse + 3/4 (E_n - coarse) for the fine one (the h^2 error shrinks 4x), for the
+conventional and the extended matrices alike.  Over 1,944 `isospectrality_check`
+configs (N = 2 ... 16, lambda = 0.6 ... 2.5, r = 1 and N - 1, w = 0.05 ... 20,
+m in {0, 1, 3, 20}, k in {1, 4, 12}, extension term scaled by 1 and 1.01) all 6,804
+ladders solved were refined, at 1.8 solves per level.
 """
 
 from __future__ import annotations
@@ -51,15 +48,15 @@ from .model import ModelParams, turning_point_g, v_eff_radial, v_new
 
 __all__ = [
     "RadialGrid",
+    "decay_margin",
     "solver_grid",
     "hamiltonian_diagonals",
     "lowest_eigenvalues",
-    "isospectral_ladders",
     "matrix_norm1",
     "richardson",
 ]
 
-# WKB decay of the top level between its turning point and the outer wall.
+# WKB decay of the top level between its turning point and the edge of a default domain.
 WALL_DECAY_NATS = 19.3
 # Cap on the Rayleigh-quotient inverse-iteration steps per refined level.
 RQI_STEPS = 6
@@ -103,6 +100,17 @@ class RadialGrid:
         return RadialGrid(h2, self.rho_max + h2, 2 * self.n_points + 1)
 
 
+def decay_margin(g_t: float) -> float:
+    """Margin in g = w rho^2 past a turning point g_t over which a level decays by
+    S = WALL_DECAY_NATS nats: (3 S sqrt(g_t))^(2/3).
+
+    Past g_t the level decays like exp(-int kappa d rho) with kappa = sqrt(w (g - g_t)).
+    With d rho = dg / (2 sqrt(w g)) and D = g - g_t << g_t the exponent is
+    D^(3/2) / (3 sqrt(g_t)).
+    """
+    return (3 * WALL_DECAY_NATS * np.sqrt(g_t)) ** (2 / 3)
+
+
 def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGrid:
     """Eigensolver grid for the lowest k levels, sized from tau and k.
 
@@ -111,12 +119,8 @@ def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGr
     unless given, follows from tau and k.  The constants were measured with
     `isospectrality_check` (Richardson pair on n and 2n+1 points):
 
-    * tau >= 4: max(501, 250 k + 1) points; margin
-      max(40, (3 S sqrt(g_t))^(2/3)) with S = WALL_DECAY_NATS = 19.3.
-      Margin: past g_t the top level decays like exp(-int kappa d rho) with
-      kappa = sqrt(w (g - g_t)).  With d rho = dg / (2 sqrt(w g)) and
-      D = g - g_t << g_t the exponent is D^(3/2) / (3 sqrt(g_t)), so a fixed
-      margin buys less decay as g_t grows.  Margin 40 gives 19.3 nats at
+    * tau >= 4: max(501, 250 k + 1) points; margin max(40, `decay_margin`).
+      A fixed margin buys less decay as g_t grows.  Margin 40 gives 19.3 nats at
       k = 4, tau = 6 (g_t = 19), where it removed the top level's wall
       shift, but only 7.4 nats at k = 32 (g_t = 131): there N=3, lambda=1,
       r=1, m=60 shows a wall shift of 0.86 tol_iso (0.87 at w = 20), which
@@ -149,7 +153,7 @@ def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGr
     if n_points is None:
         n_points = max(501, 250 * k + 1) if smooth else 20001
     g_t = turning_point_g(k - 1, p, 0)
-    margin = max(40.0, (3 * WALL_DECAY_NATS * np.sqrt(g_t)) ** (2 / 3)) if smooth else 30.0
+    margin = max(40.0, decay_margin(g_t)) if smooth else 30.0
     radius = float(np.sqrt((g_t + margin) / p.omega))
     h = radius / (n_points + 1)
     return RadialGrid(h, n_points * h, n_points)
@@ -278,25 +282,6 @@ def _stebz():
         sys.modules[name] = module
         loader.exec_module(module)
     return sys.modules[name].dstebz
-
-
-def isospectral_ladders(conv, ext, k, guesses):
-    """Lowest k eigenvalues of the conventional and extended matrices of one grid pair.
-
-    conv and ext are ((diag, off) on the coarse grid, (diag, off) on the fine grid);
-    guesses (the analytic ladder) seed the refinement as in the module docstring and
-    set only the cost.  Returns, for conv and then ext, ((coarse, fine) eigenvalues,
-    (how, how)): how each ladder was solved, "refined", "full", or "reused" where the
-    extended matrices are bitwise the conventional ones, as at m = 0.
-    """
-    coarse, how_coarse = lowest_eigenvalues(*conv[0], k, guesses)
-    fine, how_fine = lowest_eigenvalues(*conv[1], k, coarse + 0.75 * (guesses - coarse))
-    solved = ((coarse, fine), (how_coarse, how_fine))
-    if all(np.array_equal(a, b) for a, b in zip(ext[0] + ext[1], conv[0] + conv[1])):
-        return solved, ((coarse, fine), ("reused", "reused"))
-    x_coarse, how_x_coarse = lowest_eigenvalues(*ext[0], k, coarse)
-    x_fine, how_x_fine = lowest_eigenvalues(*ext[1], k, fine)
-    return solved, ((x_coarse, x_fine), (how_x_coarse, how_x_fine))
 
 
 def matrix_norm1(diag, off) -> float:

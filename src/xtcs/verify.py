@@ -26,8 +26,8 @@ from .errors import ValidationError
 from .laguerre import r_variant_residuals
 from .model import (ModelParams, energy_level, ext_constants, turning_point_g, v_new,
                     v_new_x1_two_term)
-from .solver import (RadialGrid, hamiltonian_diagonals, isospectral_ladders,
-                     lowest_eigenvalues, matrix_norm1, richardson, solver_grid)
+from .solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, matrix_norm1,
+                     richardson, solver_grid)
 from .wavefunctions import _gram, default_quadrature, radial_eigenfunction
 
 __all__ = [
@@ -188,7 +188,8 @@ class SpectrumReport:
     grid: RadialGrid
     raw_coarse: tuple
     raw_fine: tuple
-    solves: tuple  # how the coarse and fine ladders were solved (isospectral_ladders)
+    solves: tuple  # how the coarse and fine ladders were solved: refined, full or reused
+    norm_fine: float  # 1-norm of the fine matrix (the solver's roundoff scale), not in JSON
 
     @property
     def eigenvalues(self):
@@ -215,41 +216,37 @@ def _check_radius(p, k, grid):
             f"grid radius {radius:.3f} too small for k = {k}: need w^2 R^2/2 >= E_(k-1) + 15 w")
 
 
-def _report(p, grid, extended, ladders, solves):
-    """SpectrumReport of the ladders solved on the pair (grid, grid.refined())."""
-    coarse, fine = ladders
-    extrap = richardson(coarse, fine)
-    rows = tuple(SpectrumRow(n, energy_level(n, p), float(extrap[n]))
-                 for n in range(len(coarse)))
-    return SpectrumReport(p, extended, rows, grid, tuple(map(float, coarse)),
-                          tuple(map(float, fine)), solves)
-
-
 def numeric_spectrum(p: ModelParams, k: int, grid: RadialGrid | None = None,
                      extended: bool = False, v_new_scale: float = 1.0) -> SpectrumReport:
     """Lowest k eigenvalues, Richardson-extrapolated from grids h and h/2,
-    paired with the analytic ladder."""
+    paired with the analytic ladder.
+
+    The coarse ladder is refined from the analytic E_n and the fine one from
+    coarse + 3/4 (E_n - coarse), as the h^2 error shrinks 4x; the seeds set only
+    the cost (`solver.lowest_eigenvalues`)."""
     if grid is None:
         grid = solver_grid(p, k)
     _check_radius(p, k, grid)
-    solved = [lowest_eigenvalues(*hamiltonian_diagonals(p, g, extended, v_new_scale), k)
-              for g in (grid, grid.refined())]
-    return _report(p, grid, extended, *zip(*solved))  # (coarse, fine), (how, how)
+    analytic = np.array([energy_level(n, p) for n in range(k)])
+    coarse_matrix, fine_matrix = (hamiltonian_diagonals(p, g, extended, v_new_scale)
+                                  for g in (grid, grid.refined()))
+    coarse, how_coarse = lowest_eigenvalues(*coarse_matrix, k, analytic)
+    fine, how_fine = lowest_eigenvalues(*fine_matrix, k, coarse + 0.75 * (analytic - coarse))
+    extrap = richardson(coarse, fine)
+    rows = tuple(SpectrumRow(n, float(analytic[n]), float(extrap[n])) for n in range(k))
+    return SpectrumReport(p, extended, rows, grid, tuple(map(float, coarse)),
+                          tuple(map(float, fine)), (how_coarse, how_fine),
+                          matrix_norm1(*fine_matrix))
 
 
 def _spectra(p, k, grid, v_new_scale):
-    """Conventional and extended SpectrumReports on one grid pair, plus the 1-norm
-    of the fine extended matrix, which sets the eigensolver's roundoff floor.  Each
-    of the four matrices is assembled once; `isospectral_ladders` solves them, seeded
-    with the analytic ladder."""
-    _check_radius(p, k, grid)
-    grids = (grid, grid.refined())
-    conv = tuple(hamiltonian_diagonals(p, g, False) for g in grids)
-    ext = tuple(hamiltonian_diagonals(p, g, True, v_new_scale) for g in grids)
-    conv_solved, ext_solved = isospectral_ladders(
-        conv, ext, k, [energy_level(n, p) for n in range(k)])
-    return (_report(p, grid, False, *conv_solved), _report(p, grid, True, *ext_solved),
-            matrix_norm1(*ext[1]))
+    """Conventional and extended SpectrumReports on one grid pair.  At m = 0 v_new is
+    zero, so the extended matrices are the conventional ones bit for bit and their
+    ladders are reused."""
+    conv = numeric_spectrum(p, k, grid)
+    if p.ext_index == 0 and np.isfinite(v_new_scale):
+        return conv, dataclasses.replace(conv, extended=True, solves=("reused", "reused"))
+    return conv, numeric_spectrum(p, k, conv.grid, True, v_new_scale)
 
 
 def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = None,
@@ -261,12 +258,11 @@ def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = N
     second term being the eigensolver's roundoff floor on the fine extended
     matrix.  v_new_scale != 1 perturbs the extension term (negative
     control); failure is reported, not raised.  Each ladder's metadata
-    records how its coarse and fine solves were done (`isospectral_ladders`).
+    records how its coarse and fine levels were solved (`numeric_spectrum`).
     """
-    if grid is None:
-        grid = solver_grid(p, k)
-    conv, ext, norm_fine = _spectra(p, k, grid, v_new_scale)
-    noise_floor = 25 * np.finfo(float).eps * norm_fine
+    conv, ext = _spectra(p, k, grid, v_new_scale)
+    grid = conv.grid
+    noise_floor = 25 * np.finfo(float).eps * ext.norm_fine
     tol_iso = max(1e-8 * p.omega, noise_floor)
     radius = grid.rho_max + grid.spacing
     report = VerificationReport("isospectrality of the extended radial problem", p)
@@ -293,9 +289,7 @@ def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = N
 def spectrum_csv_rows(p: ModelParams, k: int = 4, grid: RadialGrid | None = None):
     """Rows (n, E_analytic, E_conv_numeric, E_ext_numeric, rel_err_conv,
     rel_err_ext) for the spectrum table."""
-    if grid is None:
-        grid = solver_grid(p, k)
-    conv, ext, _ = _spectra(p, k, grid, 1.0)
+    conv, ext = _spectra(p, k, grid, 1.0)
     return [(n, conv.rows[n].e_analytic, conv.rows[n].e_numeric, ext.rows[n].e_numeric,
              conv.rows[n].rel_err, ext.rows[n].rel_err) for n in range(k)]
 
@@ -392,7 +386,7 @@ def convergence_orders(p: ModelParams, k: int = 3,
         h = radius / lev
         grid = RadialGrid(h, (lev - 1) * h, lev - 1)
         d, e = hamiltonian_diagonals(p, grid, extended=True)
-        spectra.append(lowest_eigenvalues(d, e, k)[0])
+        spectra.append(lowest_eigenvalues(d, e, k, e_exact)[0])
     hs = [radius / lev for lev in levels]
     raw = [float(np.max(np.abs(s - e_exact))) for s in spectra]
     extrap = [float(np.max(np.abs(richardson(spectra[i], spectra[i + 1]) - e_exact)))

@@ -29,7 +29,7 @@ from .laguerre import (_check_index, _lag, _maybe_scalar, x1_laguerre, xm_denomi
                        xm_laguerre)
 from .model import Configuration, ModelParams, _check_rho, turning_point_g
 from .quadrature import QuadratureSpec, panel_nodes
-from .solver import RadialGrid
+from .solver import RadialGrid, decay_margin
 
 __all__ = [
     "radial_eigenfunction",
@@ -102,10 +102,13 @@ def manybody_groundstate(c: Configuration, p: ModelParams) -> float:
 def default_quadrature(p: ModelParams, n_max: int) -> QuadratureSpec:
     """Quadrature reaching well past the classical region of level n_max.
 
-    g_max = turning point of n_max + 30 + 2 alpha: the extra alpha-dependent
-    margin keeps the rho^tau growth from reviving the tail at large alpha.
+    g_max = g_t + max(30 + 2 alpha, `solver.decay_margin`(g_t)), g_t the turning point
+    of n_max: the alpha-dependent margin keeps the rho^tau growth from reviving the
+    tail at large alpha, and the decay margin, which grows like g_t^(1/3), keeps the
+    top level's tail check passing at large n_max and small alpha.
     """
-    g_max = turning_point_g(n_max, p, 30 + 2 * p.alpha)
+    g_t = turning_point_g(n_max, p, 0)
+    g_max = g_t + max(30 + 2 * p.alpha, decay_margin(g_t))
     rho_max = float(np.sqrt(g_max / p.omega))
     n_panels = max(8, int(np.ceil(g_max / 4)))
     return QuadratureSpec(rho_max=rho_max, omega=p.omega, n_panels=n_panels)

@@ -294,6 +294,19 @@ def test_ortho_passes_at_large_tau(cfg, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("cfg, levels", [
+    ({"N": 2, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": 0}, 8),  # tau = 3
+    ({"N": 3, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": 2}, 12),  # tau = 6
+])
+def test_ortho_domain_holds_the_top_level_of_many_levels(cfg, levels, tmp_path, capsys):
+    # a margin of 30 + 2 alpha past the top turning point left its norm tail above 1e-10
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path), "--suite", "ortho",
+                 "--levels", str(levels)]) == 0
+    assert capsys.readouterr().out == "ortho: PASS\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cfg, e0", [
     # exp(-g/2) underflowed Psi to 0 when Psi itself was evaluated
@@ -423,12 +436,36 @@ def test_unwritable_out_exits_1(argv, config, tmp_path, capsys):
     assert "xtcs: error: cannot write output:" in capsys.readouterr().err
 
 
-def test_traced_functions_still_exist():
-    # the benchmark's tracer wraps these by name; a missing one breaks run.py --trace 1
+def _spans_module():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    missing = [(module, func) for module, func, _ in spans.WRAPPED
+    return spans
+
+
+def test_traced_functions_still_exist():
+    # the benchmark's tracer wraps these by name; a missing one breaks run.py --trace 1
+    missing = [(module, func) for module, func, _ in _spans_module().WRAPPED
                if not callable(getattr(importlib.import_module(f"xtcs.{module}"), func, None))]
     assert missing == []
+
+
+def test_tracer_records_every_layer_of_a_cli_call(config, tmp_path, capsys):
+    # the traced form of `xtcs verify` (run.py --trace 1): every call site of a wrapped
+    # function is rebound, so each layer's spans nest under cli.main
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["verify", "--config", config, "--suite", "all", "--levels", "2",
+                         "--samples", "20", "--out", str(tmp_path / "reports")])
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr()
+    assert cli.main is main  # uninstall puts the originals back
+    names = {span[2] for span in tracer.spans}
+    assert names <= {f"{module}.{func}" for module, func, _ in spans.WRAPPED}
+    assert {name.split(".")[0] for name in names} == {module for module, _, _ in spans.WRAPPED}
+    roots = [span[2] for span in tracer.spans if span[1] is None]
+    assert roots == ["cli.main"]

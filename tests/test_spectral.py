@@ -8,8 +8,8 @@ import pytest
 from xtcs import (ModelParams, NonFiniteError, ValidationError, consistency_suite,
                   convergence_orders, energy_level, isospectrality_check, numeric_spectrum,
                   ode_residual, orthogonality_matrix, solver, solver_grid, spectrum_csv_rows)
-from xtcs.solver import (RadialGrid, hamiltonian_diagonals, isospectral_ladders,
-                         lowest_eigenvalues, matrix_norm1, richardson)
+from xtcs.solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, matrix_norm1,
+                         richardson)
 
 from conftest import BATTERY_BASE, battery, make_params
 
@@ -152,16 +152,15 @@ def _four_matrices(p, k):
 
 def test_refined_ladders_match_the_full_range_call_on_the_battery():
     for p in battery():
-        conv, ext = _four_matrices(p, 4)
-        analytic = [energy_level(n, p) for n in range(4)]
-        (conv_ladders, conv_solves), (ext_ladders, ext_solves) = isospectral_ladders(
-            conv, ext, 4, analytic)
-        assert conv_solves == ("refined", "refined")
-        assert ext_solves == (("reused", "reused") if p.ext_index == 0 else ("refined", "refined"))
-        for matrix, values in zip(conv + ext, conv_ladders + ext_ladders):
-            full, how = lowest_eigenvalues(*matrix, 4)
-            assert how == "full"
-            assert np.max(np.abs(values - full)) <= EPS * matrix_norm1(*matrix), p
+        grid = solver_grid(p, 4)
+        for extended in (False, True):
+            report = numeric_spectrum(p, 4, grid, extended)
+            assert report.solves == ("refined", "refined"), (p, extended)
+            for g, values in zip((grid, grid.refined()), (report.raw_coarse, report.raw_fine)):
+                matrix = hamiltonian_diagonals(p, g, extended)
+                full, how = lowest_eigenvalues(*matrix, 4)
+                assert how == "full"
+                assert np.max(np.abs(np.array(values) - full)) <= EPS * matrix_norm1(*matrix), p
 
 
 def _fine_matrix_and_levels():
@@ -258,8 +257,9 @@ def test_spectrum_report_records_how_each_ladder_was_solved(scale):
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
 def test_isospectrality_rejects_a_non_finite_scale(scale):
-    with pytest.raises(ValidationError, match="v_new_scale must be finite"):
-        isospectrality_check(ModelParams(3, 1.0, 1, 1.0, ext_index=1), 2, v_new_scale=scale)
+    for m in (0, 1):  # the m = 0 reuse of the conventional ladders must not skip the check
+        with pytest.raises(ValidationError, match="v_new_scale must be finite"):
+            isospectrality_check(ModelParams(3, 1.0, 1, 1.0, ext_index=m), 2, v_new_scale=scale)
 
 
 def test_richardson_combination():
