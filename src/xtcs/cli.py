@@ -4,7 +4,7 @@ Subcommands: params, table, verify, local-energy.  Configuration is a JSON
 file with exactly the keys {"N", "lambda", "r", "omega", "s", "m"}; runtime
 knobs are flags and override anything implied by the config.  Exit codes:
 0 success, 1 usage or configuration error, a numerical-range error that
-stops a suite or a NaN (never written as JSON), 2 genuine verification failure.
+stops a suite or a NaN (never written as JSON or CSV), 2 genuine verification failure.
 Output is deterministic for a fixed config and seed; floats in tables and
 text reports are printed with 17 significant digits.
 """
@@ -103,10 +103,16 @@ def load_params(path) -> ModelParams:
     return ModelParams.from_json_dict(doc)
 
 
-def _write_csv(rows, header, stream):
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(str(c) if isinstance(c, int) else _fmt(c) for c in row) + "\n")
+def _csv(rows, header, what) -> str:
+    """CSV text of a table; like `_json`, a NaN or an infinity raises instead."""
+    finite = np.isfinite(np.array(rows, dtype=float))
+    for name, column in zip(header, finite.T):
+        if not np.all(column):
+            raise NonFiniteError(f"table {what}: {name} is not finite in "
+                                 f"{np.sum(~column)} of {len(rows)} rows")
+    lines = [",".join(header)]
+    lines += [",".join(str(c) if isinstance(c, int) else _fmt(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _json(doc) -> str:
@@ -164,25 +170,20 @@ def cmd_table(args) -> int:
         if not (np.isfinite(rho_max) and rho_max > 0):
             raise ValidationError(f"--rho-max must be finite and > 0, got {rho_max}")
         rho = np.linspace(rho_max / n_points, rho_max, n_points)
-        g = p.omega * rho ** 2
-        v_conv = v_eff_radial(rho, p, extended=False)
-        v_ext = v_eff_radial(rho, p, extended=True)
-        if args.what == "potential":
-            rows = list(zip(rho, g, v_conv, v_ext))
-            header = ("rho", "g", "v_eff_conventional", "v_eff_extended")
-        else:
-            p_conv = dataclasses.replace(p, ext_index=0)
-            phi_c = radial_eigenfunction(args.level, p_conv, rho)
-            phi_e = radial_eigenfunction(args.level, p, rho)
-            rows = list(zip(rho, g, phi_c, phi_e, v_conv, v_ext))
-            header = ("rho", "g", "phi_conventional", "phi_extended",
-                      "v_eff_conventional", "v_eff_extended")
-
+        columns = {"rho": rho, "g": p.omega * rho ** 2}
+        with np.errstate(over="ignore", invalid="ignore"):  # _csv raises on the result
+            if args.what == "wavefunction":
+                p_conv = dataclasses.replace(p, ext_index=0)
+                columns["phi_conventional"] = radial_eigenfunction(args.level, p_conv, rho)
+                columns["phi_extended"] = radial_eigenfunction(args.level, p, rho)
+            columns["v_eff_conventional"] = v_eff_radial(rho, p, extended=False)
+            columns["v_eff_extended"] = v_eff_radial(rho, p, extended=True)
+        header, rows = tuple(columns), list(zip(*columns.values()))
+    text = _csv(rows, header, args.what)
     if args.out:
-        with open(_open_out(args.out, f"{args.what}.csv"), "w", encoding="utf-8") as fh:
-            _write_csv(rows, header, fh)
+        _open_out(args.out, f"{args.what}.csv").write_text(text, encoding="utf-8")
     else:
-        _write_csv(rows, header, sys.stdout)
+        sys.stdout.write(text)
     return 0
 
 

@@ -88,10 +88,11 @@ def local_energy(c, p: ModelParams, v_new_scale: float = 1.0,
     if wp.degree != 0 or wp.n_particles != p.n_particles:
         raise ValidationError("wavefunction_params must have degree s = 0 and the same N")
 
-    ratios = np.expm1(_log_psi_ratios(x, wp))
-    kinetic = -0.5 * np.sum(ratios @ STENCIL_WEIGHTS, axis=-1) / FD_STEP ** 2
-    rho2 = np.sum(x ** 2, axis=-1)
-    extension = v_new_scale * v_new(np.sqrt(rho2), p)
+    with np.errstate(over="ignore", invalid="ignore"):  # a Laguerre overflow raises below
+        ratios = np.expm1(_log_psi_ratios(x, wp))
+        kinetic = -0.5 * np.sum(ratios @ STENCIL_WEIGHTS, axis=-1) / FD_STEP ** 2
+        rho2 = np.sum(x ** 2, axis=-1)
+        extension = v_new_scale * v_new(np.sqrt(rho2), p)
     for stage, term in (("Psi ratio", kinetic), ("v_new", extension)):
         if not np.all(np.isfinite(term)):
             raise NonFiniteError(f"local energy: {stage} is not finite for {p}")

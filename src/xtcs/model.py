@@ -187,8 +187,9 @@ def turning_point_g(n, p: ModelParams, margin: float) -> float:
     """g = omega rho^2 at the classical turning point of level n,
     2 E_n / omega = 2(2n + alpha + 1), plus `margin`.
 
-    Every default domain (solver, residual, quadrature and node grids) is
-    this turning point plus a margin of forbidden region chosen by the caller.
+    The truncated domains of the checks end at `solver.wall_g`, built on it (solver
+    grids below tau = 4 end 30 past it); the residual, node and table grids, which
+    only sample Phi_n, end 10 past it.
     """
     n = _check_index("n", n, 0)
     return 2 * (2 * n + p.alpha + 1) + margin
@@ -237,12 +238,11 @@ def v_new(rho, p: ModelParams):
 
     In the paper's form the bracket reads -g L_{m-2}^(a+1) + (a+g-1) L_{m-1}^(a) - m D, whose
     O(m) terms cancel to O(1/a); m D = (m+a-1) L_{m-1}^(a-1) + g L_{m-1}^(a) and L_{m-1}^(a)
-    - L_{m-1}^(a-1) = L_{m-2}^(a) remove that cancellation.  Zero at m = 0; D > 0: no pole.
+    - L_{m-1}^(a-1) = L_{m-2}^(a) remove that cancellation.  One formula for every m: at
+    m = 0, D = L_0 = 1 and L_{-1} = L_{-2} = 0 make it exactly 0.0.  D > 0: no pole.
     """
     rho_a = _check_rho(rho)
     m, a, w = p.ext_index, p.alpha, p.omega
-    if m == 0:
-        return _maybe_scalar(np.zeros_like(rho_a), rho)
     g = w * rho_a ** 2
     den, l1, l2 = _lag(m, a - 1, -g), _lag(m - 1, a, -g), _lag(m - 2, a, -g)
     val = (2 * w * ((a - 1) * l2 - g * _lag(m - 2, a + 1, -g) - m * (l1 - l2)) / den

@@ -48,7 +48,7 @@ from .model import ModelParams, turning_point_g, v_eff_radial, v_new
 
 __all__ = [
     "RadialGrid",
-    "decay_margin",
+    "wall_g",
     "solver_grid",
     "hamiltonian_diagonals",
     "lowest_eigenvalues",
@@ -56,7 +56,7 @@ __all__ = [
     "richardson",
 ]
 
-# WKB decay of the top level between its turning point and the edge of a default domain.
+# WKB decay of the top level between its turning point and the wall of a default domain.
 WALL_DECAY_NATS = 19.3
 # Cap on the Rayleigh-quotient inverse-iteration steps per refined level.
 RQI_STEPS = 6
@@ -100,15 +100,18 @@ class RadialGrid:
         return RadialGrid(h2, self.rho_max + h2, 2 * self.n_points + 1)
 
 
-def decay_margin(g_t: float) -> float:
-    """Margin in g = w rho^2 past a turning point g_t over which a level decays by
-    S = WALL_DECAY_NATS nats: (3 S sqrt(g_t))^(2/3).
+def wall_g(n, p: ModelParams) -> float:
+    """g = w rho^2 of the wall that ends the default domains holding levels 0..n: the
+    solver grid (tau >= 4), the quadrature and `verify.convergence_orders`.  It is
+    g_t + max(40, (3 S sqrt(g_t))^(2/3)), g_t the turning point of level n, S =
+    WALL_DECAY_NATS.
 
-    Past g_t the level decays like exp(-int kappa d rho) with kappa = sqrt(w (g - g_t)).
+    Past g_t level n decays like exp(-int kappa d rho) with kappa = sqrt(w (g - g_t)).
     With d rho = dg / (2 sqrt(w g)) and D = g - g_t << g_t the exponent is
-    D^(3/2) / (3 sqrt(g_t)).
+    D^(3/2) / (3 sqrt(g_t)), so the second term is where it reaches S nats.
     """
-    return (3 * WALL_DECAY_NATS * np.sqrt(g_t)) ** (2 / 3)
+    g_t = turning_point_g(n, p, 0)
+    return g_t + max(40.0, (3 * WALL_DECAY_NATS * np.sqrt(g_t)) ** (2 / 3))
 
 
 def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGrid:
@@ -119,7 +122,7 @@ def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGr
     unless given, follows from tau and k.  The constants were measured with
     `isospectrality_check` (Richardson pair on n and 2n+1 points):
 
-    * tau >= 4: max(501, 250 k + 1) points; margin max(40, `decay_margin`).
+    * tau >= 4: max(501, 250 k + 1) points; w R^2 = `wall_g`(k - 1).
       A fixed margin buys less decay as g_t grows.  Margin 40 gives 19.3 nats at
       k = 4, tau = 6 (g_t = 19), where it removed the top level's wall
       shift, but only 7.4 nats at k = 32 (g_t = 131): there N=3, lambda=1,
@@ -152,9 +155,8 @@ def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGr
     smooth = p.tau >= 4
     if n_points is None:
         n_points = max(501, 250 * k + 1) if smooth else 20001
-    g_t = turning_point_g(k - 1, p, 0)
-    margin = max(40.0, decay_margin(g_t)) if smooth else 30.0
-    radius = float(np.sqrt((g_t + margin) / p.omega))
+    g_wall = wall_g(k - 1, p) if smooth else turning_point_g(k - 1, p, 30)
+    radius = float(np.sqrt(g_wall / p.omega))
     h = radius / (n_points + 1)
     return RadialGrid(h, n_points * h, n_points)
 
@@ -179,7 +181,8 @@ def hamiltonian_diagonals(p: ModelParams, grid: RadialGrid, extended: bool,
     if extended:
         if not np.isfinite(v_new_scale):
             raise ValidationError(f"v_new_scale must be finite, got {v_new_scale!r}")
-        pot = pot + v_new_scale * v_new(rho, p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pot = pot + v_new_scale * v_new(rho, p)
         if not np.all(np.isfinite(pot)):
             raise NonFiniteError("spectrum: v_new is not finite (Laguerre overflow)")
     diag = 1.0 / h ** 2 + pot

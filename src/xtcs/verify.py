@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NonFiniteError, ValidationError
 from .laguerre import r_variant_residuals
 from .model import (ModelParams, energy_level, ext_constants, turning_point_g, v_new,
                     v_new_x1_two_term)
 from .solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, matrix_norm1,
-                     richardson, solver_grid)
+                     richardson, solver_grid, wall_g)
 from .wavefunctions import _gram, default_quadrature, radial_eigenfunction
 
 __all__ = [
@@ -142,17 +142,23 @@ def ode_residual(n, p: ModelParams, grid: RadialGrid | None = None,
 
     Phi comes from `radial_eigenfunction`, E from the analytic formula, and
     V_ext = w^2 rho^2 / 2 + v_new.  Derivatives are 9-point, eighth-order central
-    differences; the result is normalized by max|Phi| times omega(2n+alpha+1).
+    differences; the result is normalized by max|Phi| times omega(2n+alpha+1).  A
+    non-finite Phi_n or v_new (Laguerre overflow) raises NonFiniteError.
     """
     if grid is None:
         grid = default_residual_grid(n, p)
     if grid.n_points < len(_D2):
         raise ValidationError(f"residual grids need >= {len(_D2)} points, got {grid.n_points}")
-    f = radial_eigenfunction(n, p, grid.nodes, x1_denominator=x1_denominator)
+    rho = grid.nodes[4:-4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = radial_eigenfunction(n, p, grid.nodes, x1_denominator=x1_denominator)
+        v = v_new(rho, p)
+    for name, values in ((f"Phi_{n}", f), ("v_new", v)):
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteError(f"residual: {name} is not finite (Laguerre overflow)")
     f1 = np.correlate(f, _D1) / grid.spacing
     f2 = np.correlate(f, _D2) / grid.spacing ** 2
-    rho = grid.nodes[4:-4]
-    pot = 0.5 * p.omega ** 2 * rho ** 2 + v_new(rho, p)
+    pot = 0.5 * p.omega ** 2 * rho ** 2 + v
     e_n = energy_level(n, p)
     resid = f2 + (p.tau / rho) * f1 + 2 * (e_n - pot) * f[4:-4]
     return float(np.max(np.abs(resid)) / (np.max(np.abs(f)) * e_n))
@@ -190,10 +196,6 @@ class SpectrumReport:
     raw_fine: tuple
     solves: tuple  # how the coarse and fine ladders were solved: refined, full or reused
     norm_fine: float  # 1-norm of the fine matrix (the solver's roundoff scale), not in JSON
-
-    @property
-    def eigenvalues(self):
-        return np.array([row.e_numeric for row in self.rows])
 
     def to_json_dict(self):
         return {
@@ -362,25 +364,21 @@ class ConvergenceStudy:
     raw_slope: float
     extrapolated_slope: float
 
-    def to_json_dict(self):
-        return {"spacings": list(self.spacings), "raw_errors": list(self.raw_errors),
-                "extrapolated_errors": list(self.extrapolated_errors),
-                "raw_slope": self.raw_slope, "extrapolated_slope": self.extrapolated_slope}
-
 
 def convergence_orders(p: ModelParams, k: int = 3,
                        levels=(80, 160, 320, 640)) -> ConvergenceStudy:
     """Measured h-scaling of the extended problem's eigenvalue error on
     successively halved grids.
 
-    levels are outer-node counts R/h; each must double the last so the
-    extrapolated pairs share their fine grids.  Expected slopes: 2 raw,
+    levels are outer-node counts R/h, with the Dirichlet wall at w R^2 =
+    `solver.wall_g`(k - 1) as on the default solver grid; each must double the last
+    so the extrapolated pairs share their fine grids.  Expected slopes: 2 raw,
     4 after Richardson.
     """
     if len(levels) < 3 or any(b != 2 * a for a, b in zip(levels[:-1], levels[1:])):
         raise ValidationError(f"levels must be >= 3 successive doublings, got {levels!r}")
     e_exact = np.array([energy_level(n, p) for n in range(k)])
-    radius = float(np.sqrt(turning_point_g(k - 1, p, 30) / p.omega))
+    radius = float(np.sqrt(wall_g(k - 1, p) / p.omega))
     spectra = []
     for lev in levels:
         h = radius / lev

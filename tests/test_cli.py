@@ -355,22 +355,25 @@ def test_validation_error_inside_a_suite_names_the_suite(cfg, suite, message, tm
     assert captured.out.count(": PASS") == SUITES.index(suite)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_local_energy_exits_1_without_nan(tmp_path, capsys):
-    # L_200^(alpha)(-g) overflows float64 here (numpy warns as it does)
+    # L_200^(alpha)(-g) overflows float64 here, quietly: the stage raises on the result
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"N": 60, "lambda": 3, "r": 59, "omega": 1, "s": 0, "m": 200}))
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning):
-        assert main(["local-energy", "--config", str(path), "--samples", "4",
-                     "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert "xtcs: error: local energy: Psi ratio" in captured.err
-        assert captured.out == "" and not out.exists()
-        assert main(["verify", "--config", str(path), "--suite", "local-energy",
-                     "--samples", "4", "--out", str(out)]) == 1
+    assert main(["local-energy", "--config", str(path), "--samples", "4",
+                 "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert "xtcs: error: suite local-energy: local energy: Psi ratio" in captured.err
-    assert "NaN" not in captured.out and not out.exists()
+    assert captured.err.startswith("xtcs: error: local energy: Psi ratio is not finite")
+    assert captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+    assert main(["verify", "--config", str(path), "--suite", "local-energy",
+                 "--samples", "4", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "xtcs: error: suite local-energy: local energy: Psi ratio is not finite")
+    assert captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("argv, prefix", [
@@ -383,31 +386,53 @@ def test_negative_seed_exits_1_with_one_line(argv, prefix, config, capsys):
     assert err == f"xtcs: error: {prefix}seed must be >= 0, got {argv[-1]}\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_in_a_report_exits_1_and_writes_no_json(tmp_path, capsys):
-    # L_200^(alpha)(-g) overflows in the residual suite's eigenfunctions: NaN residuals
+    # L_200^(alpha)(-g) overflows in the residual suite's eigenfunctions: the residual stage
+    # stops before a NaN residual reaches the report
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"N": 60, "lambda": 3, "r": 59, "omega": 1, "s": 0, "m": 200}))
     out = tmp_path / "reports"
-    with pytest.warns(RuntimeWarning):
-        code = main(["verify", "--config", str(path), "--suite", "residual", "--out", str(out)])
+    code = main(["verify", "--config", str(path), "--suite", "residual", "--out", str(out)])
     assert code == 1
-    assert "xtcs: error: suite residual: JSON output" in capsys.readouterr().err
-    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err == ("xtcs: error: suite residual: residual: Phi_0 is not finite "
+                            "(Laguerre overflow)\n")
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["verify", "--suite", "spectrum", "--out", "reports"],
                                   ["table", "--what", "spectrum", "--out", "tables"]])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectrum_laguerre_overflow_exits_1_with_one_line(argv, tmp_path, capsys, monkeypatch):
     # L_200^(alpha)(-g) overflows float64 here, so v_new is NaN on the solver grid
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"N": 60, "lambda": 3, "r": 59, "omega": 1, "s": 0, "m": 200}))
-    with pytest.warns(RuntimeWarning):
-        assert main(argv + ["--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("xtcs: error: ") and "spectrum: v_new is not finite" in err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert main(argv + ["--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("xtcs: error: ")
+    assert "spectrum: v_new is not finite" in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
     assert not (tmp_path / argv[-1]).exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("what, column", [("potential", "v_eff_extended"),
+                                          ("wavefunction", "phi_extended")])
+def test_table_with_a_non_finite_value_exits_1_and_writes_no_csv(what, column, tmp_path,
+                                                                 capsys):
+    # L_200^(alpha)(-g) overflows float64 here: the extended columns would read nan
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 60, "lambda": 3, "r": 59, "omega": 1, "s": 0, "m": 200}))
+    out = tmp_path / "tables"
+    for extra in ([], ["--out", str(out)]):
+        assert main(["table", "--config", str(path), "--what", what] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"xtcs: error: table {what}: {column} is not finite "
+                                "in 1001 of 1001 rows\n")
+        assert captured.out == ""
+    assert not out.exists()
 
 
 def test_parser_is_built_once_and_each_call_sees_only_its_arguments(config, monkeypatch):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from xtcs import (ModelParams, NonFiniteError, ValidationError, consistency_suite,
-                  convergence_orders, energy_level, isospectrality_check, numeric_spectrum,
-                  ode_residual, orthogonality_matrix, solver, solver_grid, spectrum_csv_rows)
+                  convergence_orders, default_quadrature, energy_level, isospectrality_check,
+                  numeric_spectrum, ode_residual, orthogonality_matrix, solver, solver_grid,
+                  spectrum_csv_rows)
 from xtcs.solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, matrix_norm1,
                          richardson)
 
@@ -51,6 +52,19 @@ def test_solver_grid_sized_from_tau_and_k(p, k, n_points, margin):
     assert explicit.rho_max + explicit.spacing == pytest.approx(radius, rel=1e-14)
 
 
+def test_every_default_domain_ends_at_the_solver_wall():
+    # tau = 21, k = 3: g_t = 30, where the WKB margin (46.5), 30 + 2 alpha = 50 and 30 differ
+    p = ModelParams(8, 1.0, 1, 1.0, ext_index=1)
+    k = 3
+    g_wall = solver.wall_g(k - 1, p)
+    assert g_wall == pytest.approx(30 + _wkb_margin(30), rel=1e-15)
+    quad = default_quadrature(p, k - 1)
+    grid = solver_grid(p, k)
+    study = convergence_orders(p, k)
+    for radius in (quad.rho_max, grid.rho_max + grid.spacing, study.spacings[0] * 80):
+        assert p.omega * radius ** 2 == pytest.approx(g_wall, rel=1e-14)
+
+
 def test_low_tau_rejected():
     # N=2, lambda=0.4, r=1, s=0: tau = 1 + 0.8 < 2
     p = ModelParams(2, 0.4, 1, 1.0)
@@ -62,7 +76,7 @@ def test_low_tau_rejected():
 def test_conventional_spectrum_reference_case():
     p = ModelParams(2, 1.0, 1, 1.0)  # alpha = 1: E = 2, 4, 6
     rep = numeric_spectrum(p, 3, solver_grid(p, 3, FAST_POINTS))
-    assert np.allclose(rep.eigenvalues, [2.0, 4.0, 6.0], rtol=1e-6)
+    assert np.allclose([row.e_numeric for row in rep.rows], [2.0, 4.0, 6.0], rtol=1e-6)
     for row in rep.rows:
         assert row.rel_err <= 1e-6
 
@@ -71,7 +85,7 @@ def test_extended_spectrum_mixed_case():
     # alpha = 4, omega = 2: E = 10, 14
     p = make_params((4, 0.5, 3, 0, 2.0), 2)
     rep = numeric_spectrum(p, 2, solver_grid(p, 2, FAST_POINTS), extended=True)
-    assert np.allclose(rep.eigenvalues, [10.0, 14.0], rtol=1e-6)
+    assert np.allclose([row.e_numeric for row in rep.rows], [10.0, 14.0], rtol=1e-6)
 
 
 def test_m0_extended_is_bitwise_conventional():
@@ -81,7 +95,7 @@ def test_m0_extended_is_bitwise_conventional():
     ext = numeric_spectrum(p, 3, grid, extended=True)
     assert conv.raw_coarse == ext.raw_coarse
     assert conv.raw_fine == ext.raw_fine
-    assert tuple(conv.eigenvalues) == tuple(ext.eigenvalues)
+    assert conv.rows == ext.rows
 
 
 def test_isospectrality_battery_case():
