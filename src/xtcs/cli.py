@@ -24,7 +24,6 @@ from . import __version__
 from .errors import NonFiniteError, QuadratureError, ResolutionError, ValidationError
 from .manybody import constancy_scan
 from .model import ModelParams, energy_level, ext_constants, turning_point_g, v_eff_radial
-from .solver import solver_grid
 from .verify import (RESIDUAL_FD_ORDER, VerificationReport, _fmt, consistency_suite,
                      default_residual_grid, isospectrality_check, ode_residual,
                      orthogonality_matrix, spectrum_csv_rows)
@@ -158,7 +157,7 @@ def cmd_params(args) -> int:
 def cmd_table(args) -> int:
     p = load_params(args.config)
     if args.what == "spectrum":
-        rows = spectrum_csv_rows(p, args.levels, solver_grid(p, args.levels, args.points))
+        rows = spectrum_csv_rows(p, args.levels, args.points)
         header = ("n", "E_analytic", "E_conv_numeric", "E_ext_numeric",
                   "rel_err_conv", "rel_err_ext")
     else:
@@ -207,8 +206,7 @@ def _suite_residual(p, args) -> VerificationReport:
 
 
 def _suite_spectrum(p, args) -> VerificationReport:
-    grid = solver_grid(p, args.levels, args.points)
-    return isospectrality_check(p, args.levels, grid, v_new_scale=args.perturb)
+    return isospectrality_check(p, args.levels, args.points, v_new_scale=args.perturb)
 
 
 def _suite_ortho(p, args) -> VerificationReport:

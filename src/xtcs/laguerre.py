@@ -53,6 +53,7 @@ __all__ = [
     "xm_ode_residual",
     "r_variant_residuals",
     "resolve_r_denominator",
+    "r_variant_battery",
 ]
 
 
@@ -246,19 +247,24 @@ def r_variant_residuals(probes):
 
 
 @lru_cache(maxsize=1)
+def r_variant_battery():
+    """{variant: worst scaled residual} over the fixed probe battery, evaluated once per
+    process: n < 4, m <= 3, alpha in {1, 1.5, 4, 5.5}, g in {0.5, 2, 11.3}.  At these
+    small alpha the rejected variant reads 0.4375; at large alpha its residual falls like
+    alpha^-2.  Shared by `resolve_r_denominator` and `verify.consistency_suite`."""
+    return r_variant_residuals((n, m, a, g) for n in range(4) for m in (1, 2, 3)
+                               for a in (1.0, 1.5, 4.0, 5.5) for g in (0.5, 2.0, 11.3))
+
+
 def resolve_r_denominator():
     """Decide which R denominator convention the closed forms satisfy.
 
-    Evaluates the residual of both variants over a probe battery of
-    (n, m, alpha, g) and returns the convention whose worst scaled residual
-    is at rounding level while the other is order unity.  The outcome is
-    cached; it is a fixed mathematical fact, not parameter dependent.
+    Returns the convention whose worst scaled residual over `r_variant_battery` is at
+    rounding level while the other is order unity, and raises RuntimeError if the
+    battery does not separate them.  It is a fixed mathematical fact, not parameter
+    dependent.
     """
-    worst = r_variant_residuals((n, m, a, g)
-                                for n in (0, 1, 2, 3)
-                                for m in (1, 2, 3)
-                                for a in (1.0, 1.5, 4.0, 5.5)
-                                for g in (0.5, 2.0, 11.3))
+    worst = r_variant_battery()
     good = min(worst, key=worst.get)
     bad = max(worst, key=worst.get)
     if not (worst[good] < 1e-9 and worst[bad] > 1e-3):

@@ -282,7 +282,7 @@ class ExtConstants:
 
     def evaluate(self, rho, omega):
         rho_a = np.asarray(rho, dtype=float)
-        w2r2 = omega ** 2 * rho_a ** 2
+        w2r2 = np.float64(omega) ** 2 * rho_a ** 2  # inf, not OverflowError, past w ~ 1e154
         val = (self.alpha1 + self.alpha2 * w2r2) / (self.beta1 + self.beta2 * w2r2) ** 2
         return _maybe_scalar(val, rho)
 
@@ -310,7 +310,7 @@ def v_eff_radial(rho, p: ModelParams, extended: bool):
     rho_a = np.asarray(rho, dtype=float)
     if not np.all(np.isfinite(rho_a)) or np.any(rho_a <= 0):
         raise ValidationError("rho must be finite and > 0 (centrifugal term has a pole at 0)")
-    tau, w = p.tau, p.omega
+    tau, w = p.tau, np.float64(p.omega)  # w ** 2 gives inf, not OverflowError, past 1e154
     val = 0.5 * w ** 2 * rho_a ** 2 + (tau / 2) * (tau / 2 - 1) / (2 * rho_a ** 2)
     if extended:
         val = val + v_new(rho_a, p)

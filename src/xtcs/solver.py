@@ -102,7 +102,7 @@ class RadialGrid:
 
 def wall_g(n, p: ModelParams) -> float:
     """g = w rho^2 of the wall that ends the default domains holding levels 0..n: the
-    solver grid (tau >= 4), the quadrature and `verify.convergence_orders`.  It is
+    solver grid (tau >= 4, so `verify.convergence_orders` too) and the quadrature.  It is
     g_t + max(40, (3 S sqrt(g_t))^(2/3)), g_t the turning point of level n, S =
     WALL_DECAY_NATS.
 
@@ -115,7 +115,9 @@ def wall_g(n, p: ModelParams) -> float:
 
 
 def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGrid:
-    """Eigensolver grid for the lowest k levels, sized from tau and k.
+    """Eigensolver grid for the lowest k levels, sized from tau and k.  Its one caller
+    in the package is `verify.numeric_spectrum`, the one ladder path (for
+    `isospectrality_check`, `spectrum_csv_rows` and `convergence_orders` alike).
 
     The outer Dirichlet radius R sits at g = w R^2 = g_t + margin, where
     g_t = 2 E_(k-1) / w is the turning point of the top level; n_points,
@@ -176,16 +178,15 @@ def hamiltonian_diagonals(p: ModelParams, grid: RadialGrid, extended: bool,
     if p.tau <= 2:
         raise ValidationError(
             f"tau = {p.tau} <= 2: origin boundary treatment invalid; increase coupling, degree, or n_particles")
+    if extended and not np.isfinite(v_new_scale):
+        raise ValidationError(f"v_new_scale must be finite, got {v_new_scale!r}")
     rho = grid.nodes
-    pot = v_eff_radial(rho, p, extended=False)
-    if extended:
-        if not np.isfinite(v_new_scale):
-            raise ValidationError(f"v_new_scale must be finite, got {v_new_scale!r}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            pot = pot + v_new_scale * v_new(rho, p)
-        if not np.all(np.isfinite(pot)):
-            raise NonFiniteError("spectrum: v_new is not finite (Laguerre overflow)")
-    diag = 1.0 / h ** 2 + pot
+    with np.errstate(over="ignore", invalid="ignore"):  # lowest_eigenvalues rejects inf
+        pot = v_eff_radial(rho, p, extended=False)
+        extra = v_new_scale * v_new(rho, p) if extended else 0.0
+    if not np.all(np.isfinite(extra)):
+        raise NonFiniteError("spectrum: v_new is not finite (Laguerre overflow)")
+    diag = 1.0 / h ** 2 + (pot + extra)
     off = np.full(grid.n_points - 1, -0.5 / h ** 2)
     return diag, off
 

@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteError, ValidationError
-from .laguerre import r_variant_residuals
+from .laguerre import r_variant_battery, r_variant_residuals
 from .model import (ModelParams, energy_level, ext_constants, turning_point_g, v_new,
                     v_new_x1_two_term)
 from .solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, matrix_norm1,
-                     richardson, solver_grid, wall_g)
+                     richardson, solver_grid)
 from .wavefunctions import _gram, default_quadrature, radial_eigenfunction
 
 __all__ = [
@@ -211,24 +211,17 @@ class SpectrumReport:
         }
 
 
-def _check_radius(p, k, grid):
-    radius = grid.rho_max + grid.spacing
-    if p.omega * radius ** 2 < turning_point_g(k - 1, p, 30) * (1 - 1e-9):
-        raise ValidationError(
-            f"grid radius {radius:.3f} too small for k = {k}: need w^2 R^2/2 >= E_(k-1) + 15 w")
-
-
-def numeric_spectrum(p: ModelParams, k: int, grid: RadialGrid | None = None,
+def numeric_spectrum(p: ModelParams, k: int, n_points: int | None = None,
                      extended: bool = False, v_new_scale: float = 1.0) -> SpectrumReport:
     """Lowest k eigenvalues, Richardson-extrapolated from grids h and h/2,
     paired with the analytic ladder.
 
+    The coarse grid is `solver.solver_grid`(p, k, n_points), so it ends at the wall
+    that holds all k levels; the fine grid has 2 n_points + 1 nodes and the same wall.
     The coarse ladder is refined from the analytic E_n and the fine one from
     coarse + 3/4 (E_n - coarse), as the h^2 error shrinks 4x; the seeds set only
     the cost (`solver.lowest_eigenvalues`)."""
-    if grid is None:
-        grid = solver_grid(p, k)
-    _check_radius(p, k, grid)
+    grid = solver_grid(p, k, n_points)
     analytic = np.array([energy_level(n, p) for n in range(k)])
     coarse_matrix, fine_matrix = (hamiltonian_diagonals(p, g, extended, v_new_scale)
                                   for g in (grid, grid.refined()))
@@ -241,28 +234,28 @@ def numeric_spectrum(p: ModelParams, k: int, grid: RadialGrid | None = None,
                           matrix_norm1(*fine_matrix))
 
 
-def _spectra(p, k, grid, v_new_scale):
+def _spectra(p, k, n_points, v_new_scale):
     """Conventional and extended SpectrumReports on one grid pair.  At m = 0 v_new is
     zero, so the extended matrices are the conventional ones bit for bit and their
     ladders are reused."""
-    conv = numeric_spectrum(p, k, grid)
+    conv = numeric_spectrum(p, k, n_points)
     if p.ext_index == 0 and np.isfinite(v_new_scale):
         return conv, dataclasses.replace(conv, extended=True, solves=("reused", "reused"))
-    return conv, numeric_spectrum(p, k, conv.grid, True, v_new_scale)
+    return conv, numeric_spectrum(p, k, n_points, True, v_new_scale)
 
 
-def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = None,
+def isospectrality_check(p: ModelParams, k: int = 4, n_points: int | None = None,
                          v_new_scale: float = 1.0) -> VerificationReport:
     """Extended vs conventional vs analytic spectra, as a structured report.
 
-    Tolerances: 1e-6 E_n against the analytic ladder; tol_iso =
-    max(1e-8 w, 25 eps ||T_fine||_1) between the two numeric spectra, the
-    second term being the eigensolver's roundoff floor on the fine extended
-    matrix.  v_new_scale != 1 perturbs the extension term (negative
-    control); failure is reported, not raised.  Each ladder's metadata
-    records how its coarse and fine levels were solved (`numeric_spectrum`).
+    Both ladders come from `numeric_spectrum`(p, k, n_points).  Tolerances: 1e-6 E_n
+    against the analytic ladder; tol_iso = max(1e-8 w, 25 eps ||T_fine||_1) between
+    the two numeric spectra, the second term being the eigensolver's roundoff floor on
+    the fine extended matrix.  v_new_scale != 1 perturbs the extension term (negative
+    control); failure is reported, not raised.  Each ladder's metadata records how its
+    coarse and fine levels were solved.
     """
-    conv, ext = _spectra(p, k, grid, v_new_scale)
+    conv, ext = _spectra(p, k, n_points, v_new_scale)
     grid = conv.grid
     noise_floor = 25 * np.finfo(float).eps * ext.norm_fine
     tol_iso = max(1e-8 * p.omega, noise_floor)
@@ -288,10 +281,10 @@ def isospectrality_check(p: ModelParams, k: int = 4, grid: RadialGrid | None = N
     return report
 
 
-def spectrum_csv_rows(p: ModelParams, k: int = 4, grid: RadialGrid | None = None):
+def spectrum_csv_rows(p: ModelParams, k: int = 4, n_points: int | None = None):
     """Rows (n, E_analytic, E_conv_numeric, E_ext_numeric, rel_err_conv,
-    rel_err_ext) for the spectrum table."""
-    conv, ext = _spectra(p, k, grid, 1.0)
+    rel_err_ext) for the spectrum table, from the ladders of `isospectrality_check`."""
+    conv, ext = _spectra(p, k, n_points, 1.0)
     return [(n, conv.rows[n].e_analytic, conv.rows[n].e_numeric, ext.rows[n].e_numeric,
              conv.rows[n].rel_err, ext.rows[n].rel_err) for n in range(k)]
 
@@ -317,35 +310,43 @@ def consistency_suite(p: ModelParams) -> VerificationReport:
     plus the diagnosis of the two R-coefficient variants.
 
     The m = 1 items are evaluated at m = 1 regardless of p.ext_index (they
-    are statements about that family); the vanishing check uses m = 0.
+    are statements about that family); the vanishing check uses m = 0.  The R
+    convention and the rejected-variant control come from `laguerre.r_variant_battery`
+    (at this config's alpha the rejected residual falls like alpha^-2, 1.0e-3 at 128);
+    the consistent variant is probed here too.  A non-finite form raises NonFiniteError.
     """
     rho = np.linspace(0.05, 10.0, 200)
     report = VerificationReport("closed-form cross-consistency", p)
     p1 = dataclasses.replace(p, ext_index=1)
     p0 = dataclasses.replace(p, ext_index=0)
 
-    general = v_new(rho, p1)
-    two_term = v_new_x1_two_term(rho, p1)
-    constants = ext_constants(p1).evaluate(rho, p1.omega)
+    with np.errstate(over="ignore", invalid="ignore"):  # w g and w^2 rho^2 overflow at w ~ 1e154
+        forms = {"m=1 general": v_new(rho, p1), "m=1 two-term": v_new_x1_two_term(rho, p1),
+                 "m=1 constants": ext_constants(p1).evaluate(rho, p1.omega),
+                 "m=0": v_new(rho, p0)}
+    for name, values in forms.items():
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteError(f"consistency: the {name} form of v_new is not finite")
+    general, two_term, constants, zero = forms.values()
     scale = np.max(np.abs(two_term))
     report.add("m=1 extension: general form vs two-term form (max rel diff)",
                np.max(np.abs(general - two_term)) / scale, 1e-12)
     report.add("m=1 extension: constants form vs two-term form (max rel diff)",
                np.max(np.abs(constants - two_term)) / scale, 1e-12)
-    report.add("m=0 extension vanishes (max |v_new|)",
-               np.max(np.abs(v_new(rho, p0))), 1e-14)
+    report.add("m=0 extension vanishes (max |v_new|)", np.max(np.abs(zero)), 1e-14)
 
     # R-coefficient diagnosis on the closed-form polynomials.
+    battery = r_variant_battery()
+    resolved = min(battery, key=battery.get)
+    rejected = "alpha" if resolved == "alpha-1" else "alpha-1"
     a = p.alpha
     worst = r_variant_residuals(
         (n, m, a, g) for n in range(4) for m in (1, 2, 3) for g in (0.5, 2.0, a + 1.0, 11.3))
-    resolved = min(worst, key=worst.get)
-    rejected = "alpha" if resolved == "alpha-1" else "alpha-1"
     report.add(f"R coefficient, denominator parameter {resolved}: scaled residual",
                worst[resolved], 1e-9,
                detail="consistent variant")
     report.add(f"R coefficient, denominator parameter {rejected}: scaled residual",
-               worst[rejected], 1e-3, comparison=">=",
+               battery[rejected], 1e-3, comparison=">=",
                detail="inconsistent variant correctly rejected")
     report.metadata["r_denominator_resolved"] = resolved
     report.metadata["x1_r_denominators"] = {
@@ -365,30 +366,20 @@ class ConvergenceStudy:
     extrapolated_slope: float
 
 
-def convergence_orders(p: ModelParams, k: int = 3,
-                       levels=(80, 160, 320, 640)) -> ConvergenceStudy:
+def convergence_orders(p: ModelParams, k: int = 3) -> ConvergenceStudy:
     """Measured h-scaling of the extended problem's eigenvalue error on
     successively halved grids.
 
-    levels are outer-node counts R/h, with the Dirichlet wall at w R^2 =
-    `solver.wall_g`(k - 1) as on the default solver grid; each must double the last
-    so the extrapolated pairs share their fine grids.  Expected slopes: 2 raw,
-    4 after Richardson.
+    `numeric_spectrum` pairs on 79, 159 and 319 points: each pair's fine grid (2n + 1
+    points) is the next pair's coarse grid, so R/h = 80 ... 640 at the solver grid's
+    wall.  Expected slopes: 2 raw, 4 after Richardson.
     """
-    if len(levels) < 3 or any(b != 2 * a for a, b in zip(levels[:-1], levels[1:])):
-        raise ValidationError(f"levels must be >= 3 successive doublings, got {levels!r}")
-    e_exact = np.array([energy_level(n, p) for n in range(k)])
-    radius = float(np.sqrt(wall_g(k - 1, p) / p.omega))
-    spectra = []
-    for lev in levels:
-        h = radius / lev
-        grid = RadialGrid(h, (lev - 1) * h, lev - 1)
-        d, e = hamiltonian_diagonals(p, grid, extended=True)
-        spectra.append(lowest_eigenvalues(d, e, k, e_exact)[0])
-    hs = [radius / lev for lev in levels]
-    raw = [float(np.max(np.abs(s - e_exact))) for s in spectra]
-    extrap = [float(np.max(np.abs(richardson(spectra[i], spectra[i + 1]) - e_exact)))
-              for i in range(len(levels) - 1)]
+    reports = [numeric_spectrum(p, k, n, extended=True) for n in (79, 159, 319)]
+    e_exact = np.array([row.e_analytic for row in reports[0].rows])
+    hs = [rep.grid.rho_min for rep in reports] + [reports[-1].grid.rho_min / 2]
+    ladders = [rep.raw_coarse for rep in reports] + [reports[-1].raw_fine]
+    raw = [float(np.max(np.abs(np.array(ladder) - e_exact))) for ladder in ladders]
+    extrap = [max(row.abs_err for row in rep.rows) for rep in reports]
     raw_slope = float(np.polyfit(np.log(hs), np.log(raw), 1)[0])
     extrap_slope = float(np.polyfit(np.log(hs[:-1]), np.log(extrap), 1)[0])
     return ConvergenceStudy(tuple(hs), tuple(raw), tuple(extrap), raw_slope, extrap_slope)

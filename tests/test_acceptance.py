@@ -13,7 +13,7 @@ import numpy as np
 
 from xtcs import (consistency_suite, constancy_scan, convergence_orders, count_nodes,
                   energy_level, laguerre, numeric_spectrum, ode_residual,
-                  orthogonality_matrix, solver_grid, v_new, x1_laguerre,
+                  orthogonality_matrix, v_new, x1_laguerre,
                   xm_denominator, xm_laguerre)
 
 from conftest import BATTERY_BASE, M_VALUES, battery, make_params
@@ -31,9 +31,8 @@ def test_criterion_1_isospectrality():
     worst_iso_rel = 0.0
     for p in battery():
         assert p.tau > 2
-        grid = solver_grid(p, 4)
-        conv = numeric_spectrum(p, 4, grid, extended=False)
-        ext = numeric_spectrum(p, 4, grid, extended=True)
+        conv = numeric_spectrum(p, 4, extended=False)
+        ext = numeric_spectrum(p, 4, extended=True)
         for n in range(4):
             e_ref = energy_level(n, p)
             worst_rel = max(worst_rel, conv.rows[n].rel_err, ext.rows[n].rel_err)
@@ -154,9 +153,8 @@ def test_criterion_8_limit_reductions():
     # m = 0 path bit-identical to the conventional one
     for base in BATTERY_BASE[:3]:
         p = make_params(base, 0)
-        grid = solver_grid(p, 3, n_points=4001)
-        conv = numeric_spectrum(p, 3, grid, extended=False)
-        ext = numeric_spectrum(p, 3, grid, extended=True)
+        conv = numeric_spectrum(p, 3, 4001, extended=False)
+        ext = numeric_spectrum(p, 3, 4001, extended=True)
         ok &= conv.raw_coarse == ext.raw_coarse and conv.raw_fine == ext.raw_fine
         rho = np.linspace(0.0, 5.0, 51)
         ok &= bool(np.all(v_new(rho, p) == 0.0))

@@ -435,6 +435,30 @@ def test_table_with_a_non_finite_value_exits_1_and_writes_no_csv(what, column, t
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, message", [
+    (["table", "--what", "potential"],
+     "table potential: v_eff_conventional is not finite in 1001 of 1001 rows"),
+    (["table", "--what", "wavefunction"],
+     "table wavefunction: v_eff_conventional is not finite in 1001 of 1001 rows"),
+    (["table", "--what", "spectrum"], "spectrum: the tridiagonal matrix is not finite"),
+    (["verify", "--suite", "spectrum"],
+     "suite spectrum: spectrum: the tridiagonal matrix is not finite"),
+    (["verify", "--suite", "consistency"],
+     "suite consistency: consistency: the m=1 general form of v_new is not finite"),
+], ids=["table-potential", "table-wavefunction", "table-spectrum", "spectrum", "consistency"])
+def test_omega_whose_square_overflows_exits_1_with_one_line(command, message, tmp_path, capsys):
+    # w = 1e300: w ** 2 and w g overflow float64 (a Python float w ** 2 raised OverflowError)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": 1e300, "s": 0, "m": 1}))
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"xtcs: error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_parser_is_built_once_and_each_call_sees_only_its_arguments(config, monkeypatch):
     seen = []
 

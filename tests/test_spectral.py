@@ -9,6 +9,7 @@ from xtcs import (ModelParams, NonFiniteError, ValidationError, consistency_suit
                   convergence_orders, default_quadrature, energy_level, isospectrality_check,
                   numeric_spectrum, ode_residual, orthogonality_matrix, solver, solver_grid,
                   spectrum_csv_rows)
+from xtcs.laguerre import r_variant_battery
 from xtcs.solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, matrix_norm1,
                          richardson)
 
@@ -75,7 +76,7 @@ def test_low_tau_rejected():
 
 def test_conventional_spectrum_reference_case():
     p = ModelParams(2, 1.0, 1, 1.0)  # alpha = 1: E = 2, 4, 6
-    rep = numeric_spectrum(p, 3, solver_grid(p, 3, FAST_POINTS))
+    rep = numeric_spectrum(p, 3, FAST_POINTS)
     assert np.allclose([row.e_numeric for row in rep.rows], [2.0, 4.0, 6.0], rtol=1e-6)
     for row in rep.rows:
         assert row.rel_err <= 1e-6
@@ -84,15 +85,14 @@ def test_conventional_spectrum_reference_case():
 def test_extended_spectrum_mixed_case():
     # alpha = 4, omega = 2: E = 10, 14
     p = make_params((4, 0.5, 3, 0, 2.0), 2)
-    rep = numeric_spectrum(p, 2, solver_grid(p, 2, FAST_POINTS), extended=True)
+    rep = numeric_spectrum(p, 2, FAST_POINTS, extended=True)
     assert np.allclose([row.e_numeric for row in rep.rows], [10.0, 14.0], rtol=1e-6)
 
 
 def test_m0_extended_is_bitwise_conventional():
     p = make_params((3, 1.0, 1, 0, 1.0), 0)
-    grid = solver_grid(p, 3, FAST_POINTS)
-    conv = numeric_spectrum(p, 3, grid, extended=False)
-    ext = numeric_spectrum(p, 3, grid, extended=True)
+    conv = numeric_spectrum(p, 3, FAST_POINTS, extended=False)
+    ext = numeric_spectrum(p, 3, FAST_POINTS, extended=True)
     assert conv.raw_coarse == ext.raw_coarse
     assert conv.raw_fine == ext.raw_fine
     assert conv.rows == ext.rows
@@ -109,8 +109,8 @@ def test_isospectrality_battery_case():
 def test_isospectrality_negative_control():
     # scaling the extension by 1.01 must break the degeneracy detectably
     p = make_params((3, 1.5, 2, 0, 1.0), 2)
-    good = isospectrality_check(p, 3, grid=solver_grid(p, 3, FAST_POINTS))
-    bad = isospectrality_check(p, 3, grid=solver_grid(p, 3, FAST_POINTS), v_new_scale=1.01)
+    good = isospectrality_check(p, 3, FAST_POINTS)
+    bad = isospectrality_check(p, 3, FAST_POINTS, v_new_scale=1.01)
     assert good.passed
     assert not bad.passed
     tol_iso = bad.metadata["tol_iso"]
@@ -168,7 +168,8 @@ def test_refined_ladders_match_the_full_range_call_on_the_battery():
     for p in battery():
         grid = solver_grid(p, 4)
         for extended in (False, True):
-            report = numeric_spectrum(p, 4, grid, extended)
+            report = numeric_spectrum(p, 4, extended=extended)
+            assert report.grid == grid
             assert report.solves == ("refined", "refined"), (p, extended)
             for g, values in zip((grid, grid.refined()), (report.raw_coarse, report.raw_fine)):
                 matrix = hamiltonian_diagonals(p, g, extended)
@@ -287,11 +288,6 @@ def test_convergence_orders():
     assert abs(study.extrapolated_slope - 4.0) <= 0.3
 
 
-def test_convergence_levels_validated():
-    with pytest.raises(ValidationError):
-        convergence_orders(ModelParams(2, 1.0, 1, 1.0), levels=(100, 150, 200))
-
-
 # -- residuals -----------------------------------------------------------------
 
 def test_residual_conventional_ground_state():
@@ -364,6 +360,15 @@ def test_consistency_suite_passes_and_diagnoses():
     assert report.metadata["r_denominator_resolved"] == "alpha-1"
 
 
+def test_consistency_suite_rejects_the_r_variant_on_the_probe_battery():
+    # tau = 407, alpha = 203: at this alpha the rejected variant reads 4.2e-4, under its gate
+    report = consistency_suite(ModelParams(12, 3.0, 11, 1.0, ext_index=1))
+    assert report.passed, report.to_text()
+    assert report.metadata["r_denominator_resolved"] == "alpha-1"
+    rejected = next(item for item in report.items if item.comparison == ">=")
+    assert rejected.value == r_variant_battery()["alpha"] > 0.4
+
+
 def test_consistency_suite_any_m():
     report = consistency_suite(make_params((4, 0.5, 3, 0, 2.0), 3))
     assert report.passed
@@ -373,7 +378,7 @@ def test_consistency_suite_any_m():
 
 def test_spectrum_csv_rows_schema():
     p = make_params((2, 1.0, 1, 0, 1.0), 1)
-    rows = spectrum_csv_rows(p, 3, solver_grid(p, 3, FAST_POINTS))
+    rows = spectrum_csv_rows(p, 3, FAST_POINTS)
     assert len(rows) == 3
     n, ea, ec, ee, rc, re = rows[0]
     assert n == 0 and ea == pytest.approx(2.0)

@@ -4,7 +4,10 @@
 
 The grid is N in {2, 3, 5, 8, 16, 30}, lambda in {0.3, 0.6, 1, 2.5}, r in {1, N-1},
 omega in {0.05, 1, 20}, s in {0, 1}, m in {0, 1, 3, 20, 60}: 1,320 configs, run on 2
-worker processes (about 40 s on 2 vCPUs), with the local-energy suite at 60 samples.
+worker processes (about 55 s on 2 vCPUs), with the local-energy suite at 60 samples.
+On the configs with s = 0, m >= 1 and tau > 2 (516 of them) it also runs the negative
+control `verify --suite spectrum --perturb 1.01`, its own class: exit 0 there means the
+control cannot see a 1 % error in the extension term.
 DOMAIN_<LABEL>.json, written to the working directory, counts the configs of each class
 (suite, exit code, reason) and gives their tau, alpha and m range.  The reason is the
 first failing item for exit 2 and the first error line for exit 1, its numbers replaced
@@ -34,6 +37,7 @@ GRID = {"N": (2, 3, 5, 8, 16, 30), "lambda": (0.3, 0.6, 1, 2.5), "r": "1 and N-1
         "omega": (0.05, 1, 20), "s": (0, 1), "m": (0, 1, 3, 20, 60)}
 SAMPLES = 60
 WORKERS = 2
+CONTROL = "spectrum --perturb 1.01"
 NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
@@ -56,19 +60,24 @@ def _reason(suite, code, err, out_dir):
 
 
 def verdicts(cfg):
-    """(suite, exit code, reason) of every suite on one config."""
+    """(suite, exit code, reason) of every suite on one config, and of the perturbed
+    spectrum control where it applies."""
     warnings.simplefilter("ignore")  # numpy and coupling warnings are not verdicts
+    p = ModelParams.from_json_dict(cfg)
+    runs = [(suite, suite, []) for suite in cli.SUITES]
+    if cfg["s"] == 0 and cfg["m"] >= 1 and p.tau > 2:
+        runs.append((CONTROL, "spectrum", ["--perturb", "1.01"]))
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
-        for suite in cli.SUITES:
-            out_dir = Path(tmp) / suite
+        for i, (name, suite, extra) in enumerate(runs):
+            out_dir = Path(tmp) / str(i)
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli.main(["verify", "--config", str(path), "--suite", suite,
-                                 "--samples", str(SAMPLES), "--out", str(out_dir)])
-            out.append((suite, code, _reason(suite, code, err.getvalue(), out_dir)))
+                                 "--samples", str(SAMPLES), "--out", str(out_dir)] + extra)
+            out.append((name, code, _reason(suite, code, err.getvalue(), out_dir)))
     return out
 
 
@@ -83,7 +92,8 @@ def domain_map(cfgs, results):
             c["count"] += 1
             for name, value in (("tau", p.tau), ("alpha", p.alpha), ("m", p.ext_index)):
                 c[name].append(value)
-    order = {suite: i for i, suite in enumerate(cli.SUITES)}
+    names = cli.SUITES + (CONTROL,)
+    order = {suite: i for i, suite in enumerate(names)}
     rows = []
     for (suite, code, reason), c in sorted(
             classes.items(), key=lambda kv: (order[kv[0][0]], kv[0][1], -kv[1]["count"], kv[0][2])):
@@ -93,7 +103,7 @@ def domain_map(cfgs, results):
         rows.append(row)
     exits = {suite: {str(code): sum(r["count"] for r in rows
                                     if r["suite"] == suite and r["exit"] == code)
-                     for code in (0, 1, 2)} for suite in cli.SUITES}
+                     for code in (0, 1, 2)} for suite in names}
     return {"xtcs": __version__, "numpy": np.__version__, "grid": GRID, "samples": SAMPLES,
             "configs": len(cfgs), "exits": exits, "classes": rows}
 
@@ -109,7 +119,7 @@ def main(argv):
     path = Path(f"DOMAIN_{argv[0]}.json")
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for suite, counts in doc["exits"].items():
-        print(f"{suite:>13}: " + "  ".join(f"exit {c}: {n:>4}" for c, n in counts.items()))
+        print(f"{suite:>23}: " + "  ".join(f"exit {c}: {n:>4}" for c, n in counts.items()))
     print(f"{len(cfgs)} configs in {time.perf_counter() - start:.1f} s -> {path}")
 
 
