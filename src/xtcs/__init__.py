@@ -17,10 +17,9 @@ from .laguerre import (OdeCoefficients, laguerre, laguerre_derivative,
                        xm_denominator, xm_laguerre, xm_ode_residual)
 from .model import (Configuration, ExtConstants, ModelParams, energy_level, ext_constants,
                     v_eff_radial, v_interaction, v_new, v_new_x1_two_term)
-from .quadrature import QuadratureSpec
 from .solver import RadialGrid, richardson, solver_grid
-from .wavefunctions import (count_nodes, default_node_grid, default_quadrature,
-                            jastrow, manybody_groundstate, norm, radial_eigenfunction)
+from .wavefunctions import (count_nodes, default_node_grid, jastrow, manybody_groundstate,
+                            norm, radial_eigenfunction)
 from .verify import (ConvergenceStudy, SpectrumReport, VerificationReport,
                      consistency_suite, convergence_orders, isospectrality_check,
                      numeric_spectrum, ode_residual, orthogonality_matrix,
@@ -34,9 +33,9 @@ __all__ = [
     "OdeCoefficients", "ode_coefficients", "xm_ode_residual", "resolve_r_denominator",
     "ModelParams", "Configuration", "ExtConstants", "energy_level", "v_interaction",
     "v_new", "v_new_x1_two_term", "ext_constants", "v_eff_radial",
-    "QuadratureSpec", "RadialGrid", "solver_grid", "richardson",
+    "RadialGrid", "solver_grid", "richardson",
     "radial_eigenfunction", "jastrow", "manybody_groundstate", "norm",
-    "count_nodes", "default_node_grid", "default_quadrature",
+    "count_nodes", "default_node_grid",
     "SpectrumReport", "VerificationReport", "ConvergenceStudy",
     "numeric_spectrum", "isospectrality_check", "orthogonality_matrix",
     "consistency_suite", "convergence_orders", "ode_residual", "spectrum_csv_rows",

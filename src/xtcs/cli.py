@@ -46,6 +46,12 @@ def _finite_float(text):
     return value
 
 
+def _positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="xtcs", description=__doc__)
@@ -65,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--what", required=True, choices=("potential", "wavefunction", "spectrum"))
     sp.add_argument("--rho-max", type=float, default=None)
     sp.add_argument("--points", type=int, default=None)
-    sp.add_argument("--levels", type=int, default=4)
+    sp.add_argument("--levels", type=_positive_int, default=4)
     sp.add_argument("--level", type=int, default=0, help="level n for the wavefunction table")
     sp.add_argument("--out", metavar="DIR", default=None)
 
@@ -73,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(sp)
     sp.add_argument("--suite", default="all", choices=SUITES + ("all",))
     sp.add_argument("--out", metavar="DIR", default=None)
-    sp.add_argument("--levels", type=int, default=4)
+    sp.add_argument("--levels", type=_positive_int, default=4)
     sp.add_argument("--points", type=int, default=None,
                     help="solver grid points (default: chosen from tau and --levels)")
     sp.add_argument("--seed", type=int, default=1)
@@ -191,15 +197,14 @@ def cmd_table(args) -> int:
 
 def _suite_residual(p, args) -> VerificationReport:
     report = VerificationReport("eigen-equation residuals", p)
-    grids = [default_residual_grid(n, p) for n in range(4)]
-    for n, grid in enumerate(grids):
-        report.add(f"scaled residual, level {n} (m={p.ext_index})",
-                   ode_residual(n, p, grid), 1e-8)
+    for n in range(4):
+        report.add(f"scaled residual, level {n} (m={p.ext_index})", ode_residual(n, p), 1e-8)
     # the inconsistent m=1 denominator must fail; run it on the m=1 family
     p1 = dataclasses.replace(p, ext_index=1)
     report.add("scaled residual, level 0, m=1 denominator variant 2g+alpha",
                ode_residual(0, p1, x1_denominator="2g_plus_alpha"), 1e-2, comparison=">=",
                detail="variant rejected: only g+alpha solves the extended radial equation")
+    grids = [default_residual_grid(n, p) for n in range(4)]
     report.metadata.update(fd_order=RESIDUAL_FD_ORDER, spacing=[g.spacing for g in grids],
                            grid_points=[g.n_points for g in grids])
     return report

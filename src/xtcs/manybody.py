@@ -35,15 +35,19 @@ __all__ = [
 # to 0, so the center drops out of sum_d w_d (Psi_d / Psi - 1).
 STENCIL_SHIFTS = np.array([-2.0, -1.0, 1.0, 2.0])
 STENCIL_WEIGHTS = np.array([-1.0, 16.0, 16.0, -1.0]) / 12
-# Step of the stencil; adjacent particles must stay 10 FD_STEP apart.
+# Stencil step in trap lengths 1/sqrt(omega); adjacent particles must stay 10 steps apart.
 FD_STEP = 1e-3
 
 
-def _log_psi_ratios(x, wp: ModelParams):
+def _fd_step(p: ModelParams) -> float:
+    return FD_STEP / math.sqrt(p.omega)
+
+
+def _log_psi_ratios(x, wp: ModelParams, step: float):
     """log Psi(x + d h e_i) - log Psi(x), shape (S, N, 4), summed term by term as |log Psi|
     reaches ~1e3: lambda log1p(+-d h / |x_i - x_j|) per neighbor, -omega (2 x_i d h + d^2 h^2)/2
     from exp(-g/2), and the change in log L_m^(alpha)(-g) - log L_m^(alpha-1)(-g), rest of Phi_0."""
-    delta = FD_STEP * STENCIL_SHIFTS
+    delta = step * STENCIL_SHIFTS
     dg = wp.omega * (2 * x[..., None] * delta + delta ** 2)
     out = -dg / 2
     for k in range(1, wp.trunc_range + 1):
@@ -64,8 +68,8 @@ def local_energy(c, p: ModelParams, v_new_scale: float = 1.0,
     or an (S, N) array of ordered positions (S values, same pass).
 
     The kinetic term is a fourth-order central second difference per
-    coordinate with step FD_STEP; adjacent separations must be at least
-    10 * FD_STEP so no stencil point crosses the ordered-sector boundary.
+    coordinate with step FD_STEP / sqrt(omega); adjacent separations must be at
+    least 10 steps so no stencil point crosses the ordered-sector boundary.
     wavefunction_params evaluates Psi with different parameters than the
     Hamiltonian (negative control: a perturbed Psi is not an eigenfunction);
     v_new_scale multiplies the extension term of H only.  A NaN or infinite
@@ -78,19 +82,20 @@ def local_energy(c, p: ModelParams, v_new_scale: float = 1.0,
     if x.shape[-1] != p.n_particles:
         raise ValidationError(
             f"configuration has {x.shape[-1]} positions but n_particles = {p.n_particles}")
+    step = _fd_step(p)
     gaps = np.diff(x, axis=-1)
-    if np.any(gaps < 10 * FD_STEP):
-        s, i = np.argwhere(gaps < 10 * FD_STEP)[0]
+    if np.any(gaps < 10 * step):
+        s, i = np.argwhere(gaps < 10 * step)[0]
         raise ValidationError(
-            f"separation x[{i + 1}]-x[{i}] = {gaps[s, i]:.3e} below 10 fd_step = {10 * FD_STEP:.3e}; "
+            f"separation x[{i + 1}]-x[{i}] = {gaps[s, i]:.3e} below 10 fd_step = {10 * step:.3e}; "
             "the FD stencil would cross the ordered-sector boundary")
     wp = p if wavefunction_params is None else wavefunction_params
     if wp.degree != 0 or wp.n_particles != p.n_particles:
         raise ValidationError("wavefunction_params must have degree s = 0 and the same N")
 
     with np.errstate(over="ignore", invalid="ignore"):  # a Laguerre overflow raises below
-        ratios = np.expm1(_log_psi_ratios(x, wp))
-        kinetic = -0.5 * np.sum(ratios @ STENCIL_WEIGHTS, axis=-1) / FD_STEP ** 2
+        ratios = np.expm1(_log_psi_ratios(x, wp, step))
+        kinetic = -0.5 * np.sum(ratios @ STENCIL_WEIGHTS, axis=-1) / step ** 2
         rho2 = np.sum(x ** 2, axis=-1)
         extension = v_new_scale * v_new(np.sqrt(rho2), p)
     for stage, term in (("Psi ratio", kinetic), ("v_new", extension)):
@@ -118,7 +123,7 @@ def _sample_positions(p: ModelParams, n_samples: int, seed: int):
         # rows come in stream order, as if drawn one configuration at a time
         x = centers + rng.uniform(-half, half, (n_samples - len(out), p.n_particles))
         attempts += len(x)
-        out = np.concatenate([out, x[np.min(np.diff(x, axis=1), axis=1) >= 10 * FD_STEP]])
+        out = np.concatenate([out, x[np.min(np.diff(x, axis=1), axis=1) >= 10 * _fd_step(p)]])
     return out
 
 
@@ -127,10 +132,10 @@ def sample_configurations(p: ModelParams, n_samples: int, seed: int):
 
     Window i is centered at (i - (N-1)/2)/sqrt(omega) with width
     0.8/sqrt(omega); the windows are disjoint, so draws are ordered by
-    construction.  Draws violating the 10*FD_STEP separation rule are
-    rejected and redrawn (up to 100x oversampling).
+    construction.  Draws violating the 10 * FD_STEP / sqrt(omega) separation
+    rule are rejected and redrawn (up to 100x oversampling).
     """
-    return [Configuration(tuple(x), min_separation=10 * FD_STEP)
+    return [Configuration(tuple(x), min_separation=10 * _fd_step(p))
             for x in _sample_positions(p, n_samples, seed)]
 
 

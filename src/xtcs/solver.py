@@ -101,10 +101,10 @@ class RadialGrid:
 
 
 def wall_g(n, p: ModelParams) -> float:
-    """g = w rho^2 of the wall that ends the default domains holding levels 0..n: the
-    solver grid (tau >= 4, so `verify.convergence_orders` too) and the quadrature.  It is
-    g_t + max(40, (3 S sqrt(g_t))^(2/3)), g_t the turning point of level n, S =
-    WALL_DECAY_NATS.
+    """g = w rho^2 of the wall that ends the domains holding levels 0..n: the solver grid
+    (tau >= 4, so `verify.convergence_orders` too) and the rule of `wavefunctions._gram`.
+    It is g_t + max(40, (3 S sqrt(g_t))^(2/3)), g_t the turning point of level n,
+    S = WALL_DECAY_NATS.
 
     Past g_t level n decays like exp(-int kappa d rho) with kappa = sqrt(w (g - g_t)).
     With d rho = dg / (2 sqrt(w g)) and D = g - g_t << g_t the exponent is

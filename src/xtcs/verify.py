@@ -28,7 +28,7 @@ from .model import (ModelParams, energy_level, ext_constants, turning_point_g, v
                     v_new_x1_two_term)
 from .solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, matrix_norm1,
                      richardson, solver_grid)
-from .wavefunctions import _gram, default_quadrature, radial_eigenfunction
+from .wavefunctions import _gram, radial_eigenfunction
 
 __all__ = [
     "CheckItem",
@@ -123,32 +123,30 @@ _D2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 
 
 
 def default_residual_grid(n, p: ModelParams) -> RadialGrid:
-    """Uniform grid of step h = RESIDUAL_STEP / sqrt(omega) from max(0.05, h).
+    """Uniform grid of step h = RESIDUAL_STEP / sqrt(omega) from 0.05 / sqrt(omega) to 10
+    past the turning point: every length scales with the trap length 1/sqrt(omega).
 
     Roundoff (~1/h^2) and truncation (~h^order) met above the 1e-8 gate at order 4,
     h = 1e-3 (N=3, lambda=1, r=2: 1.6e-8 at m = 60, 5.0e-8 at 100).  Order 8 at 6e-3 reads
     4.4e-10, 8.2e-10, 5.4e-9 at m = 60, 100, 200 and <= 0.31x order 4 on 486 configs.
     """
     h = RESIDUAL_STEP / np.sqrt(p.omega)
-    rho_min = max(0.05, h)
+    rho_min = float(0.05 / np.sqrt(p.omega))
     rho_max = float(np.sqrt(turning_point_g(n, p, 10) / p.omega))
     n_points = int(np.ceil((rho_max - rho_min) / h)) + 1
     return RadialGrid(rho_min, rho_max, n_points)
 
 
-def ode_residual(n, p: ModelParams, grid: RadialGrid | None = None,
-                 x1_denominator="g_plus_alpha") -> float:
-    """Scaled max residual of Phi'' + (tau/rho) Phi' + 2(E - V_ext) Phi.
+def ode_residual(n, p: ModelParams, x1_denominator="g_plus_alpha") -> float:
+    """Scaled max residual of Phi'' + (tau/rho) Phi' + 2(E - V_ext) Phi on
+    `default_residual_grid`(n, p).
 
     Phi comes from `radial_eigenfunction`, E from the analytic formula, and
     V_ext = w^2 rho^2 / 2 + v_new.  Derivatives are 9-point, eighth-order central
     differences; the result is normalized by max|Phi| times omega(2n+alpha+1).  A
     non-finite Phi_n or v_new (Laguerre overflow) raises NonFiniteError.
     """
-    if grid is None:
-        grid = default_residual_grid(n, p)
-    if grid.n_points < len(_D2):
-        raise ValidationError(f"residual grids need >= {len(_D2)} points, got {grid.n_points}")
+    grid = default_residual_grid(n, p)
     rho = grid.nodes[4:-4]
     with np.errstate(over="ignore", invalid="ignore"):
         f = radial_eigenfunction(n, p, grid.nodes, x1_denominator=x1_denominator)
@@ -289,15 +287,13 @@ def spectrum_csv_rows(p: ModelParams, k: int = 4, n_points: int | None = None):
              conv.rows[n].rel_err, ext.rows[n].rel_err) for n in range(k)]
 
 
-def orthogonality_matrix(p: ModelParams, k: int, quad=None):
-    """k x k matrix of normalized inner products under rho^tau d rho.
-
-    The domain must hold the heaviest integrand: the highest level's norm is
-    tail-checked the same way `norm` is, and non-convergence is raised.
-    """
+def orthogonality_matrix(p: ModelParams, k: int):
+    """k x k matrix of normalized inner products under rho^tau d rho on the rule of
+    `wavefunctions._gram`, which ends at `solver.wall_g`(k - 1) and tail-checks the
+    highest level's norm as `norm` does; non-convergence is raised."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    gram, _ = _gram(range(k), p, default_quadrature(p, k - 1) if quad is None else quad)
+    gram, _ = _gram(range(k), p)
     scale = np.sqrt(np.diag(gram))
     return gram / np.outer(scale, scale)
 

@@ -28,14 +28,13 @@ from .errors import NonFiniteError, QuadratureError, ResolutionError, Validation
 from .laguerre import (_check_index, _lag, _maybe_scalar, x1_laguerre, xm_denominator,
                        xm_laguerre)
 from .model import Configuration, ModelParams, _check_rho, turning_point_g
-from .quadrature import QuadratureSpec, panel_nodes
+from .quadrature import panel_nodes
 from .solver import RadialGrid, wall_g
 
 __all__ = [
     "radial_eigenfunction",
     "jastrow",
     "manybody_groundstate",
-    "default_quadrature",
     "norm",
     "default_node_grid",
     "count_nodes",
@@ -99,17 +98,6 @@ def manybody_groundstate(c: Configuration, p: ModelParams) -> float:
     return jastrow(c, p) * radial_eigenfunction(0, p, c.hyperradius)
 
 
-def default_quadrature(p: ModelParams, n_max: int) -> QuadratureSpec:
-    """Quadrature out to `solver.wall_g`(n_max), the wall of the eigensolver grid too.
-
-    Level n_max has decayed by WALL_DECAY_NATS there, so its norm tail passes the
-    TAIL_TOLERANCE check that `_gram` makes."""
-    g_max = wall_g(n_max, p)
-    rho_max = float(np.sqrt(g_max / p.omega))
-    n_panels = max(8, int(np.ceil(g_max / 4)))
-    return QuadratureSpec(rho_max=rho_max, omega=p.omega, n_panels=n_panels)
-
-
 def _log_rows(levels, p: ModelParams, rho):
     """sign(Phi_n) and log|Phi_n| + (tau/2) log rho, one row per level, never forming Phi_n
     (exp(-g/2) and rho^tau leave float64 from tau ~ 255); NaN or +inf (overflow) raises."""
@@ -124,9 +112,11 @@ def _log_rows(levels, p: ModelParams, rho):
     return np.sign(poly), log
 
 
-def _gram(levels, p: ModelParams, quad: QuadratureSpec):
+def _gram(levels, p: ModelParams):
     """Shifted Gram matrix <Phi_i, Phi_j> e^(-s_i - s_j) under rho^tau d rho, and the shifts s.
 
+    The rule is max(8, ceil(g_wall / 4)) 64-point panels of equal width in g on [0, g_wall],
+    g_wall = `solver.wall_g` of the top level, which has decayed by WALL_DECAY_NATS there.
     Row n is sign(Phi_n) exp(log|Phi_n| + (tau/2) log rho + (1/2) log w - s_n), s_n its peak.
     Only the hull of the panels where some level's log-integrand, at a panel edge, lies within
     PANEL_MARGIN of its peak is integrated, plus one neighbour panel on each side.  The top
@@ -135,38 +125,34 @@ def _gram(levels, p: ModelParams, quad: QuadratureSpec):
     """
     levels = list(levels)
     n_max = max(levels)
-    g_max = quad.omega * quad.rho_max ** 2
-    g_need = turning_point_g(n_max, p, 20)
-    if g_max < g_need:
-        raise ValidationError(
-            f"rho_max too small: omega rho_max^2 = {g_max:.3f} < {g_need:.3f} required for level {n_max}")
-    edges = quad.edges()
+    g_wall = wall_g(n_max, p)
+    n_panels = max(8, int(np.ceil(g_wall / 4)))
+    g_max = p.omega * float(np.sqrt(g_wall / p.omega)) ** 2
+    edges = np.sqrt(np.linspace(0.0, g_max, n_panels + 1) / p.omega)
     at_edges = _log_rows(levels, p, edges)[1]
     near = np.any(at_edges >= np.max(at_edges, axis=1, keepdims=True) - PANEL_MARGIN, axis=0)
     hit = np.nonzero(near[:-1] | near[1:])[0]  # panel i spans edges i and i + 1
-    lo, hi = max(hit[0] - 1, 0), min(hit[-1] + 1, quad.n_panels - 1)
+    lo, hi = max(hit[0] - 1, 0), min(hit[-1] + 1, n_panels - 1)
     nodes, weights = panel_nodes(edges[lo:hi + 2])
     sign, log = _log_rows(levels, p, nodes)
     shift = np.max(log, axis=1)
     rows = sign * np.exp(log - shift[:, None] + 0.5 * np.log(weights))
     gram, top = rows @ rows.T, levels.index(n_max)
     total = float(gram[top, top])  # not a 1-d dot: threaded OpenBLAS took ~7 ms on 17k nodes
-    tn, tw = panel_nodes(np.sqrt(np.array([g_max, 1.25 * g_max, 1.5 * g_max]) / quad.omega))
+    tn, tw = panel_nodes(np.sqrt(np.array([g_max, 1.25 * g_max, 1.5 * g_max]) / p.omega))
     tail = float(np.sum(np.exp(2 * (_log_rows([n_max], p, tn)[1][0] - shift[top])) * tw))
     if not total > 0:
         raise QuadratureError(f"norm came out non-positive ({total!r})")
     if tail > TAIL_TOLERANCE * total:
         raise QuadratureError(
-            f"norm tail estimate is {tail / total:.3e} of the total, above {TAIL_TOLERANCE:.0e}; "
-            "increase rho_max")
+            f"norm tail estimate is {tail / total:.3e} of the total, above {TAIL_TOLERANCE:.0e}")
     return gram, shift
 
 
-def norm(n, p: ModelParams, quad: QuadratureSpec | None = None) -> float:
-    """Squared-amplitude integral of Phi_n under the measure rho^tau d rho.
-
-    Where it leaves float64, a QuadratureError gives its log instead."""
-    gram, shift = _gram((n,), p, default_quadrature(p, n) if quad is None else quad)
+def norm(n, p: ModelParams) -> float:
+    """Squared-amplitude integral of Phi_n under the measure rho^tau d rho, on the rule of
+    `_gram`.  Where it leaves float64, a QuadratureError gives its log instead."""
+    gram, shift = _gram((n,), p)
     log_norm = np.log(gram[0, 0]) + 2 * shift[0]  # _gram raises unless gram[0, 0] > 0
     if log_norm > np.log(np.finfo(float).max):
         raise QuadratureError(f"norm overflows float64: log |norm| = {log_norm:.17g}")
@@ -191,20 +177,15 @@ def _sign_changes(signs):
     return nz[np.nonzero(kept[:-1] * kept[1:] < 0)[0]]
 
 
-def count_nodes(n, p: ModelParams, grid: RadialGrid | None = None) -> int:
-    """Sign changes of Phi_n on the open interval covered by the grid.
+def count_nodes(n, p: ModelParams) -> int:
+    """Sign changes of Phi_n on the open interval covered by `default_node_grid`(n, p).
 
-    Requires >= 200 grid points per unit of sqrt(omega) rho, no pair of sign changes in
-    adjacent cells (an unresolved near-tangency), and the same count on the grid and on its
-    halving (2 n_points - 1 points).
+    The count stands only with no pair of sign changes in adjacent cells (an unresolved
+    near-tangency) and the same count on the grid's halving (2 n_points - 1 points);
+    otherwise ResolutionError.
     """
     n = _check_index("n", n, 0)
-    if grid is None:
-        grid = default_node_grid(n, p)
-    span = np.sqrt(p.omega) * (grid.rho_max - grid.rho_min)
-    if grid.n_points < 200 * span:
-        raise ResolutionError(f"grid has {grid.n_points} points over a sqrt(omega) rho span "
-                              f"of {span:.2f}; need >= 200 points per unit")
+    grid = default_node_grid(n, p)
     halved = RadialGrid(grid.rho_min, grid.rho_max, 2 * grid.n_points - 1)
     # Phi_n = Xm polynomial * exp(-g/2) / L_m^(alpha-1)(-g), the last factor positive; the
     # polynomial keeps its sign where exp(-g/2) underflows (large alpha)

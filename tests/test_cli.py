@@ -166,6 +166,18 @@ def test_non_finite_perturb_is_a_usage_error(config, suite, value, tmp_path, cap
     assert "v_new" not in captured.err and captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["verify", "--suite", "ortho"], ["table", "--what", "spectrum"]])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_levels_below_one_is_a_usage_error(config, argv, value, tmp_path, capsys):
+    # rejected at parse time: the ortho suite would run its five node counts and pass
+    out = tmp_path / "out"
+    assert main(argv + ["--config", config, f"--levels={value}", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: ")
+    assert f"error: argument --levels: must be an integer >= 1, got '{value}'" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("cfg, argv, code", [
     # tau = 21: the 1 % shift (1.1e-6) clears the default grid's floor (6.2e-8)
     ({"N": 8, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": 1}, ["--perturb", "1.01"], 2),
@@ -244,7 +256,7 @@ def test_local_energy_subcommand(config, capsys):
 def test_verify_numerical_error_exits_1_and_keeps_finished_reports(tmp_path, capsys, monkeypatch):
     # tau = 407: residual and spectrum pass, then the ortho quadrature raises (here made to
     # raise as it does where the Laguerre recurrence overflows), with one line on stderr
-    def overflowing_gram(levels, p, quad):
+    def overflowing_gram(levels, p):
         raise NonFiniteError("radial quadrature: log|Phi_0| is not finite (Laguerre overflow)")
 
     monkeypatch.setattr(verify, "_gram", overflowing_gram)

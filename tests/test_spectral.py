@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from xtcs import (ModelParams, NonFiniteError, ValidationError, consistency_suite,
-                  convergence_orders, default_quadrature, energy_level, isospectrality_check,
-                  numeric_spectrum, ode_residual, orthogonality_matrix, solver, solver_grid,
-                  spectrum_csv_rows)
+                  convergence_orders, energy_level, isospectrality_check, numeric_spectrum,
+                  ode_residual, orthogonality_matrix, solver, solver_grid, spectrum_csv_rows,
+                  verify, wavefunctions)
+from xtcs.model import turning_point_g
+from xtcs.quadrature import panel_nodes
 from xtcs.laguerre import r_variant_battery
 from xtcs.solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, matrix_norm1,
                          richardson)
@@ -53,16 +55,20 @@ def test_solver_grid_sized_from_tau_and_k(p, k, n_points, margin):
     assert explicit.rho_max + explicit.spacing == pytest.approx(radius, rel=1e-14)
 
 
-def test_every_default_domain_ends_at_the_solver_wall():
+def test_every_default_domain_ends_at_the_solver_wall(monkeypatch):
     # tau = 21, k = 3: g_t = 30, where the WKB margin (46.5), 30 + 2 alpha = 50 and 30 differ
     p = ModelParams(8, 1.0, 1, 1.0, ext_index=1)
     k = 3
     g_wall = solver.wall_g(k - 1, p)
     assert g_wall == pytest.approx(30 + _wkb_margin(30), rel=1e-15)
-    quad = default_quadrature(p, k - 1)
+    rules = []
+    monkeypatch.setattr(wavefunctions, "panel_nodes",
+                        lambda edges: rules.append(edges) or panel_nodes(edges))
+    orthogonality_matrix(p, k)
+    tail_start = rules[-1][0]  # the tail rule starts at the wall of the quadrature
     grid = solver_grid(p, k)
     study = convergence_orders(p, k)
-    for radius in (quad.rho_max, grid.rho_max + grid.spacing, study.spacings[0] * 80):
+    for radius in (tail_start, grid.rho_max + grid.spacing, study.spacings[0] * 80):
         assert p.omega * radius ** 2 == pytest.approx(g_wall, rel=1e-14)
 
 
@@ -305,27 +311,29 @@ def test_residual_broken_denominator_fails():
     assert bad > 1e-2
 
 
-def test_residual_stencil_is_eighth_order():
+def test_residual_stencil_is_eighth_order(monkeypatch):
     # Both grids evaluate the residual on [1, 4], where truncation (1.9e-11 at h = 0.05)
     # sits two decades above roundoff, so halving h must cut it by about 2^8.
     p = ModelParams(3, 1.0, 1, 1.0)
 
     def residual(h):
-        return ode_residual(0, p, RadialGrid(1.0 - 4 * h, 4.0 + 4 * h, round(3.0 / h) + 9))
+        grid = RadialGrid(1.0 - 4 * h, 4.0 + 4 * h, round(3.0 / h) + 9)
+        monkeypatch.setattr(verify, "default_residual_grid", lambda n, p: grid)
+        return ode_residual(0, p)
 
     assert 2 ** 7 <= residual(0.1) / residual(0.05) <= 2 ** 9
 
 
-def test_residual_grid_starts_at_one_step_for_small_omega():
-    # h = 6e-3/sqrt(omega) exceeds 0.1 below omega = 3.6e-3; a grid from 0.05 would sit
-    # below h/2, which RadialGrid rejects.
-    for omega in (1e-3, 1e-5):
-        assert ode_residual(0, ModelParams(3, 1.0, 2, omega, ext_index=2)) <= 1e-8
-
-
-def test_residual_rejects_grids_shorter_than_the_stencil():
-    with pytest.raises(ValidationError, match="9 points"):
-        ode_residual(0, ModelParams(2, 1.0, 1, 1.0), RadialGrid(0.5, 1.0, 8))
+@pytest.mark.parametrize("omega", (1e-12, 1e-5, 1e-3, 1e4, 1e12))
+def test_residual_grid_follows_the_trap_length(omega):
+    # Every length of the grid scales with the trap length 1/sqrt(omega): it runs from
+    # 0.05/sqrt(omega) in steps of 6e-3/sqrt(omega) to 10 past the turning point.
+    p = ModelParams(3, 1.0, 2, omega, ext_index=2)
+    grid = verify.default_residual_grid(0, p)
+    assert grid.rho_min * np.sqrt(omega) == pytest.approx(0.05, rel=1e-15)
+    assert grid.rho_max * np.sqrt(omega) == pytest.approx(np.sqrt(turning_point_g(0, p, 10)),
+                                                          rel=1e-15)
+    assert ode_residual(0, p) <= 1e-8
 
 
 # -- quadrature-based orthogonality ---------------------------------------------
@@ -339,16 +347,14 @@ def test_orthogonality_matrix_structure():
     assert np.max(np.abs(off)) <= 1e-8
 
 
-def test_orthogonality_matrix_reports_nonconvergence():
+def test_orthogonality_matrix_reports_nonconvergence(monkeypatch):
     from xtcs import QuadratureError
-    from xtcs.quadrature import QuadratureSpec
 
+    # a wall 20 past the top turning point (13 panels at tau = 12) leaves too fat a tail
+    monkeypatch.setattr(wavefunctions, "wall_g", lambda n, p: turning_point_g(n, p, 20))
     p = make_params((3, 2.0, 1, 1, 1.0), 2)  # tau = 12: heavy measure
-    g_min = 2 * (2 * 4 + p.alpha + 1) + 20  # precondition minimum, tail too fat
-    quad = QuadratureSpec(rho_max=float(np.sqrt(g_min / p.omega)), omega=p.omega,
-                          n_panels=13)
-    with pytest.raises(QuadratureError):
-        orthogonality_matrix(p, 5, quad)
+    with pytest.raises(QuadratureError, match="norm tail estimate"):
+        orthogonality_matrix(p, 5)
 
 
 # -- consistency report ----------------------------------------------------------

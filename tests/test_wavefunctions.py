@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from xtcs import (Configuration, ModelParams, QuadratureError, ResolutionError,
-                  ValidationError, count_nodes, default_quadrature, jastrow, laguerre,
-                  manybody_groundstate, norm, orthogonality_matrix, radial_eigenfunction,
-                  xm_laguerre)
-from xtcs.quadrature import QuadratureSpec, panel_nodes
-from xtcs.solver import RadialGrid
+                  ValidationError, count_nodes, jastrow, laguerre, manybody_groundstate, norm,
+                  orthogonality_matrix, radial_eigenfunction, wavefunctions, xm_laguerre)
+from xtcs.model import turning_point_g
+from xtcs.quadrature import panel_nodes
+from xtcs.solver import RadialGrid, wall_g
 
 from conftest import BATTERY_BASE, M_VALUES, battery, make_params
 
@@ -131,21 +131,32 @@ def test_norm_closed_form():
         assert norm(0, p) == pytest.approx(want, rel=1e-13)
 
 
-def test_norm_positive_and_panel_converged():
+def split_panels(edges):
+    """The same panels, each split in two at its midpoint in g = omega rho^2."""
+    edges = np.asarray(edges, dtype=float)
+    halves = np.empty(2 * len(edges) - 1)
+    halves[::2] = edges
+    halves[1::2] = np.sqrt((edges[:-1] ** 2 + edges[1:] ** 2) / 2)
+    return halves
+
+
+def test_norm_positive_and_panel_converged(monkeypatch):
+    split = []
+
+    def split_nodes(edges):
+        split.append(len(edges))
+        return panel_nodes(split_panels(edges))
+
     for base in BATTERY_BASE[:3]:
         for m in M_VALUES:
             p = make_params(base, m)
-            quad = default_quadrature(p, 2)
-            val = norm(2, p, quad)
+            val = norm(2, p)
             assert val > 0
-            doubled = norm(2, p, dataclasses.replace(quad, n_panels=2 * quad.n_panels))
+            with monkeypatch.context() as patch:
+                patch.setattr(wavefunctions, "panel_nodes", split_nodes)
+                doubled = norm(2, p)
             assert abs(doubled - val) <= 1e-10 * val
-
-
-def test_norm_rejects_short_domain():
-    p = ModelParams(2, 1.0, 1, 1.0)
-    with pytest.raises(ValidationError):
-        norm(3, p, QuadratureSpec(rho_max=2.0, omega=p.omega))
+    assert len(split) == 2 * 3 * len(M_VALUES)  # the pruned rule and the tail rule
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -162,17 +173,17 @@ def test_norm_overflow_reported_as_non_positive():
     assert log_norm == pytest.approx(math.lgamma(p.alpha + 1) - math.log(2), rel=1e-13)
 
 
-def test_norm_tail_error_reported():
+def test_norm_tail_error_reported(monkeypatch):
+    # a wall only 20 past the turning point leaves too fat a tail at tau = 12
+    monkeypatch.setattr(wavefunctions, "wall_g", lambda n, p: turning_point_g(n, p, 20))
     p = ModelParams(3, 2.0, 1, 1.0, degree=1)  # tau = 12: heavy measure growth
-    g_need = 2 * (0 + p.alpha + 1) + 20
-    quad = QuadratureSpec(rho_max=float(np.sqrt(g_need / p.omega)), omega=p.omega, n_panels=12)
-    with pytest.raises(QuadratureError):
-        norm(0, p, quad)
+    with pytest.raises(QuadratureError, match="norm tail estimate"):
+        norm(0, p)
 
 
 def test_orthogonality_m0_classical():
     p = make_params((3, 1.0, 1, 0, 1.0), 0)
-    gram = orthogonality_matrix(p, 5, default_quadrature(p, 4))
+    gram = orthogonality_matrix(p, 5)
     assert np.max(np.abs(gram - np.eye(5))) <= 1e-8
 
 
@@ -198,10 +209,14 @@ def test_node_counts_hold_at_large_alpha(m):
     assert [count_nodes(n, p) for n in range(5)] == [0, 1, 2, 3, 4]
 
 
-def test_node_count_rejects_coarse_grid():
-    p = ModelParams(2, 1.0, 1, 1.0)
-    with pytest.raises(ResolutionError):
-        count_nodes(2, p, RadialGrid(0.05, 5.0, 200))
+@pytest.mark.parametrize("grid, message", [
+    (RadialGrid(0.5, 5.0, 10), "two sign changes within adjacent cells"),
+    (RadialGrid(0.75, 5.0, 4), "sign changes on the grid but"),
+])
+def test_node_count_rejects_an_unresolved_grid(monkeypatch, grid, message):
+    monkeypatch.setattr(wavefunctions, "default_node_grid", lambda n, p: grid)
+    with pytest.raises(ResolutionError, match=message):
+        count_nodes(4, ModelParams(2, 1.0, 1, 1.0))
 
 
 def old_node_grid(n, p):
@@ -211,21 +226,23 @@ def old_node_grid(n, p):
     return RadialGrid(math.sqrt(g_max / p.omega) / n_points, math.sqrt(g_max / p.omega), n_points)
 
 
-def test_node_counts_match_the_old_dense_grid():
-    for base in BATTERY_BASE:
-        for m in (0, 1, 2, 3, 20, 60):
-            for omega in (0.05, 1.0, 20.0):
-                p = dataclasses.replace(make_params(base, m), omega=omega)
-                for n in range(5):
-                    assert count_nodes(n, p) == count_nodes(n, p, old_node_grid(n, p)) == n
+def test_node_counts_match_the_old_dense_grid(monkeypatch):
+    cases = [(n, dataclasses.replace(make_params(base, m), omega=omega))
+             for base in BATTERY_BASE for m in (0, 1, 2, 3, 20, 60)
+             for omega in (0.05, 1.0, 20.0) for n in range(5)]
+    counts = [count_nodes(n, p) for n, p in cases]
+    monkeypatch.setattr(wavefunctions, "default_node_grid", old_node_grid)
+    assert counts == [count_nodes(n, p) for n, p in cases] == [n for n, _ in cases]
 
 
 # -- pruned log-domain Gram matrix ------------------------------------------------
 
 def full_panel_overlaps(p, k):
-    """Normalized Gram matrix over every panel of the default rule, rows built in the log
-    domain and shifted by their peaks."""
-    rho, w = panel_nodes(default_quadrature(p, k - 1).edges())
+    """Normalized Gram matrix over every panel of the rule on [0, wall_g(k - 1)], rows built
+    in the log domain and shifted by their peaks."""
+    g_wall = wall_g(k - 1, p)
+    rho, w = panel_nodes(np.sqrt(np.linspace(0.0, g_wall, max(8, math.ceil(g_wall / 4)) + 1)
+                                 / p.omega))
     g = p.omega * rho ** 2
     log_den = np.log(laguerre(p.ext_index, p.alpha - 1, -g))
     rows = []
