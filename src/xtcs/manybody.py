@@ -14,6 +14,7 @@ coupling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,8 @@ import numpy as np
 
 from .errors import NonFiniteError, ValidationError
 from .laguerre import _lag
-from .model import Configuration, ModelParams, energy_level, v_interaction, v_new
+from .model import (Configuration, ModelParams, _pair_window, _row_blocks, energy_level,
+                    v_interaction, v_new)
 
 __all__ = [
     "local_energy",
@@ -43,17 +45,45 @@ def _fd_step(p: ModelParams) -> float:
     return FD_STEP / math.sqrt(p.omega)
 
 
+@functools.lru_cache(maxsize=16)
+def _stencil_index(n: int, r: int):
+    """(min(2r, N - 1), N * 4) read-only rows into the (4, pairs + padding) terms
+    lambda log1p(d_s / gap_q) of model._pair_window, flattened: column 4 i + s lists, one
+    partner per row, the terms particle i takes at shift s.  That is row s of pair q when i
+    is its right end and row 3 - s when i is its left end, since log1p(-d_s / gap) =
+    log1p(d_{3-s} / gap) (STENCIL_SHIFTS is symmetric)."""
+    left, right, partner = _pair_window(n, r)[:3]
+    shift = np.arange(len(STENCIL_SHIFTS))
+    right_end = (np.append(right, n)[partner] == np.arange(n))[:, :, None]  # n: padding slot
+    row = np.where(right_end, shift, shift[::-1])
+    index = (row * (len(left) + 1) + partner[:, :, None]).reshape(len(partner), -1)
+    index.flags.writeable = False
+    return index
+
+
 def _log_psi_ratios(x, wp: ModelParams, step: float):
     """log Psi(x + d h e_i) - log Psi(x), shape (S, N, 4), summed term by term as |log Psi|
     reaches ~1e3: lambda log1p(+-d h / |x_i - x_j|) per neighbor, -omega (2 x_i d h + d^2 h^2)/2
-    from exp(-g/2), and the change in log L_m^(alpha)(-g) - log L_m^(alpha-1)(-g), rest of Phi_0."""
+    from exp(-g/2), and the change in log L_m^(alpha)(-g) - log L_m^(alpha-1)(-g), rest of Phi_0.
+
+    The pair terms take one pass over the window |i - j| <= r: every gap is gathered at once,
+    lambda log1p is evaluated once per pair and shift, and each particle sums the terms of its
+    pairs from one gather (_stencil_index), in blocks of samples under model.BLOCK_ELEMENTS.
+    """
+    n, k = x.shape[-1], len(STENCIL_SHIFTS)
     delta = step * STENCIL_SHIFTS
     dg = wp.omega * (2 * x[..., None] * delta + delta ** 2)
     out = -dg / 2
-    for k in range(1, wp.trunc_range + 1):
-        gap = (x[:, k:] - x[:, :-k])[..., None]
-        out[:, :-k] += wp.coupling * np.log1p(-delta / gap)
-        out[:, k:] += wp.coupling * np.log1p(delta / gap)
+    left, right = _pair_window(n, wp.trunc_range)[:2]
+    index = _stencil_index(n, wp.trunc_range)
+    for rows in _row_blocks(len(x), k * len(left) + index.size):
+        xt = x[rows].T
+        terms = np.zeros((k, len(left) + 1, xt.shape[1]))  # (shifts, pairs + padding, samples)
+        np.divide(delta[:, None, None], xt[right] - xt[left], out=terms[:, :-1])
+        np.log1p(terms, out=terms)
+        terms *= wp.coupling
+        sums = np.take(terms.reshape(-1, xt.shape[1]), index, axis=0).sum(axis=0)
+        out[rows] += sums.reshape(n, k, -1).transpose(2, 0, 1)
     if wp.ext_index:
         m, a = wp.ext_index, wp.alpha
         g = wp.omega * np.sum(x ** 2, axis=-1)[:, None, None]
@@ -101,7 +131,7 @@ def local_energy(c, p: ModelParams, v_new_scale: float = 1.0,
     for stage, term in (("Psi ratio", kinetic), ("v_new", extension)):
         if not np.all(np.isfinite(term)):
             raise NonFiniteError(f"local energy: {stage} is not finite for {p}")
-    energies = kinetic + 0.5 * p.omega ** 2 * rho2 + v_interaction(x, p) + extension
+    energies = kinetic + 0.5 * p.omega * (p.omega * rho2) + v_interaction(x, p) + extension
     return float(energies[0]) if single else energies
 
 
@@ -188,8 +218,9 @@ def constancy_scan(p: ModelParams, n_samples: int = 200, seed: int = 1,
     energies = local_energy(x, p, v_new_scale, wavefunction_params)
     mean = math.fsum(energies) / n_samples
     dev = energies - mean
-    var = math.fsum(dev ** 2) / n_samples
+    # in units of |mean|: at omega ~ 1e-300 the squared deviations would underflow to 0
+    stddev = abs(mean) * math.sqrt(math.fsum((dev / abs(mean)) ** 2) / n_samples)
     max_dev = float(np.max(np.abs(dev)))
     return ConstancyStats(
         params=p, n_samples=n_samples, seed=seed, mean=mean,
-        stddev=math.sqrt(var), max_dev=max_dev, e_analytic=energy_level(0, p))
+        stddev=stddev, max_dev=max_dev, e_analytic=energy_level(0, p))

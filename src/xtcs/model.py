@@ -13,6 +13,7 @@ Units: hbar = mass = 1 throughout.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -203,6 +204,58 @@ def _check_rho(rho):
     return rho_a
 
 
+# Most elements one block of a pair-window pass holds in its pair-sized arrays (samples
+# x window terms); the samples are walked in blocks of as many rows as fit, at least one.
+BLOCK_ELEMENTS = 1 << 20
+
+
+def _row_blocks(n_rows: int, row_elements: int):
+    """Slices covering n_rows rows, each of at most BLOCK_ELEMENTS // row_elements rows (>= 1)."""
+    size = max(1, BLOCK_ELEMENTS // max(1, row_elements))
+    return [slice(start, start + size) for start in range(0, n_rows, size)]
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_window(n: int, r: int):
+    """Index arrays of the window |i - j| <= r, built once per (N, r) and read-only.
+
+    left, right -- the P pairs i < j <= i + r, ordered by j - i, then i; index P, one
+                   past the last pair, is the padding slot, where callers keep a zero
+    partner     -- (min(2r, N - 1), N): column i holds the pairs of particle i, by partner
+    triples     -- (2, min(r, N - 1 - r), N): the boundary triples (i, j, k) with
+                   j - i, k - j <= r < k - i, by middle particle j.  Row t holds the
+                   pair (j - a_t, j) in triples[0] and (j, j + b_t) in triples[1], with
+                   b_t = min(r, N - 1 - j) - t and a_t = r + 1 - b_t, so the triples of
+                   the leg (j - a_t, j) are the legs (j, k) of rows t' <= t: the
+                   three-body sum is sum_t 1/gap[triples[0]] (running @ 1/gap[triples[1]])
+    running     -- the lower-triangular ones that take those running sums over t
+
+    Ordered by distance, a row of the interior particles reads consecutive pairs.
+    """
+    i = np.arange(n)
+    distance = np.arange(1, r + 1)
+    start = np.concatenate(([0], np.cumsum(n - distance)))  # position of pair (0, k) at k - 1
+    left = np.concatenate([np.arange(n - k) for k in distance])
+    right = left + np.repeat(distance, n - distance)
+
+    def pair(lo, hi, valid):
+        return np.where(valid, start[np.where(valid, hi - lo - 1, 0)] + lo, len(left))
+
+    low = np.maximum(i - r, 0)
+    j = low + np.arange(min(2 * r, n - 1))[:, None]  # partners low, ..., i - 1, i + 1, ..., i + r
+    j += j >= i
+    partner = pair(np.minimum(i, j), np.maximum(i, j), j <= np.minimum(i + r, n - 1))
+    a_max, b_max = np.minimum(r, i), np.minimum(r, n - 1 - i)
+    t = np.arange(min(r, n - 1 - r))[:, None]
+    valid = t < a_max + b_max - r
+    b = b_max - t
+    triples = np.stack((pair(i - (r + 1 - b), i, valid), pair(i, i + b, valid)))
+    arrays = (left, right, partner, triples, np.tri(len(t)))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def v_interaction(c, p: ModelParams):
     """Two- plus three-body interaction energy.
 
@@ -216,17 +269,29 @@ def v_interaction(c, p: ModelParams):
     and it makes the full-range limit r = N-1 three-body free.
 
     c is a Configuration (a float) or an array of ordered positions with last
-    axis N (one value per row); the sums loop over index distances only.
+    axis N (one value per row).  One pass over the window's pairs: every
+    1 / (x_j - x_i) is gathered at once, and each middle particle sums its
+    boundary triples as its inner legs times running sums of its outer legs
+    (_pair_window), in blocks of rows under BLOCK_ELEMENTS.
     """
     x = np.asarray(c.positions if isinstance(c, Configuration) else c, dtype=float)
-    n, lam, r = x.shape[-1], p.coupling, p.trunc_range
+    n, lam = x.shape[-1], p.coupling
     if n != p.n_particles:
         raise ValidationError(f"configuration has {n} positions but n_particles = {p.n_particles}")
-    gaps = [None] + [x[..., k:] - x[..., :-k] for k in range(1, r + 1)]  # x_{i+k} - x_i
-    total = lam * (lam - 1) * sum(np.sum(gap ** -2, axis=-1) for gap in gaps[1:])
-    for a in range(1, r + 1):  # triples (i, i+a, i+a+b) with a, b <= r < a+b
-        for b in range(r + 1 - a, min(r, n - 1 - a) + 1):
-            total -= lam ** 2 * np.sum(1 / (gaps[a][..., :n - a - b] * gaps[b][..., a:]), axis=-1)
+    left, right, _, triples, running = _pair_window(n, p.trunc_range)
+    rows = x.reshape(-1, n)
+    total = np.empty(len(rows))
+    for block in _row_blocks(len(rows), len(left) + triples.size):
+        xt = rows[block].T
+        width = xt.shape[1]
+        inv = np.zeros((len(left) + 1, width))  # (pairs, samples) and the zero padding slot
+        np.divide(1, xt[right] - xt[left], out=inv[:-1])
+        inner, outer = np.take(inv, triples, axis=0).reshape(2, len(running), n * width)
+        three = (inner * (running @ outer)).reshape(-1, width)
+        terms = np.concatenate((lam * (lam - 1) * inv * inv, -lam ** 2 * three))
+        # each sample sums its own contiguous row, so the blocks do not change its total
+        total[block] = np.ascontiguousarray(terms.T).sum(axis=1)
+    total = total.reshape(x.shape[:-1])[()]
     return float(total) if isinstance(c, Configuration) else total
 
 

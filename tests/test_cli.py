@@ -335,6 +335,21 @@ def test_local_energy_holds_at_n30(cfg, e0, tmp_path, capsys):
     assert abs(doc["mean"] - e0) <= 1e-5 * e0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_local_energy_holds_at_tiny_omega(tmp_path, capsys):
+    # omega^2 and the squared deviations underflow float64 at omega = 1e-300
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": 1e-300, "s": 0, "m": 1}))
+    assert main(["local-energy", "--config", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 0 < doc["stddev"] <= 1e-5 * doc["mean"]
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--suite", "local-energy", "--perturb", "1.01",
+                 "--out", str(out)]) == 2
+    spread = json.loads((out / "report_local-energy.json").read_text())["items"][0]
+    assert spread["name"] == "stddev / |mean|" and spread["value"] >= 1e-4
+
+
 @pytest.mark.parametrize("m", [60, 100, 200])
 def test_residual_passes_at_large_m(m, tmp_path, capsys):
     path = tmp_path / "cfg.json"

@@ -9,6 +9,8 @@ import pytest
 from xtcs import (Configuration, ModelParams, ValidationError, constancy_scan,
                   energy_level, local_energy, manybody_groundstate, sample_configurations,
                   v_interaction, v_new)
+from xtcs import manybody, model
+from xtcs.laguerre import _lag
 
 from conftest import BATTERY_BASE, M_VALUES, make_params
 
@@ -29,6 +31,23 @@ def reference_v_interaction(x, p):
                 if k - i > r:
                     three += lam ** 2 / ((x[j] - x[i]) * (x[j] - x[k]))
     return two + three
+
+
+def reference_log_psi_ratios(x, wp, step):
+    """log Psi(x + d h e_i) - log Psi(x), one index distance k = 1..r at a time."""
+    delta = step * manybody.STENCIL_SHIFTS
+    dg = wp.omega * (2 * x[..., None] * delta + delta ** 2)
+    out = -dg / 2
+    for k in range(1, wp.trunc_range + 1):
+        gap = (x[:, k:] - x[:, :-k])[..., None]
+        out[:, :-k] += wp.coupling * np.log1p(-delta / gap)
+        out[:, k:] += wp.coupling * np.log1p(delta / gap)
+    if wp.ext_index:
+        m, a = wp.ext_index, wp.alpha
+        g = wp.omega * np.sum(x ** 2, axis=-1)[:, None, None]
+        shifted, base = (np.log(_lag(m, a, -h)) - np.log(_lag(m, a - 1, -h)) for h in (g + dg, g))
+        out += shifted - base
+    return out
 
 
 def reference_local_energy(c, p, fd_step=1e-3):
@@ -65,6 +84,47 @@ def test_batched_local_energy_matches_scalar_reference(n):
             e0 = energy_level(0, p)
             for c, e in zip(configs, batched):
                 assert abs(e - reference_local_energy(c, p)) <= 1e-7 * e0, (n, r, m, c)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pair_window_log_ratios_match_the_per_distance_loop():
+    n = 8
+    for r in range(1, n):
+        for m in (0, 1, 3):
+            p = ModelParams(n, 1.3, r, 0.8, ext_index=m)
+            x = manybody._sample_positions(p, 20, seed=r + 10 * m)
+            step = manybody._fd_step(p)
+            np.testing.assert_allclose(manybody._log_psi_ratios(x, p, step),
+                                       reference_log_psi_ratios(x, p, step), rtol=0, atol=1e-14)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_blocks_give_the_one_block_energies(monkeypatch):
+    row_blocks, default, sizes = model._row_blocks, model.BLOCK_ELEMENTS, []
+
+    def recorded(n_rows, row_elements):
+        blocks = row_blocks(n_rows, row_elements)
+        sizes.append([len(range(n_rows)[block]) for block in blocks])
+        return blocks
+
+    monkeypatch.setattr(model, "_row_blocks", recorded)
+    monkeypatch.setattr(manybody, "_row_blocks", recorded)
+    for n, r, m in ((8, 1, 2), (8, 3, 0), (8, 7, 1), (12, 5, 3)):
+        p = ModelParams(n, 1.6, r, 1.1, ext_index=m)
+        x = manybody._sample_positions(p, 23, seed=n + r)
+        monkeypatch.setattr(model, "BLOCK_ELEMENTS", default)
+        sizes.clear()
+        whole = local_energy(x, p), v_interaction(x, p)
+        assert sizes == [[23]] * 3
+        for budget in (1, 200, 1000):  # one sample per block, then blocks of several
+            monkeypatch.setattr(model, "BLOCK_ELEMENTS", budget)
+            sizes.clear()
+            np.testing.assert_array_equal(local_energy(x, p), whole[0])
+            np.testing.assert_array_equal(v_interaction(x, p), whole[1])
+            assert len(sizes) == 3 and all(sum(s) == len(x) for s in sizes)
+            assert budget > 1 or sizes == [[1] * len(x)] * 3
+            if budget == 200 and (n, r) == (8, 1):
+                assert all(len(s) > 1 and max(s) > 1 for s in sizes), sizes
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
