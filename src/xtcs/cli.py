@@ -24,10 +24,10 @@ from . import __version__
 from .errors import NonFiniteError, QuadratureError, ResolutionError, ValidationError
 from .manybody import constancy_scan
 from .model import ModelParams, energy_level, ext_constants, turning_point_g, v_eff_radial
-from .verify import (RESIDUAL_FD_ORDER, VerificationReport, _fmt, consistency_suite,
-                     default_residual_grid, isospectrality_check, ode_residual,
+from .verify import (RESIDUAL_FD_ORDER, VerificationReport, _fmt, _scaled_residuals,
+                     consistency_suite, isospectrality_check, ode_residual,
                      orthogonality_matrix, spectrum_csv_rows)
-from .wavefunctions import count_nodes, radial_eigenfunction
+from .wavefunctions import _node_counts, radial_eigenfunction
 
 SUITES = ("residual", "spectrum", "ortho", "consistency", "local-energy")
 
@@ -197,16 +197,16 @@ def cmd_table(args) -> int:
 
 def _suite_residual(p, args) -> VerificationReport:
     report = VerificationReport("eigen-equation residuals", p)
-    for n in range(4):
-        report.add(f"scaled residual, level {n} (m={p.ext_index})", ode_residual(n, p), 1e-8)
+    grid, residuals = _scaled_residuals(range(4), p)
+    for n, value in enumerate(residuals):
+        report.add(f"scaled residual, level {n} (m={p.ext_index})", value, 1e-8)
     # the inconsistent m=1 denominator must fail; run it on the m=1 family
     p1 = dataclasses.replace(p, ext_index=1)
     report.add("scaled residual, level 0, m=1 denominator variant 2g+alpha",
                ode_residual(0, p1, x1_denominator="2g_plus_alpha"), 1e-2, comparison=">=",
                detail="variant rejected: only g+alpha solves the extended radial equation")
-    grids = [default_residual_grid(n, p) for n in range(4)]
-    report.metadata.update(fd_order=RESIDUAL_FD_ORDER, spacing=[g.spacing for g in grids],
-                           grid_points=[g.n_points for g in grids])
+    report.metadata.update(fd_order=RESIDUAL_FD_ORDER, spacing=grid.spacing,
+                           grid_points=grid.n_points)
     return report
 
 
@@ -220,9 +220,8 @@ def _suite_ortho(p, args) -> VerificationReport:
     gram = orthogonality_matrix(p, k)
     off = np.max(np.abs(gram - np.eye(k)))
     report.add(f"worst off-diagonal normalized inner product (k={k})", off, 1e-8)
-    for n in range(5):
-        report.add(f"node count, level {n} (expect {n})",
-                   abs(count_nodes(n, p) - n), 0)
+    for n, count in enumerate(_node_counts(range(5), p)):
+        report.add(f"node count, level {n} (expect {n})", abs(count - n), 0)
     return report
 
 

@@ -35,6 +35,7 @@ they are safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,15 +86,64 @@ def _maybe_scalar(arr, like):
     return float(arr) if np.isscalar(like) or np.ndim(like) == 0 else arr
 
 
-def _lag(n, alpha, x):
-    """Recurrence core; zero polynomial for any n < 0, no validation."""
+def _lag_step(k, alpha, x, cur, prev):
+    """L_{k+1}^(alpha)(x) from cur = L_k and prev = L_{k-1}: the one recurrence step."""
+    return ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+
+
+def _lag_rows(n, alpha, x):
+    """Yield L_0^(alpha)(x), ..., L_n^(alpha)(x) from one pass of the recurrence (nothing for
+    n < 0); row j is `_lag`(j, alpha, x) bit for bit, no validation."""
+    x = np.asarray(x, dtype=float)
+    if n < 0:
+        return
+    yield np.ones(x.shape)
+    if n < 1:
+        return
+    prev, cur = 1.0, 1 + alpha - x  # the k = 0 step
+    yield cur
+    for k in range(1, n):
+        cur, prev = _lag_step(k, alpha, x, cur, prev), cur
+        yield cur
+
+
+def _lag_pair(n, alpha, x):
+    """(L_{n-1}, L_n)^(alpha)(x) by the steps of `_lag_rows`, without its generator and ones
+    array (2-5 us a call, several per cent of a local-energy scan); degrees below 0 are
+    zero, and L_0 is the scalar 1.0 at n = 1."""
     x = np.asarray(x, dtype=float)
     if n < 1:
-        return np.full_like(x, float(n == 0))
+        zero = np.zeros(x.shape)
+        return zero, np.ones(x.shape) if n == 0 else zero
     prev, cur = 1.0, 1 + alpha - x  # the k = 0 step
     for k in range(1, n):
-        cur, prev = ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1), cur
-    return cur
+        cur, prev = _lag_step(k, alpha, x, cur, prev), cur
+    return prev, cur
+
+
+def _lag(n, alpha, x):
+    """L_n^(alpha)(x), the last row of `_lag_rows`; zero polynomial for any n < 0."""
+    return _lag_pair(n, alpha, x)[1]
+
+
+def _xm_rows(levels, m, alpha, g):
+    """L_m^(alpha-1)(-g) and an iterator over Lhat_{n+m}^(alpha)(g) for n in levels (ascending).
+
+    L_m^(alpha)(-g) and the denominator L_m^(alpha-1)(-g) (`xm_denominator`, which validates
+    alpha and g) are evaluated once; the factors L_n^(alpha-1)(g) and L_{n-1}^(alpha)(g) of
+    every level come from one `_lag_rows` pass each, so each row is `xm_laguerre`'s
+    arithmetic bit for bit.  Rows are made one at a time."""
+    den = np.asarray(xm_denominator(m, alpha, g))
+    g = np.asarray(g, dtype=float)
+    lm = _lag(m, alpha, -g)
+    wanted, top = set(levels), max(levels)
+
+    def rows():
+        shifted = itertools.chain([np.zeros_like(g)], _lag_rows(top - 1, alpha, g))
+        for n, (b, d) in enumerate(zip(_lag_rows(top, alpha - 1, g), shifted)):
+            if n in wanted:
+                yield lm * b + den * d
+    return den, rows()
 
 
 def laguerre(n, alpha, x):
@@ -136,9 +186,7 @@ def xm_laguerre(n, m, alpha, g):
     n = _check_index("n", n, 0)
     m = _check_index("m", m, 0)
     ga = _check_alpha_g(alpha, g)
-    val = _lag(m, alpha, -ga) * _lag(n, alpha - 1, ga) \
-        + _lag(m, alpha - 1, -ga) * _lag(n - 1, alpha, ga)
-    return _maybe_scalar(val, g)
+    return _maybe_scalar(next(_xm_rows([n], m, alpha, ga)[1]), g)
 
 
 def xm_denominator(m, alpha, g):
@@ -172,21 +220,6 @@ class OdeCoefficients:
     r_linear_shifted: float
 
 
-def _coefficient_parts(m, alpha, g):
-    """(q, r_linear, r_linear_shifted) of the Xm equation at g > 0; g scalar or array."""
-    m = _check_index("m", m, 1)
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
-    g = _check_argument("g", g)
-    if not np.all(g > 0):
-        raise ValidationError(f"g must be > 0 (coefficients have a 1/g pole), got {g}")
-    num = _lag(m - 1, alpha, -g)
-    den_shift = _lag(m, alpha - 1.0, -g)
-    den_plain = _lag(m, alpha, -g)
-    q = ((alpha + 1 - g) - 2 * g * num / den_shift) / g
-    return q, -2 * alpha * num / den_plain / g, -2 * alpha * num / den_shift / g
-
-
 def ode_coefficients(m, alpha, g):
     """Both variants of the Xm differential-equation coefficients at g > 0.
 
@@ -197,7 +230,40 @@ def ode_coefficients(m, alpha, g):
     `resolve_r_denominator` reports which variant the closed-form polynomial
     actually satisfies.
     """
-    return OdeCoefficients(*(_maybe_scalar(c, g) for c in _coefficient_parts(m, alpha, g)))
+    *_, q, r_linear = _ode_terms(0, m, alpha, g)
+    return OdeCoefficients(*(_maybe_scalar(c, g) for c in (q, *r_linear.values())))
+
+
+def _ode_terms(n, m, alpha, g):
+    """(y, y', y'', Q, {variant: linear part of R}) of the Xm polynomial of degree n + m at
+    g > 0 (`ode_coefficients`).  The derivatives are analytic (product rule on the classical
+    representation, d/dx L_k^(a) = -L_{k-1}^(a+1)); the ten distinct Laguerre factors are
+    evaluated once each and shared with the coefficients."""
+    n = _check_index("n", n, 0)
+    m = _check_index("m", m, 1)
+    a = float(alpha)
+    ga = _check_argument("g", g)
+    A, dA, d2A = _lag(m, a, -ga), _lag(m - 1, a + 1, -ga), _lag(m - 2, a + 2, -ga)
+    C, dC, d2C = _lag(m, a - 1, -ga), _lag(m - 1, a, -ga), _lag(m - 2, a + 1, -ga)
+    B, D = _lag(n, a - 1, ga), _lag(n - 1, a, ga)
+    dB, dD, d2D = -D, -_lag(n - 2, a + 1, ga), _lag(n - 3, a + 2, ga)
+    d2B = -dD
+    y = A * B + C * D
+    y1 = dA * B + A * dB + dC * D + C * dD
+    y2 = d2A * B + 2 * dA * dB + A * d2B + d2C * D + 2 * dC * dD + C * d2D
+    if a <= 0:
+        raise ValidationError(f"alpha must be > 0, got {a}")
+    if not np.all(ga > 0):
+        raise ValidationError(f"g must be > 0 (coefficients have a 1/g pole), got {ga}")
+    q = ((a + 1 - ga) - 2 * ga * dC / C) / ga  # dC = L_{m-1}^(a)(-g), C = L_m^(a-1)(-g)
+    return y, y1, y2, q, {"alpha": -2 * a * dC / A / ga, "alpha-1": -2 * a * dC / C / ga}
+
+
+def _ode_residual(n, m, g, terms, r_denominator):
+    """g y'' + g Q y' + g R y from `_ode_terms`, R = (n + m) / g + the variant's linear part."""
+    y, y1, y2, q, r_linear = terms
+    r = (n + m) / g + r_linear[r_denominator]
+    return g * y2 + g * q * y1 + g * r * y
 
 
 def xm_ode_residual(n, m, alpha, g, r_denominator="alpha-1"):
@@ -207,24 +273,10 @@ def xm_ode_residual(n, m, alpha, g, r_denominator="alpha-1"):
     so a nonzero residual measures coefficient inconsistency, not numerics.
     r_denominator selects the R variant: "alpha-1" or "alpha".
     """
-    n = _check_index("n", n, 0)
-    m = _check_index("m", m, 1)
     if r_denominator not in ("alpha-1", "alpha"):
         raise ValidationError(f"r_denominator must be 'alpha-1' or 'alpha', got {r_denominator!r}")
-    a = float(alpha)
-    ga = _check_argument("g", g)
-    A, B = _lag(m, a, -ga), _lag(n, a - 1, ga)
-    C, D = _lag(m, a - 1, -ga), _lag(n - 1, a, ga)
-    dA, dB = _lag(m - 1, a + 1, -ga), -_lag(n - 1, a, ga)
-    dC, dD = _lag(m - 1, a, -ga), -_lag(n - 2, a + 1, ga)
-    d2A, d2B = _lag(m - 2, a + 2, -ga), _lag(n - 2, a + 1, ga)
-    d2C, d2D = _lag(m - 2, a + 1, -ga), _lag(n - 3, a + 2, ga)
-    y = A * B + C * D
-    y1 = dA * B + A * dB + dC * D + C * dD
-    y2 = d2A * B + 2 * dA * dB + A * d2B + d2C * D + 2 * dC * dD + C * d2D
-    q, r_plain, r_shifted = _coefficient_parts(m, a, ga)
-    r = (n + m) / ga + (r_shifted if r_denominator == "alpha-1" else r_plain)
-    return _maybe_scalar(ga * y2 + ga * q * y1 + ga * r * y, g)
+    terms = _ode_terms(n, m, alpha, g)
+    return _maybe_scalar(_ode_residual(n, m, np.asarray(g, dtype=float), terms, r_denominator), g)
 
 
 def r_variant_residuals(probes):
@@ -232,7 +284,8 @@ def r_variant_residuals(probes):
 
     Each residual is scaled by max(1, |y|) (n + m + alpha + g), the size of
     the terms that cancel in it.  Probes sharing (n, m, alpha) form one array
-    of g; a NaN residual makes the worst NaN.  Returns {variant: worst}.
+    of g, whose polynomial, derivatives and coefficients (`_ode_terms`) serve both
+    variants and the scale; a NaN residual makes the worst NaN.  Returns {variant: worst}.
     """
     groups = {}
     for n, m, a, g in probes:
@@ -240,9 +293,10 @@ def r_variant_residuals(probes):
     scaled = {"alpha-1": [], "alpha": []}
     for (n, m, a), gs in groups.items():
         g = np.array(gs, dtype=float)
-        scale = np.maximum(1.0, np.abs(xm_laguerre(n, m, a, g))) * (n + m + a + g)
+        terms = _ode_terms(n, m, a, g)
+        scale = np.maximum(1.0, np.abs(terms[0])) * (n + m + a + g)
         for variant, out in scaled.items():
-            out.append(np.abs(xm_ode_residual(n, m, a, g, r_denominator=variant)) / scale)
+            out.append(np.abs(_ode_residual(n, m, g, terms, variant)) / scale)
     return {variant: float(np.max(np.concatenate(out))) for variant, out in scaled.items()}
 
 

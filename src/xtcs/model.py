@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AttractiveCouplingWarning, ValidationError
-from .laguerre import _check_index, _lag, _maybe_scalar
+from .laguerre import _check_index, _lag, _lag_pair, _maybe_scalar
 
 __all__ = [
     "ModelParams",
@@ -306,11 +306,12 @@ def v_new(rho, p: ModelParams):
     O(m) terms cancel to O(1/a); m D = (m+a-1) L_{m-1}^(a-1) + g L_{m-1}^(a) and L_{m-1}^(a)
     - L_{m-1}^(a-1) = L_{m-2}^(a) remove that cancellation.  One formula for every m: at
     m = 0, D = L_0 = 1 and L_{-1} = L_{-2} = 0 make it exactly 0.0.  D > 0: no pole.
+    Three recurrences: L_{m-2}^(a) and L_{m-1}^(a) come from one pass.
     """
     rho_a = _check_rho(rho)
     m, a, w = p.ext_index, p.alpha, p.omega
     g = w * rho_a ** 2
-    den, l1, l2 = _lag(m, a - 1, -g), _lag(m - 1, a, -g), _lag(m - 2, a, -g)
+    den, (l2, l1) = _lag(m, a - 1, -g), _lag_pair(m - 1, a, -g)
     val = (2 * w * ((a - 1) * l2 - g * _lag(m - 2, a + 1, -g) - m * (l1 - l2)) / den
            + 4 * w * g * (l1 / den) ** 2)
     return _maybe_scalar(val, rho)

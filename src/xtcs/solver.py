@@ -115,8 +115,8 @@ def wall_g(n, p: ModelParams) -> float:
 
 
 def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGrid:
-    """Eigensolver grid for the lowest k levels, sized from tau and k.  Its one caller
-    in the package is `verify.numeric_spectrum`, the one ladder path (for
+    """Eigensolver grid for the lowest k levels, sized from tau and k.  Its callers in
+    the package are the ladder path, `verify.numeric_spectrum` and `verify._spectra` (for
     `isospectrality_check`, `spectrum_csv_rows` and `convergence_orders` alike).
 
     The outer Dirichlet radius R sits at g = w R^2 = g_t + margin, where
@@ -171,6 +171,13 @@ def hamiltonian_diagonals(p: ModelParams, grid: RadialGrid, extended: bool,
     tau > 2, the regime where u vanishes at the origin fast enough for that
     boundary treatment, and a finite v_new_scale.
     """
+    pot = _v_eff(p, grid)
+    return _tridiagonal(grid, pot + (_extension(p, grid, v_new_scale) if extended else 0.0))
+
+
+def _v_eff(p: ModelParams, grid: RadialGrid):
+    """Conventional V_eff on the nodes of a solver grid (rho_min == spacing) at tau > 2, or
+    ValidationError; an overflow stays inf, which lowest_eigenvalues rejects."""
     h = grid.spacing
     if abs(grid.rho_min - h) > 1e-9 * h:
         raise ValidationError(
@@ -178,17 +185,26 @@ def hamiltonian_diagonals(p: ModelParams, grid: RadialGrid, extended: bool,
     if p.tau <= 2:
         raise ValidationError(
             f"tau = {p.tau} <= 2: origin boundary treatment invalid; increase coupling, degree, or n_particles")
-    if extended and not np.isfinite(v_new_scale):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return v_eff_radial(grid.nodes, p, extended=False)
+
+
+def _extension(p: ModelParams, grid: RadialGrid, v_new_scale: float):
+    """v_new_scale * v_new on the grid's nodes; a non-finite scale or value (Laguerre
+    overflow) raises."""
+    if not np.isfinite(v_new_scale):
         raise ValidationError(f"v_new_scale must be finite, got {v_new_scale!r}")
-    rho = grid.nodes
-    with np.errstate(over="ignore", invalid="ignore"):  # lowest_eigenvalues rejects inf
-        pot = v_eff_radial(rho, p, extended=False)
-        extra = v_new_scale * v_new(rho, p) if extended else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        extra = v_new_scale * v_new(grid.nodes, p)
     if not np.all(np.isfinite(extra)):
         raise NonFiniteError("spectrum: v_new is not finite (Laguerre overflow)")
-    diag = 1.0 / h ** 2 + (pot + extra)
-    off = np.full(grid.n_points - 1, -0.5 / h ** 2)
-    return diag, off
+    return extra
+
+
+def _tridiagonal(grid: RadialGrid, pot):
+    """(diag, off) of -u''/2 + pot u on the grid, with pot given at its nodes."""
+    h = grid.spacing
+    return 1.0 / h ** 2 + pot, np.full(grid.n_points - 1, -0.5 / h ** 2)
 
 
 def lowest_eigenvalues(diag, off, k, guesses=None):

@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteError, ValidationError
-from .laguerre import r_variant_battery, r_variant_residuals
+from .laguerre import _check_index, r_variant_battery, r_variant_residuals
 from .model import (ModelParams, energy_level, ext_constants, turning_point_g, v_new,
                     v_new_x1_two_term)
-from .solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, matrix_norm1,
-                     richardson, solver_grid)
-from .wavefunctions import _gram, radial_eigenfunction
+from .solver import (RadialGrid, _extension, _tridiagonal, _v_eff, lowest_eigenvalues,
+                     matrix_norm1, richardson, solver_grid)
+from .wavefunctions import _gram, _radial_rows, radial_eigenfunction
 
 __all__ = [
     "CheckItem",
@@ -124,7 +124,8 @@ _D2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 
 
 def default_residual_grid(n, p: ModelParams) -> RadialGrid:
     """Uniform grid of step h = RESIDUAL_STEP / sqrt(omega) from 0.05 / sqrt(omega) to 10
-    past the turning point: every length scales with the trap length 1/sqrt(omega).
+    past the turning point of level n: every length scales with the trap length
+    1/sqrt(omega).  A set of levels is checked on the grid of its top level.
 
     Roundoff (~1/h^2) and truncation (~h^order) met above the 1e-8 gate at order 4,
     h = 1e-3 (N=3, lambda=1, r=2: 1.6e-8 at m = 60, 5.0e-8 at 100).  Order 8 at 6e-3 reads
@@ -138,28 +139,44 @@ def default_residual_grid(n, p: ModelParams) -> RadialGrid:
 
 
 def ode_residual(n, p: ModelParams, x1_denominator="g_plus_alpha") -> float:
-    """Scaled max residual of Phi'' + (tau/rho) Phi' + 2(E - V_ext) Phi on
-    `default_residual_grid`(n, p).
+    """Scaled max residual of Phi_n on `default_residual_grid`(n, p): `_scaled_residuals`
+    on the one level n."""
+    return _scaled_residuals([n], p, x1_denominator)[1][0]
 
-    Phi comes from `radial_eigenfunction`, E from the analytic formula, and
-    V_ext = w^2 rho^2 / 2 + v_new.  Derivatives are 9-point, eighth-order central
-    differences; the result is normalized by max|Phi| times omega(2n+alpha+1).  A
-    non-finite Phi_n or v_new (Laguerre overflow) raises NonFiniteError.
+
+def _scaled_residuals(levels, p: ModelParams, x1_denominator="g_plus_alpha"):
+    """The grid `default_residual_grid`(max(levels), p) and, for each n in levels (ascending),
+    the scaled max residual of Phi'' + (tau/rho) Phi' + 2(E_n - V_ext) Phi on it.
+
+    Phi_n comes from `wavefunctions._radial_rows` (the rows of `radial_eigenfunction`,
+    sharing one envelope and denominator; the 2g + alpha variant from
+    `radial_eigenfunction` itself), E_n from the analytic formula, and
+    V_ext = w (w rho^2) / 2 + v_new, with v_new evaluated once for all levels.  Derivatives
+    are 9-point, eighth-order central differences; each residual is normalized by
+    max|Phi_n| times omega(2n+alpha+1).  A non-finite Phi_n or v_new (Laguerre overflow)
+    raises NonFiniteError.
     """
-    grid = default_residual_grid(n, p)
+    levels = [_check_index("n", n, 0) for n in levels]
+    grid = default_residual_grid(max(levels), p)
     rho = grid.nodes[4:-4]
     with np.errstate(over="ignore", invalid="ignore"):
-        f = radial_eigenfunction(n, p, grid.nodes, x1_denominator=x1_denominator)
+        if x1_denominator == "g_plus_alpha":
+            phi = list(_radial_rows(levels, p, grid.nodes))
+        else:  # the inconsistent m = 1 variant, a negative control
+            phi = [radial_eigenfunction(n, p, grid.nodes, x1_denominator) for n in levels]
         v = v_new(rho, p)
-    for name, values in ((f"Phi_{n}", f), ("v_new", v)):
+    for name, values in [(f"Phi_{n}", f) for n, f in zip(levels, phi)] + [("v_new", v)]:
         if not np.all(np.isfinite(values)):
             raise NonFiniteError(f"residual: {name} is not finite (Laguerre overflow)")
-    f1 = np.correlate(f, _D1) / grid.spacing
-    f2 = np.correlate(f, _D2) / grid.spacing ** 2
-    pot = 0.5 * p.omega ** 2 * rho ** 2 + v
-    e_n = energy_level(n, p)
-    resid = f2 + (p.tau / rho) * f1 + 2 * (e_n - pot) * f[4:-4]
-    return float(np.max(np.abs(resid)) / (np.max(np.abs(f)) * e_n))
+    pot = 0.5 * p.omega * (p.omega * rho ** 2) + v  # omega ** 2 alone leaves float64
+    out = []
+    for n, f in zip(levels, phi):
+        f1 = np.correlate(f, _D1) / grid.spacing
+        f2 = np.correlate(f, _D2) / grid.spacing ** 2
+        e_n = energy_level(n, p)
+        resid = f2 + (p.tau / rho) * f1 + 2 * (e_n - pot) * f[4:-4]
+        out.append(float(np.max(np.abs(resid)) / (np.max(np.abs(f)) * e_n)))
+    return grid, out
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +233,24 @@ def numeric_spectrum(p: ModelParams, k: int, n_points: int | None = None,
 
     The coarse grid is `solver.solver_grid`(p, k, n_points), so it ends at the wall
     that holds all k levels; the fine grid has 2 n_points + 1 nodes and the same wall.
+    The potential is evaluated once, on the fine nodes (`_ladder`).
     The coarse ladder is refined from the analytic E_n and the fine one from
     coarse + 3/4 (E_n - coarse), as the h^2 error shrinks 4x; the seeds set only
     the cost (`solver.lowest_eigenvalues`)."""
     grid = solver_grid(p, k, n_points)
+    fine = grid.refined()
+    pot = _v_eff(p, fine)
+    if extended:
+        pot = pot + _extension(p, fine, v_new_scale)
+    return _ladder(p, k, grid, pot, extended)
+
+
+def _ladder(p, k, grid, pot, extended) -> SpectrumReport:
+    """The SpectrumReport of one ladder on the pair grid, grid.refined(), from the potential
+    on the fine nodes: the coarse nodes are the fine grid's odd nodes, so the coarse matrix
+    reads pot[1::2] (they differ from grid.nodes by rounding only)."""
     analytic = np.array([energy_level(n, p) for n in range(k)])
-    coarse_matrix, fine_matrix = (hamiltonian_diagonals(p, g, extended, v_new_scale)
-                                  for g in (grid, grid.refined()))
+    coarse_matrix, fine_matrix = _tridiagonal(grid, pot[1::2]), _tridiagonal(grid.refined(), pot)
     coarse, how_coarse = lowest_eigenvalues(*coarse_matrix, k, analytic)
     fine, how_fine = lowest_eigenvalues(*fine_matrix, k, coarse + 0.75 * (analytic - coarse))
     extrap = richardson(coarse, fine)
@@ -233,20 +261,25 @@ def numeric_spectrum(p: ModelParams, k: int, n_points: int | None = None,
 
 
 def _spectra(p, k, n_points, v_new_scale):
-    """Conventional and extended SpectrumReports on one grid pair.  At m = 0 v_new is
-    zero, so the extended matrices are the conventional ones bit for bit and their
-    ladders are reused."""
-    conv = numeric_spectrum(p, k, n_points)
+    """Conventional and extended SpectrumReports on one grid pair, as `numeric_spectrum`
+    makes each: V_eff is evaluated once, on the fine nodes, and v_new once, for the
+    extended ladder, which adds it to the same V_eff.  At m = 0 v_new is zero, so the
+    extended matrices are the conventional ones bit for bit and their ladders are reused."""
+    grid = solver_grid(p, k, n_points)
+    fine = grid.refined()
+    v_eff = _v_eff(p, fine)
+    conv = _ladder(p, k, grid, v_eff, False)
     if p.ext_index == 0 and np.isfinite(v_new_scale):
         return conv, dataclasses.replace(conv, extended=True, solves=("reused", "reused"))
-    return conv, numeric_spectrum(p, k, n_points, True, v_new_scale)
+    return conv, _ladder(p, k, grid, v_eff + _extension(p, fine, v_new_scale), True)
 
 
 def isospectrality_check(p: ModelParams, k: int = 4, n_points: int | None = None,
                          v_new_scale: float = 1.0) -> VerificationReport:
     """Extended vs conventional vs analytic spectra, as a structured report.
 
-    Both ladders come from `numeric_spectrum`(p, k, n_points).  Tolerances: 1e-6 E_n
+    Both ladders come from `_spectra`(p, k, n_points), which makes each as
+    `numeric_spectrum` does.  Tolerances: 1e-6 E_n
     against the analytic ladder; tol_iso = max(1e-8 w, 25 eps ||T_fine||_1) between
     the two numeric spectra, the second term being the eigensolver's roundoff floor on
     the fine extended matrix.  v_new_scale != 1 perturbs the extension term (negative

@@ -25,8 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonFiniteError, QuadratureError, ResolutionError, ValidationError
-from .laguerre import (_check_index, _lag, _maybe_scalar, x1_laguerre, xm_denominator,
-                       xm_laguerre)
+from .laguerre import _check_index, _lag_rows, _maybe_scalar, _xm_rows, x1_laguerre
 from .model import Configuration, ModelParams, _check_rho, turning_point_g
 from .quadrature import panel_nodes
 from .solver import RadialGrid, wall_g
@@ -54,25 +53,34 @@ def radial_eigenfunction(n, p: ModelParams, rho, x1_denominator="g_plus_alpha"):
 
     x1_denominator selects, for m = 1 only, between the consistent
     denominator (g + alpha) and the inconsistent variant (2g + alpha) kept
-    for negative tests.
+    for negative tests.  The consistent form is the row of `_radial_rows`.
     """
     n = _check_index("n", n, 0)
     if x1_denominator not in X1_DENOMINATOR_FORMS:
         raise ValidationError(
             f"x1_denominator must be one of {X1_DENOMINATOR_FORMS}, got {x1_denominator!r}")
     rho_a = _check_rho(rho)
-    m, a = p.ext_index, p.alpha
+    if x1_denominator == "g_plus_alpha":
+        return _maybe_scalar(next(_radial_rows([n], p, rho_a)), rho)
+    if p.ext_index != 1:
+        raise ValidationError("the 2g_plus_alpha variant exists only for m = 1")
     g = p.omega * rho_a ** 2
+    return _maybe_scalar(np.exp(-g / 2) * x1_laguerre(n + 1, p.alpha, g) / (2 * g + p.alpha), rho)
+
+
+def _radial_rows(levels, p: ModelParams, rho):
+    """Iterator over Phi_n(rho) for n in levels (ascending) on a checked rho array, consistent
+    denominator, made one row at a time; exp(-g/2), L_m^(alpha)(-g) and the denominator
+    L_m^(alpha-1)(-g) are evaluated once for all levels (`laguerre._xm_rows`)."""
+    m, a = p.ext_index, p.alpha
+    g = p.omega * rho ** 2
     envelope = np.exp(-g / 2)
     if m == 0:
-        val = envelope * _lag(n, a, g)
-    elif x1_denominator == "2g_plus_alpha":
-        if m != 1:
-            raise ValidationError("the 2g_plus_alpha variant exists only for m = 1")
-        val = envelope * x1_laguerre(n + 1, a, g) / (2 * g + a)
-    else:
-        val = envelope * xm_laguerre(n, m, a, g) / xm_denominator(m, a, g)
-    return _maybe_scalar(val, rho)
+        wanted = set(levels)
+        return (envelope * row for n, row in enumerate(_lag_rows(max(levels), a, g))
+                if n in wanted)
+    den, rows = _xm_rows(levels, m, a, g)
+    return (envelope * poly / den for poly in rows)
 
 
 def jastrow(c: Configuration, p: ModelParams) -> float:
@@ -101,11 +109,10 @@ def manybody_groundstate(c: Configuration, p: ModelParams) -> float:
 def _log_rows(levels, p: ModelParams, rho):
     """sign(Phi_n) and log|Phi_n| + (tau/2) log rho, one row per level, never forming Phi_n
     (exp(-g/2) and rho^tau leave float64 from tau ~ 255); NaN or +inf (overflow) raises."""
-    m, a = p.ext_index, p.alpha
     g = p.omega * rho ** 2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lm, den = _lag(m, a, -g), _lag(m, a - 1, -g)
-        poly = np.stack([lm * _lag(n, a - 1, g) + den * _lag(n - 1, a, g) for n in levels])
+        den, rows = _xm_rows(levels, p.ext_index, p.alpha, g)
+        poly = np.stack(list(rows))
         log = np.log(np.abs(poly)) - (g / 2 + np.log(den) - 0.5 * p.tau * np.log(rho))
     if np.any(np.isnan(log) | (log == np.inf)):
         raise NonFiniteError("radial quadrature: log|Phi_n| is not finite (Laguerre overflow)")
@@ -178,23 +185,34 @@ def _sign_changes(signs):
 
 
 def count_nodes(n, p: ModelParams) -> int:
-    """Sign changes of Phi_n on the open interval covered by `default_node_grid`(n, p).
+    """Sign changes of Phi_n on the open interval covered by `default_node_grid`(n, p):
+    `_node_counts` on the one level n."""
+    return _node_counts([_check_index("n", n, 0)], p)[0]
 
-    The count stands only with no pair of sign changes in adjacent cells (an unresolved
+
+def _node_counts(levels, p: ModelParams) -> list:
+    """Sign changes of Phi_n for n in levels (ascending), all on the grid of the top level,
+    `default_node_grid`(max(levels), p): its spacing grows with the top level's turning
+    point only below 2001 points, and the zeros of every level lie inside its domain.
+
+    Each count stands only with no pair of sign changes in adjacent cells (an unresolved
     near-tangency) and the same count on the grid's halving (2 n_points - 1 points);
-    otherwise ResolutionError.
+    otherwise ResolutionError.  The polynomials share their level-independent factors
+    (`laguerre._xm_rows`) and are made one level row at a time.
     """
-    n = _check_index("n", n, 0)
-    grid = default_node_grid(n, p)
+    grid = default_node_grid(max(levels), p)
     halved = RadialGrid(grid.rho_min, grid.rho_max, 2 * grid.n_points - 1)
     # Phi_n = Xm polynomial * exp(-g/2) / L_m^(alpha-1)(-g), the last factor positive; the
     # polynomial keeps its sign where exp(-g/2) underflows (large alpha)
-    signs = np.sign(xm_laguerre(n, p.ext_index, p.alpha, p.omega * halved.nodes ** 2))
-    cells, count_halved = _sign_changes(signs[::2]), len(_sign_changes(signs))
-    if np.any(np.diff(cells) <= 2):
-        raise ResolutionError(
-            "two sign changes within adjacent cells: suspected tangency, refine the grid")
-    if count_halved != len(cells):
-        raise ResolutionError(f"{len(cells)} sign changes on the grid but {count_halved} on "
-                              "its halving; refine the grid")
-    return len(cells)
+    counts = []
+    for poly in _xm_rows(levels, p.ext_index, p.alpha, p.omega * halved.nodes ** 2)[1]:
+        signs = np.sign(poly)
+        cells, count_halved = _sign_changes(signs[::2]), len(_sign_changes(signs))
+        if np.any(np.diff(cells) <= 2):
+            raise ResolutionError(
+                "two sign changes within adjacent cells: suspected tangency, refine the grid")
+        if count_halved != len(cells):
+            raise ResolutionError(f"{len(cells)} sign changes on the grid but {count_halved} on "
+                                  "its halving; refine the grid")
+        counts.append(len(cells))
+    return counts

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from xtcs import NonFiniteError, cli, verify
+from xtcs import ModelParams, NonFiniteError, cli, solver, verify
 from xtcs.cli import SUITES, main
 from xtcs.verify import VerificationReport
 
@@ -359,11 +359,12 @@ def test_residual_passes_at_large_m(m, tmp_path, capsys):
     doc = json.loads((out / "report_residual.json").read_text())
     assert [item["value"] < 1e-8 for item in doc["items"][:4]] == [True] * 4
     meta = doc["metadata"]
-    assert meta["fd_order"] == 8 and len(meta["spacing"]) == len(meta["grid_points"]) == 4
-    assert all(5.9e-3 < h <= 6e-3 for h in meta["spacing"])  # omega = 1
-    assert meta["grid_points"] == sorted(set(meta["grid_points"]))  # higher levels reach further
+    # levels 0-3 share the grid of level 3, which reaches furthest
+    grid = verify.default_residual_grid(3, ModelParams.from_json_dict(doc["params"]))
+    assert meta["fd_order"] == 8 and meta["grid_points"] == grid.n_points
+    assert meta["spacing"] == grid.spacing and 5.9e-3 < grid.spacing <= 6e-3  # omega = 1
     text = (out / "report_residual.txt").read_text()
-    assert "# fd_order: 8" in text and "grid_points" not in text
+    assert "# fd_order: 8" in text and f"# grid_points: {grid.n_points}" in text
 
 
 @pytest.mark.parametrize("cfg, suite, message", [
@@ -484,6 +485,54 @@ def test_omega_whose_square_overflows_exits_1_with_one_line(command, message, tm
     assert captured.err == f"xtcs: error: {message}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("omega", [1e-300, 1e160, 1e300])
+def test_residual_suite_passes_at_extreme_omega(omega, tmp_path, capsys):
+    # the trap term is w (w rho^2) / 2: w ** 2 underflows below ~1e-160 and overflows a
+    # Python float (OverflowError) above ~1e154, while every product here stays in range
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": omega, "s": 0, "m": 1}))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--suite", "residual", "--out", str(out)]) == 0
+    items = json.loads((out / "report_residual.json").read_text())["items"]
+    assert all(item["value"] <= 1e-11 for item in items[:4])
+    assert items[4]["value"] > 1.5  # the 2g+alpha control
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record the size of the first argument of every call to module.name."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(rho, *args, **kwargs):
+        calls.append(len(rho))
+        return fn(rho, *args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_residual_suite_evaluates_v_new_once_for_its_levels(config, tmp_path, monkeypatch):
+    # one v_new on the grid of level 3 for levels 0-3, one for the 2g+alpha control at level 0
+    calls = _count_calls(monkeypatch, verify, "v_new")
+    assert main(["verify", "--config", config, "--suite", "residual",
+                 "--out", str(tmp_path)]) == 0
+    p = cli.load_params(config)
+    assert calls == [verify.default_residual_grid(n, p).n_points - 8 for n in (3, 0)]
+
+
+@pytest.mark.parametrize("m, v_new_calls", [(1, 1), (0, 0)])
+def test_spectrum_grid_pair_evaluates_each_potential_once(m, v_new_calls, tmp_path,
+                                                           monkeypatch):
+    # V_eff once for both ladders, v_new once for the extended one (none at m = 0, where
+    # the conventional ladders are reused), both on the fine grid
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": m}))
+    v_eff = _count_calls(monkeypatch, solver, "v_eff_radial")
+    v_new = _count_calls(monkeypatch, solver, "v_new")
+    assert main(["verify", "--config", str(path), "--suite", "spectrum",
+                 "--out", str(tmp_path / "out")]) == 0
+    fine = verify.solver_grid(cli.load_params(str(path)), 4).refined().n_points
+    assert v_eff == [fine] and v_new == [fine] * v_new_calls
 
 
 def test_parser_is_built_once_and_each_call_sees_only_its_arguments(config, monkeypatch):

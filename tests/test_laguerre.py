@@ -7,7 +7,7 @@ import pytest
 from xtcs import (ValidationError, laguerre, laguerre_derivative, ode_coefficients,
                   resolve_r_denominator, x1_laguerre, xm_denominator, xm_laguerre,
                   xm_ode_residual)
-from xtcs.laguerre import r_variant_residuals
+from xtcs.laguerre import _lag, _lag_pair, _lag_rows, _xm_rows, r_variant_residuals
 
 from conftest import battery
 
@@ -29,6 +29,42 @@ def series_laguerre(n, alpha, x):
 
 
 # -- classical polynomials ---------------------------------------------------
+
+def loop_laguerre(n, alpha, x):
+    """Reference: the upward recurrence as a plain loop, one degree per call."""
+    x = np.asarray(x, dtype=float)
+    if n < 1:
+        return np.full_like(x, float(n == 0))
+    prev, cur = 1.0, 1 + alpha - x
+    for k in range(1, n):
+        cur, prev = ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1), cur
+    return cur
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.5, 884.0])
+def test_rows_form_is_the_recurrence_bit_for_bit(alpha):
+    x = np.concatenate((-np.geomspace(1e-3, 3e3, 40), [0.0], np.geomspace(1e-3, 3e3, 40)))
+    rows = list(_lag_rows(40, alpha, x))
+    assert len(rows) == 41
+    for j, row in enumerate(rows):
+        assert np.array_equal(row, loop_laguerre(j, alpha, x), equal_nan=True)
+        assert np.array_equal(row, _lag(j, alpha, x), equal_nan=True)
+        below, last = _lag_pair(j, alpha, x)  # L_0 may come back as the scalar 1.0
+        assert np.array_equal(np.broadcast_to(below, x.shape), rows[j - 1] if j else 0 * x)
+        assert np.array_equal(last, row)
+    assert list(_lag_rows(-1, alpha, x)) == []
+    assert np.array_equal(_lag(-1, alpha, x), np.zeros_like(x))
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 20])
+def test_xm_rows_are_xm_laguerre_bit_for_bit(m):
+    g = np.linspace(0.0, 60.0, 301)
+    den, rows = _xm_rows([0, 2, 3, 7], m, 2.5, g)
+    assert np.array_equal(den, xm_denominator(m, 2.5, g))
+    for n, row in zip([0, 2, 3, 7], rows):
+        assert np.array_equal(row, xm_laguerre(n, m, 2.5, g))
+
+
 
 def test_degree_zero_is_one():
     assert laguerre(0, 3.7, 5.2) == 1.0
@@ -216,9 +252,8 @@ def test_batched_r_variants_match_per_probe_reference():
     for a in alphas:
         probes = [(n, m, a, g) for n in range(4) for m in (1, 2, 3)
                   for g in (0.5, 2.0, a + 1.0, 11.3)]
-        got, want = r_variant_residuals(probes), per_probe_r_variant_residuals(probes)
-        for variant in want:
-            assert got[variant] == pytest.approx(want[variant], rel=1e-12, abs=0)
+        # one pass per (n, m, alpha) group gives the per-probe values bit for bit
+        assert r_variant_residuals(probes) == per_probe_r_variant_residuals(probes)
 
 
 def test_residual_and_coefficients_take_arrays():

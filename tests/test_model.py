@@ -16,6 +16,7 @@ import pytest
 from xtcs import (AttractiveCouplingWarning, Configuration, ModelParams,
                   ValidationError, consistency_suite, energy_level, ext_constants,
                   v_eff_radial, v_interaction, v_new, v_new_x1_two_term)
+from xtcs.laguerre import _lag
 from xtcs.wavefunctions import jastrow
 
 from conftest import BATTERY_BASE, make_params
@@ -205,6 +206,23 @@ def test_v_new_at_large_alpha_against_high_precision(n, lam, r):
         assert np.max(np.abs(v_new(rho, p) - want) / np.abs(want)) <= 2e-15
     item = consistency_suite(p).items[0]
     assert item.name.startswith("m=1 extension: general form vs two-term form") and item.passed
+
+
+def four_recurrence_v_new(rho, p):
+    """Reference: v_new's formula with each of its four Laguerre factors from its own pass."""
+    m, a, w = p.ext_index, p.alpha, p.omega
+    g = w * rho ** 2
+    den, l1, l2 = _lag(m, a - 1, -g), _lag(m - 1, a, -g), _lag(m - 2, a, -g)
+    return (2 * w * ((a - 1) * l2 - g * _lag(m - 2, a + 1, -g) - m * (l1 - l2)) / den
+            + 4 * w * g * (l1 / den) ** 2)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 20, 60])
+def test_v_new_takes_its_two_lower_degrees_from_one_pass(m):
+    rho = np.linspace(0.0, 12.0, 241)
+    for base in BATTERY_BASE + [(30, 2.0, 29, 0, 0.05)]:
+        p = make_params(base, m)
+        assert np.array_equal(v_new(rho, p), four_recurrence_v_new(rho, p))
 
 
 def test_v_new_frequency_scaling():

@@ -336,6 +336,20 @@ def test_residual_grid_follows_the_trap_length(omega):
     assert ode_residual(0, p) <= 1e-8
 
 
+def test_suite_residuals_give_the_standalone_verdicts():
+    # levels 0-3 on the grid of level 3, as the residual suite evaluates them, against
+    # ode_residual on each level's own grid; the tau < 4 configs at m = 60 fail both ways
+    cases = battery() + [make_params(base, m) for base in BATTERY_BASE for m in (20, 60)]
+    cases += [ModelParams(2, 0.6, 1, 0.05, ext_index=m) for m in (20, 60)]
+    cases += [ModelParams(30, 2.0, 29, 1.0, ext_index=1)]
+    for p in cases:
+        grid, suite = verify._scaled_residuals(range(4), p)
+        assert grid == verify.default_residual_grid(3, p)
+        standalone = [ode_residual(n, p) for n in range(4)]
+        assert [v <= 1e-8 for v in suite] == [v <= 1e-8 for v in standalone], p
+        assert suite[3] == standalone[3]  # same grid, same code
+
+
 # -- quadrature-based orthogonality ---------------------------------------------
 
 def test_orthogonality_matrix_structure():

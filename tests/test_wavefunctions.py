@@ -235,6 +235,18 @@ def test_node_counts_match_the_old_dense_grid(monkeypatch):
     assert counts == [count_nodes(n, p) for n, p in cases] == [n for n, _ in cases]
 
 
+def test_suite_node_counts_match_the_per_level_counts():
+    # levels 0-4 counted on the top level's grid, as the ortho suite does
+    cases = [dataclasses.replace(make_params(base, m), omega=omega)
+             for base in BATTERY_BASE for m in (0, 1, 2, 3, 20, 60)
+             for omega in (0.05, 1.0, 20.0)]
+    cases += [ModelParams(40, 3.0, 39, 1.0, ext_index=m) for m in (0, 2, 20)]
+    for p in cases:
+        assert wavefunctions._node_counts(range(5), p) == [count_nodes(n, p)
+                                                            for n in range(5)]
+        assert wavefunctions._node_counts([3], p) == [count_nodes(3, p)] == [3]
+
+
 # -- pruned log-domain Gram matrix ------------------------------------------------
 
 def full_panel_overlaps(p, k):
