@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -121,16 +122,26 @@ def _csv(rows, header, what) -> str:
 
 
 def _json(doc) -> str:
+    """Compact JSON: the C encoder (an indent would fall back to the pure-Python one)."""
     try:
-        return json.dumps(doc, indent=2, allow_nan=False)
+        return json.dumps(doc, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteError(f"JSON output: {exc}") from None
 
 
-def _open_out(out_dir, name):
-    path = Path(out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+def _write(out_dir, name, text):
+    """Write text to out_dir/name, creating out_dir on the first write.  An existing file
+    is overwritten in place and cut to the new length: unlike opening it with "w", that
+    does not truncate it to zero first, which costs several times the write itself."""
+    path = os.path.join(out_dir, name)
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except FileNotFoundError:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as f:
+        f.write(text)
+        f.truncate()
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +171,14 @@ def cmd_params(args) -> int:
     return 0
 
 
+def _check_points(args):
+    if args.points is not None and args.points < 2:
+        raise ValidationError(f"--points must be >= 2, got {args.points}")
+
+
 def cmd_table(args) -> int:
     p = load_params(args.config)
+    _check_points(args)
     if args.what == "spectrum":
         rows = spectrum_csv_rows(p, args.levels, args.points)
         header = ("n", "E_analytic", "E_conv_numeric", "E_ext_numeric",
@@ -170,8 +187,6 @@ def cmd_table(args) -> int:
         n_points = 1001 if args.points is None else args.points
         rho_max = (float(np.sqrt(turning_point_g(args.level, p, 10) / p.omega))
                    if args.rho_max is None else args.rho_max)
-        if n_points < 2:
-            raise ValidationError(f"--points must be >= 2, got {n_points}")
         if not (np.isfinite(rho_max) and rho_max > 0):
             raise ValidationError(f"--rho-max must be finite and > 0, got {rho_max}")
         rho = np.linspace(rho_max / n_points, rho_max, n_points)
@@ -186,7 +201,7 @@ def cmd_table(args) -> int:
         header, rows = tuple(columns), list(zip(*columns.values()))
     text = _csv(rows, header, args.what)
     if args.out:
-        _open_out(args.out, f"{args.what}.csv").write_text(text, encoding="utf-8")
+        _write(args.out, f"{args.what}.csv", text)
     else:
         sys.stdout.write(text)
     return 0
@@ -249,6 +264,7 @@ _SUITE_RUNNERS = {
 
 def cmd_verify(args) -> int:
     p = load_params(args.config)
+    _check_points(args)
     selected = list(SUITES) if args.suite == "all" else [args.suite]
     all_passed = True
     for name in selected:
@@ -261,8 +277,8 @@ def cmd_verify(args) -> int:
         all_passed &= report.passed
         print(f"{name}: {'PASS' if report.passed else 'FAIL'}")
         if args.out:
-            _open_out(args.out, f"report_{name}.json").write_text(text + "\n", encoding="utf-8")
-            _open_out(args.out, f"report_{name}.txt").write_text(report.to_text(), encoding="utf-8")
+            _write(args.out, f"report_{name}.json", text + "\n")
+            _write(args.out, f"report_{name}.txt", report.to_text())
     return 0 if all_passed else 2
 
 
@@ -272,7 +288,7 @@ def cmd_local_energy(args) -> int:
     text = _json(stats.to_json_dict())
     print(text)
     if args.out:
-        _open_out(args.out, "local_energy.json").write_text(text + "\n", encoding="utf-8")
+        _write(args.out, "local_energy.json", text + "\n")
     return 0 if stats.passed() else 2
 
 

@@ -15,7 +15,7 @@ Refinement: each level starts from a seed s and runs shifted inverse
 iteration with Rayleigh-quotient shifts: solve (T - s I) y = x by LAPACK
 *gtsv*, x = y / |y|_2, s = x^T T x, until r = |T x - s x|_2 <= 2 eps ||T||_1,
 r stops halving (its rounding floor: 3-7 eps ||T||_1 on the tau < 4 grids)
-or RQI_STEPS steps, starting from x = ones.
+or RQI_STEPS steps, starting from x = ones or from given start vectors.
 Certificate: for symmetric T and unit x some eigenvalue lies within r of
 s, so the intervals s_n +- max(r_n, 4 eps ||T||) (the floor covers the
 residual's own rounding) each hold one if they are finite, ordered and
@@ -27,10 +27,18 @@ cost, never which levels come back.
 
 Seeds (`verify.numeric_spectrum`): the analytic E_n for the coarse ladder and
 coarse + 3/4 (E_n - coarse) for the fine one (the h^2 error shrinks 4x), for the
-conventional and the extended matrices alike.  Over 1,944 `isospectrality_check`
-configs (N = 2 ... 16, lambda = 0.6 ... 2.5, r = 1 and N - 1, w = 0.05 ... 20,
-m in {0, 1, 3, 20}, k in {1, 4, 12}, extension term scaled by 1 and 1.01) all 6,804
-ladders solved were refined, at 1.8 solves per level.
+conventional and the extended matrices alike.  On the tau >= 4 grids the fine
+ladder's iteration starts from the coarse ladder's vectors, `_prolonged` to the fine
+grid; the coarse ladder, a fine one after a "full" coarse one and the tau < 4 grids
+start from ones.  At tau < 4 the rounding floor lies above the 2 eps stop, so a warm
+start lands on it in one solve and needs a second to see r stop halving, where a cold
+first solve happens to land below 2 eps: at N=2, lambda=1, r=1, w=1 (tau = 3) the fine
+ladders took 8, 8, 7 solves warm against 4, 4, 5 cold at m = 0, 1, 3.
+Over 1,944 `isospectrality_check` configs (N = 2 ... 16, lambda = 0.6 ... 2.5, r = 1
+and N - 1, w = 0.05 ... 20, m in {0, 1, 3, 20}, k in {1, 4, 12}, extension term
+scaled by 1 and 1.01) all 6,804 ladders solved were refined.  Solves per level:
+coarse 2.05 at tau >= 4 and 2.45 below; fine 1.04 at tau >= 4 (1.51 from ones) and
+2.24 below; 1.60 overall (1.82 from ones).
 """
 
 from __future__ import annotations
@@ -60,6 +68,9 @@ __all__ = [
 WALL_DECAY_NATS = 19.3
 # Cap on the Rayleigh-quotient inverse-iteration steps per refined level.
 RQI_STEPS = 6
+# From this tau up u ~ rho^(tau/2) is smooth enough at the origin for the grid pair to be
+# fourth order (`solver_grid`) and for its fine ladder to start from the coarse vectors.
+SMOOTH_TAU = 4
 
 
 @dataclass(frozen=True)
@@ -154,7 +165,7 @@ def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGr
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    smooth = p.tau >= 4
+    smooth = p.tau >= SMOOTH_TAU
     if n_points is None:
         n_points = max(501, 250 * k + 1) if smooth else 20001
     g_wall = wall_g(k - 1, p) if smooth else turning_point_g(k - 1, p, 30)
@@ -207,21 +218,34 @@ def _tridiagonal(grid: RadialGrid, pot):
     return 1.0 / h ** 2 + pot, np.full(grid.n_points - 1, -0.5 / h ** 2)
 
 
-def lowest_eigenvalues(diag, off, k, guesses=None):
-    """Lowest k eigenvalues of the symmetric tridiagonal matrix, and how they were
-    found: "refined" or "full".
+def _prolonged(vectors):
+    """Rows given on a solver grid, carried to grid.refined(): the fine grid's odd nodes
+    are the coarse nodes, and each even node takes the mean of its two neighbours, the
+    Dirichlet zeros beyond either end included."""
+    walled = np.zeros((len(vectors), 2 * vectors.shape[1] + 3))  # fine nodes and the zeros
+    walled[:, 2:-1:2] = vectors
+    walled[:, 1::2] = 0.5 * (walled[:, :-1:2] + walled[:, 2::2])
+    return walled[:, 1:-1]
 
-    With guesses, level n is refined from guesses[n] and certified as in the module
-    docstring ("refined").  Without guesses, or on any miss, one LAPACK *stebz* call
+
+def lowest_eigenvalues(diag, off, k, guesses=None, starts=None):
+    """Lowest k eigenvalues of the symmetric tridiagonal matrix, how they were found
+    ("refined" or "full"), and the refined levels' unit eigenvectors as rows (None if
+    "full").
+
+    With guesses, level n is refined from guesses[n], its iteration started from
+    starts[n] (default: ones), and certified as in the module docstring ("refined").
+    Without guesses, or on any miss, one LAPACK *stebz* call
     bisects over the index range 0..k-1 ("full"); most of its ~160 Sturm sweeps locate
     that index window inside the Gershgorin interval, ~1e6 wide on the solver grids.
     A non-finite matrix raises NonFiniteError naming the spectrum stage, and so does a
     full call that does not return k levels with info = 0.
 
-    Cost on a 2003-row solver matrix (tau = 21, k = 4, 2 vCPUs): full 2.6 ms; refined
-    0.8 ms, each *gtsv* solve 0.05 ms (three Sturm sweeps) and the count 0.08 ms.  The
-    first call in a process also loads the LAPACK extension: 24-35 ms, `import scipy`
-    included.
+    Cost on a 2003-row solver matrix (tau = 21, k = 4, 2 vCPUs), the fine matrix of
+    `verify.numeric_spectrum`: full 2.7 ms; refined 0.8 ms from ones (7 solves) and
+    0.5 ms from the coarse ladder's vectors (4 solves), each *gtsv* solve 0.05 ms (three
+    Sturm sweeps) and the count 0.08 ms.  The first call in a process also loads the
+    LAPACK extension: 24-35 ms, `import scipy` included.
     """
     if not 1 <= k <= len(diag) or len(diag) < 2:  # stebz's wrapper takes no 1-row matrix
         raise ValidationError(
@@ -231,28 +255,30 @@ def lowest_eigenvalues(diag, off, k, guesses=None):
     stebz = _stebz()
     if guesses is not None:
         with np.errstate(all="ignore"):  # an overflow leaves non-finite values: a miss
-            found = _refined(stebz, diag, off, k, guesses)
+            found = _refined(stebz, diag, off, k, guesses, starts)
         if found is not None:
-            return found, "refined"
+            return found[0], "refined", found[1]
     # RANGE = 'I' (2), indices 1..k, tolerance 0 (stebz's own, ~eps ||T||), ORDER = 'E':
     # the arguments of scipy's eigvalsh_tridiagonal(select="i", lapack_driver="stebz")
     count, w, _, _, info = stebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0, "E")
     if info or count != k:
         raise NonFiniteError(
             f"spectrum: stebz returned info = {info} and {count} of {k} levels")
-    return w[:k], "full"
+    return w[:k], "full", None
 
 
-def _refined(stebz, diag, off, k, guesses):
-    """The k eigenvalues refined from their guesses and certified, or None."""
+def _refined(stebz, diag, off, k, guesses, starts):
+    """The k eigenvalues refined from their guesses and certified, with their vectors,
+    or None."""
     guesses = np.asarray(guesses, dtype=float)
     if guesses.shape != (k,):
         return None
     gtsv = sys.modules["scipy.linalg._flapack"].dgtsv  # loaded by _stebz
     ulp_norm = np.finfo(float).eps * matrix_norm1(diag, off)
-    values, radii = np.empty(k), np.empty(k)
+    values, radii, vectors = np.empty(k), np.empty(k), np.empty((k, len(diag)))
     for n, shift in enumerate(guesses):
-        x, last = np.ones(len(diag)), np.inf
+        x = np.ones(len(diag)) if starts is None else np.array(starts[n], dtype=float)
+        last = np.inf
         for _ in range(RQI_STEPS):
             *_, x, info = gtsv(off, diag - shift, off, x, overwrite_d=1, overwrite_b=1)
             if info:  # an exact zero pivot: T - shift I is singular
@@ -267,7 +293,7 @@ def _refined(stebz, diag, off, k, guesses):
             if residual <= 2 * ulp_norm or residual > last / 2:  # or at the rounding floor
                 break
             last = residual
-        values[n], radii[n] = shift, max(residual, 4 * ulp_norm)
+        values[n], radii[n], vectors[n] = shift, max(residual, 4 * ulp_norm), x
     lo, hi = values - radii, values + radii
     if not (np.all(np.isfinite(hi - lo)) and np.all(hi[:-1] < lo[1:])):
         return None
@@ -275,7 +301,7 @@ def _refined(stebz, diag, off, k, guesses):
     count, _, _, _, info = stebz(diag, off, 1, -np.inf, hi[-1], 0, 0, np.inf, "E")
     if info or count != k:
         return None
-    return values
+    return values, vectors
 
 
 def _stebz():

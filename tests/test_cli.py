@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from xtcs import ModelParams, NonFiniteError, cli, solver, verify
-from xtcs.cli import SUITES, main
+from xtcs.cli import SUITES, load_params, main
 from xtcs.verify import VerificationReport
 
 
@@ -113,16 +113,20 @@ def test_table_uses_explicit_points_and_rho_max(config, capsys):
     assert float(rows[-1].split(",")[0]) == 3.0
 
 
-@pytest.mark.parametrize("what", ["potential", "wavefunction"])
-@pytest.mark.parametrize("flag, value, message", [
-    ("--points", "0", "--points must be >= 2, got 0"),
-    ("--points", "1", "--points must be >= 2, got 1"),
-    ("--points", "-5", "--points must be >= 2, got -5"),
+BAD_POINTS = [("--points", value, f"--points must be >= 2, got {value}")
+              for value in ("0", "1", "-5")]
+BAD_RHO_MAX = [
     ("--rho-max", "0", "--rho-max must be finite and > 0, got 0.0"),
     ("--rho-max", "-1", "--rho-max must be finite and > 0, got -1.0"),
     ("--rho-max", "nan", "--rho-max must be finite and > 0, got nan"),
     ("--rho-max", "inf", "--rho-max must be finite and > 0, got inf"),
-])
+]
+
+
+@pytest.mark.parametrize(  # the spectrum table reads --points but not --rho-max
+    "flag, value, message, what",
+    [case + (what,) for what in ("potential", "wavefunction") for case in BAD_POINTS + BAD_RHO_MAX]
+    + [case + ("spectrum",) for case in BAD_POINTS])
 def test_table_rejects_bad_points_and_rho_max(config, what, flag, value, message, capsys):
     assert main(["table", "--config", config, "--what", what, flag, value]) == 1
     captured = capsys.readouterr()
@@ -130,11 +134,52 @@ def test_table_rejects_bad_points_and_rho_max(config, what, flag, value, message
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("suite", ["spectrum", "all"])
+@pytest.mark.parametrize("flag, value, message", BAD_POINTS)
+def test_verify_rejects_bad_points(config, suite, flag, value, message, tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert main(["verify", "--config", config, "--suite", suite, flag, value,
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"xtcs: error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_table_out_dir(config, tmp_path):
     out = tmp_path / "tables"
     assert main(["table", "--config", config, "--what", "potential",
                  "--points", "8", "--out", str(out)]) == 0
     assert (out / "potential.csv").exists()
+
+
+def _run_every_writer(config, out):
+    """One call of each command that writes files: every report, a table, a scan."""
+    assert main(["verify", "--config", config, "--suite", "all", "--out", str(out),
+                 "--points", "6001", "--samples", "10"]) == 0
+    assert main(["table", "--config", config, "--what", "potential", "--points", "8",
+                 "--out", str(out)]) == 0
+    assert main(["local-energy", "--config", config, "--samples", "10", "--out", str(out)]) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def test_outputs_written_over_longer_stale_files_equal_fresh_ones(config, tmp_path, capsys):
+    fresh = _run_every_writer(config, tmp_path / "fresh")
+    assert len(fresh) == 2 * 5 + 2 and all(fresh.values())
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    for name, data in fresh.items():
+        (stale / name).write_bytes(b"x" * (2 * len(data) + 100))
+    assert _run_every_writer(config, stale) == fresh
+
+
+def test_spectrum_report_is_one_compact_json_line(config, tmp_path, capsys):
+    out = tmp_path / "reports"
+    assert main(["verify", "--config", config, "--suite", "spectrum", "--points", "6001",
+                 "--out", str(out)]) == 0
+    text = (out / "report_spectrum.json").read_text(encoding="utf-8")
+    assert text.endswith("}\n") and text.count("\n") == 1
+    report = verify.isospectrality_check(load_params(config), 4, 6001)
+    assert json.loads(text) == report.to_json_dict()
 
 
 def test_verify_all_passes(config, tmp_path, capsys):

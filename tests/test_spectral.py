@@ -151,7 +151,7 @@ def test_eigenvalue_count_below_mid_gap_matches_analytic_ladder():
         p = make_params(base, 2)
         grid = solver_grid(p, 8)
         for ext in (False, True):
-            levels, _ = lowest_eigenvalues(*hamiltonian_diagonals(p, grid, extended=ext), 8)
+            levels, _, _ = lowest_eigenvalues(*hamiltonian_diagonals(p, grid, extended=ext), 8)
             for probe_level in (1, 3, 5):
                 energy = energy_level(probe_level, p) - p.omega  # between levels
                 analytic = sum(1 for n in range(8) if energy_level(n, p) < energy)
@@ -179,7 +179,7 @@ def test_refined_ladders_match_the_full_range_call_on_the_battery():
             assert report.solves == ("refined", "refined"), (p, extended)
             for g, values in zip((grid, grid.refined()), (report.raw_coarse, report.raw_fine)):
                 matrix = hamiltonian_diagonals(p, g, extended)
-                full, how = lowest_eigenvalues(*matrix, 4)
+                full, how, _ = lowest_eigenvalues(*matrix, 4)
                 assert how == "full"
                 assert np.max(np.abs(np.array(values) - full)) <= EPS * matrix_norm1(*matrix), p
 
@@ -210,7 +210,7 @@ def test_refined_call_certifies_its_guesses_or_falls_back(case):
         d, e = np.arange(1.0, 7.0), np.zeros(5)
         guesses = d[:4].copy()
     full = lowest_eigenvalues(d, e, 4)[0]
-    values, how = lowest_eigenvalues(d, e, 4, guesses)
+    values, how, _ = lowest_eigenvalues(d, e, 4, guesses)
     if case == "right":
         assert how == "refined"
         assert np.max(np.abs(values - full)) <= EPS * matrix_norm1(d, e)
@@ -274,6 +274,84 @@ def test_spectrum_report_records_how_each_ladder_was_solved(scale):
     meta = isospectrality_check(p, 4, v_new_scale=scale).metadata
     assert meta["conventional"]["solves"] == {"coarse": "refined", "fine": "refined"}
     assert meta["extended"]["solves"] == {"coarse": "refined", "fine": "refined"}
+
+
+# -- warm-started fine ladders -----------------------------------------------------
+
+def _cold(mp):
+    """Start every fine ladder from ones, as the coarse ladders do."""
+    mp.setattr(verify, "_prolonged", lambda vectors: None)
+
+
+def _fine_ladder_solves(monkeypatch, p, k, cold=False):
+    """LAPACK dgtsv solves taken by the fine ladder of numeric_spectrum(p, k, extended=True)."""
+    solver._stebz()
+    flapack = sys.modules["scipy.linalg._flapack"]
+    gtsv, solves, per_ladder = flapack.dgtsv, [0], []
+
+    def counted(*args, **kwargs):
+        solves[0] += 1
+        return gtsv(*args, **kwargs)
+
+    def ladder(*args):
+        before = solves[0]
+        found = lowest_eigenvalues(*args)
+        per_ladder.append(solves[0] - before)
+        return found
+
+    with monkeypatch.context() as mp:
+        mp.setattr(flapack, "dgtsv", counted)
+        mp.setattr(verify, "lowest_eigenvalues", ladder)
+        if cold:
+            _cold(mp)
+        assert numeric_spectrum(p, k, extended=True).solves == ("refined", "refined")
+    coarse, fine = per_ladder
+    return fine
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_warm_fine_ladder_takes_at_most_one_solve_per_level_and_one_more(monkeypatch, m):
+    p = make_params((3, 1.0, 1, 0, 1.0), m)  # tau = 6; a cold start takes 7 solves
+    assert _fine_ladder_solves(monkeypatch, p, 4) <= 4 + 1
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 20])
+def test_fine_ladders_below_tau_4_take_no_more_solves_than_a_cold_start(monkeypatch, m):
+    # at tau < 4 the residual's rounding floor lies above the 2 ulp stop: a warm start
+    # lands on it and takes a second solve to see the residual stop halving
+    p = make_params((2, 1.0, 1, 0, 1.0), m)  # tau = 3
+    warm = _fine_ladder_solves(monkeypatch, p, 4)
+    assert warm <= _fine_ladder_solves(monkeypatch, p, 4, cold=True)
+
+
+def test_warm_and_cold_fine_ladders_agree_on_the_battery(monkeypatch):
+    for base in BATTERY_BASE:
+        for m in (0, 1, 3, 20):
+            p = make_params(base, m)
+            warm = isospectrality_check(p, 4).metadata
+            with monkeypatch.context() as mp:
+                _cold(mp)
+                cold = isospectrality_check(p, 4).metadata
+            assert warm["tol_iso"] == cold["tol_iso"]
+            for ladder in ("conventional", "extended"):
+                shift = np.abs(np.subtract(warm[ladder]["raw_fine"], cold[ladder]["raw_fine"]))
+                assert np.max(shift) <= 1e-3 * warm["tol_iso"], (p, ladder)
+
+
+def test_fine_ladder_after_a_full_coarse_ladder_starts_cold_and_is_refined(monkeypatch):
+    p = ModelParams(8, 1.0, 1, 1.0, ext_index=1)  # tau = 21
+    reference = numeric_spectrum(p, 4, extended=True)
+    calls = []
+
+    def coarse_full(diag, off, k, guesses, *starts):  # the coarse call gets no guesses
+        calls.append(starts)
+        return lowest_eigenvalues(diag, off, k, guesses if len(calls) > 1 else None, *starts)
+
+    monkeypatch.setattr(verify, "lowest_eigenvalues", coarse_full)
+    report = numeric_spectrum(p, 4, extended=True)
+    assert report.solves == ("full", "refined") and calls == [(), (None,)]
+    tol = EPS * report.norm_fine
+    assert np.max(np.abs(np.subtract(report.raw_fine, reference.raw_fine))) <= 4 * tol
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])

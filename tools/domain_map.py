@@ -12,7 +12,8 @@ DOMAIN_<LABEL>.json, written to the working directory, counts the configs of eac
 (suite, exit code, reason) and gives their tau, alpha and m range.  The reason is the
 first failing item for exit 2 and the first error line for exit 1, its numbers replaced
 by '#' so that one cause is one class.  The file holds no timings, so the maps of two
-trees can be compared with `diff`.
+trees can be compared with `diff`.  It records the xtcs, numpy and scipy versions: the
+spectrum suite runs on scipy's LAPACK, so two maps compare only at one scipy.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from xtcs import ModelParams, __version__, cli
 
@@ -104,7 +106,8 @@ def domain_map(cfgs, results):
     exits = {suite: {str(code): sum(r["count"] for r in rows
                                     if r["suite"] == suite and r["exit"] == code)
                      for code in (0, 1, 2)} for suite in names}
-    return {"xtcs": __version__, "numpy": np.__version__, "grid": GRID, "samples": SAMPLES,
+    return {"xtcs": __version__, "numpy": np.__version__,
+            "scipy": scipy.__version__, "grid": GRID, "samples": SAMPLES,
             "configs": len(cfgs), "exits": exits, "classes": rows}
 
 
