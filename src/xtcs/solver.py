@@ -27,18 +27,17 @@ cost, never which levels come back.
 
 Seeds (`verify.numeric_spectrum`): the analytic E_n for the coarse ladder and
 coarse + 3/4 (E_n - coarse) for the fine one (the h^2 error shrinks 4x), for the
-conventional and the extended matrices alike.  On the tau >= 4 grids the fine
-ladder's iteration starts from the coarse ladder's vectors, `_prolonged` to the fine
-grid; the coarse ladder, a fine one after a "full" coarse one and the tau < 4 grids
-start from ones.  At tau < 4 the rounding floor lies above the 2 eps stop, so a warm
-start lands on it in one solve and needs a second to see r stop halving, where a cold
-first solve happens to land below 2 eps: at N=2, lambda=1, r=1, w=1 (tau = 3) the fine
-ladders took 8, 8, 7 solves warm against 4, 4, 5 cold at m = 0, 1, 3.
+conventional and the extended matrices alike.  The fine ladder's iteration starts
+from the coarse ladder's vectors, `_prolonged` to the fine grid; the coarse ladder,
+and a fine one after a "full" coarse one, start from ones.
 Over 1,944 `isospectrality_check` configs (N = 2 ... 16, lambda = 0.6 ... 2.5, r = 1
 and N - 1, w = 0.05 ... 20, m in {0, 1, 3, 20}, k in {1, 4, 12}, extension term
 scaled by 1 and 1.01) all 6,804 ladders solved were refined.  Solves per level:
 coarse 2.05 at tau >= 4 and 2.45 below; fine 1.04 at tau >= 4 (1.51 from ones) and
-2.24 below; 1.60 overall (1.82 from ones).
+1.19 below (2.24 from ones); 1.56 overall (1.82 from ones).  At tau < 4 the rounding
+floor can lie above the 2 eps stop, and a warm start that lands on it takes a second
+solve to see r stop halving: of the 252 fine ladders there, 30 (all at tau = 3, k = 4)
+take more solves warm than from ones, 35 as many and 187 fewer.
 """
 
 from __future__ import annotations
@@ -68,9 +67,6 @@ __all__ = [
 WALL_DECAY_NATS = 19.3
 # Cap on the Rayleigh-quotient inverse-iteration steps per refined level.
 RQI_STEPS = 6
-# From this tau up u ~ rho^(tau/2) is smooth enough at the origin for the grid pair to be
-# fourth order (`solver_grid`) and for its fine ladder to start from the coarse vectors.
-SMOOTH_TAU = 4
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,7 @@ def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGr
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    smooth = p.tau >= SMOOTH_TAU
+    smooth = p.tau >= 4
     if n_points is None:
         n_points = max(501, 250 * k + 1) if smooth else 20001
     g_wall = wall_g(k - 1, p) if smooth else turning_point_g(k - 1, p, 30)
@@ -222,7 +218,7 @@ def _prolonged(vectors):
     """Rows given on a solver grid, carried to grid.refined(): the fine grid's odd nodes
     are the coarse nodes, and each even node takes the mean of its two neighbours, the
     Dirichlet zeros beyond either end included."""
-    walled = np.zeros((len(vectors), 2 * vectors.shape[1] + 3))  # fine nodes and the zeros
+    walled = np.zeros((len(vectors), 2 * len(vectors[0]) + 3))  # fine nodes and the zeros
     walled[:, 2:-1:2] = vectors
     walled[:, 1::2] = 0.5 * (walled[:, :-1:2] + walled[:, 2::2])
     return walled[:, 1:-1]
@@ -230,8 +226,8 @@ def _prolonged(vectors):
 
 def lowest_eigenvalues(diag, off, k, guesses=None, starts=None):
     """Lowest k eigenvalues of the symmetric tridiagonal matrix, how they were found
-    ("refined" or "full"), and the refined levels' unit eigenvectors as rows (None if
-    "full").
+    ("refined" or "full"), and the refined levels' unit eigenvectors, a list of the
+    iterations' last vectors (None if "full").
 
     With guesses, level n is refined from guesses[n], its iteration started from
     starts[n] (default: ones), and certified as in the module docstring ("refined").
@@ -275,7 +271,7 @@ def _refined(stebz, diag, off, k, guesses, starts):
         return None
     gtsv = sys.modules["scipy.linalg._flapack"].dgtsv  # loaded by _stebz
     ulp_norm = np.finfo(float).eps * matrix_norm1(diag, off)
-    values, radii, vectors = np.empty(k), np.empty(k), np.empty((k, len(diag)))
+    values, radii, vectors = np.empty(k), np.empty(k), []
     for n, shift in enumerate(guesses):
         x = np.ones(len(diag)) if starts is None else np.array(starts[n], dtype=float)
         last = np.inf
@@ -293,7 +289,8 @@ def _refined(stebz, diag, off, k, guesses, starts):
             if residual <= 2 * ulp_norm or residual > last / 2:  # or at the rounding floor
                 break
             last = residual
-        values[n], radii[n], vectors[n] = shift, max(residual, 4 * ulp_norm), x
+        values[n], radii[n] = shift, max(residual, 4 * ulp_norm)
+        vectors.append(x)
     lo, hi = values - radii, values + radii
     if not (np.all(np.isfinite(hi - lo)) and np.all(hi[:-1] < lo[1:])):
         return None

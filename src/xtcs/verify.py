@@ -26,7 +26,7 @@ from .errors import NonFiniteError, ValidationError
 from .laguerre import _check_index, r_variant_battery, r_variant_residuals
 from .model import (ModelParams, energy_level, ext_constants, turning_point_g, v_new,
                     v_new_x1_two_term)
-from .solver import (SMOOTH_TAU, RadialGrid, _extension, _prolonged, _tridiagonal, _v_eff,
+from .solver import (RadialGrid, _extension, _prolonged, _tridiagonal, _v_eff,
                      lowest_eigenvalues, matrix_norm1, richardson, solver_grid)
 from .wavefunctions import _gram, _radial_rows, radial_eigenfunction
 
@@ -235,8 +235,8 @@ def numeric_spectrum(p: ModelParams, k: int, n_points: int | None = None,
     that holds all k levels; the fine grid has 2 n_points + 1 nodes and the same wall.
     The potential is evaluated once, on the fine nodes (`_ladder`).
     The coarse ladder is refined from the analytic E_n and the fine one from
-    coarse + 3/4 (E_n - coarse), as the h^2 error shrinks 4x, at tau >= 4 starting
-    from the coarse ladder's vectors; seeds and starts set only the cost
+    coarse + 3/4 (E_n - coarse), as the h^2 error shrinks 4x, starting from the
+    coarse ladder's vectors; seeds and starts set only the cost
     (`solver.lowest_eigenvalues`)."""
     grid = solver_grid(p, k, n_points)
     fine = grid.refined()
@@ -251,14 +251,14 @@ def _ladder(p, k, grid, pot, extended) -> SpectrumReport:
     on the fine nodes: the coarse nodes are the fine grid's odd nodes, so the coarse matrix
     reads pot[1::2] (they differ from grid.nodes by rounding only).
 
-    At tau >= 4 a refined coarse ladder's vectors, `solver._prolonged` to the fine grid,
-    start the fine ladder's iteration: 1.04 solves per fine level against 1.51 from ones
-    (`solver` module docstring).  At tau < 4 they would cost solves, so it starts from
-    ones there, as after a "full" coarse ladder, which returns no vectors."""
+    A refined coarse ladder's vectors, `solver._prolonged` to the fine grid, start the
+    fine ladder's iteration: 1.04 solves per fine level at tau >= 4 and 1.19 below,
+    against 1.51 and 2.24 from ones (`solver` module docstring).  After a "full" coarse
+    ladder, which returns no vectors, it starts from ones."""
     analytic = np.array([energy_level(n, p) for n in range(k)])
     coarse_matrix, fine_matrix = _tridiagonal(grid, pot[1::2]), _tridiagonal(grid.refined(), pot)
     coarse, how_coarse, vectors = lowest_eigenvalues(*coarse_matrix, k, analytic)
-    starts = _prolonged(vectors) if vectors is not None and p.tau >= SMOOTH_TAU else None
+    starts = None if vectors is None else _prolonged(vectors)
     fine, how_fine, _ = lowest_eigenvalues(*fine_matrix, k, coarse + 0.75 * (analytic - coarse),
                                            starts)
     extrap = richardson(coarse, fine)

@@ -278,12 +278,7 @@ def test_spectrum_report_records_how_each_ladder_was_solved(scale):
 
 # -- warm-started fine ladders -----------------------------------------------------
 
-def _cold(mp):
-    """Start every fine ladder from ones, as the coarse ladders do."""
-    mp.setattr(verify, "_prolonged", lambda vectors: None)
-
-
-def _fine_ladder_solves(monkeypatch, p, k, cold=False):
+def _fine_ladder_solves(monkeypatch, p, k):
     """LAPACK dgtsv solves taken by the fine ladder of numeric_spectrum(p, k, extended=True)."""
     solver._stebz()
     flapack = sys.modules["scipy.linalg._flapack"]
@@ -302,8 +297,6 @@ def _fine_ladder_solves(monkeypatch, p, k, cold=False):
     with monkeypatch.context() as mp:
         mp.setattr(flapack, "dgtsv", counted)
         mp.setattr(verify, "lowest_eigenvalues", ladder)
-        if cold:
-            _cold(mp)
         assert numeric_spectrum(p, k, extended=True).solves == ("refined", "refined")
     coarse, fine = per_ladder
     return fine
@@ -315,22 +308,13 @@ def test_warm_fine_ladder_takes_at_most_one_solve_per_level_and_one_more(monkeyp
     assert _fine_ladder_solves(monkeypatch, p, 4) <= 4 + 1
 
 
-@pytest.mark.parametrize("m", [0, 1, 3, 20])
-def test_fine_ladders_below_tau_4_take_no_more_solves_than_a_cold_start(monkeypatch, m):
-    # at tau < 4 the residual's rounding floor lies above the 2 ulp stop: a warm start
-    # lands on it and takes a second solve to see the residual stop halving
-    p = make_params((2, 1.0, 1, 0, 1.0), m)  # tau = 3
-    warm = _fine_ladder_solves(monkeypatch, p, 4)
-    assert warm <= _fine_ladder_solves(monkeypatch, p, 4, cold=True)
-
-
 def test_warm_and_cold_fine_ladders_agree_on_the_battery(monkeypatch):
     for base in BATTERY_BASE:
         for m in (0, 1, 3, 20):
             p = make_params(base, m)
             warm = isospectrality_check(p, 4).metadata
-            with monkeypatch.context() as mp:
-                _cold(mp)
+            with monkeypatch.context() as mp:  # every fine ladder starts from ones
+                mp.setattr(verify, "_prolonged", lambda vectors: None)
                 cold = isospectrality_check(p, 4).metadata
             assert warm["tol_iso"] == cold["tol_iso"]
             for ladder in ("conventional", "extended"):
