@@ -67,6 +67,8 @@ __all__ = [
 WALL_DECAY_NATS = 19.3
 # Cap on the Rayleigh-quotient inverse-iteration steps per refined level.
 RQI_STEPS = 6
+# Cap on levels x points (fine matrix rows, `wavefunctions._gram` nodes): ~0.2 us, 20 B each.
+SIZE_BUDGET = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -157,13 +159,17 @@ def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGr
       45 tol_iso; at tau = 4 they give <= 0.016 tol_iso.  Margin 40 here would
       stretch h enough to fail N=2, lambda=0.75, r=1, m=2 (tau = 2.5).
 
-    An explicit n_points keeps the margin rule of its tau regime.
+    An explicit n_points keeps the margin rule of its tau regime.  Above SIZE_BUDGET rows
+    x levels of the pair's fine matrix it raises before any work.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     smooth = p.tau >= 4
     if n_points is None:
         n_points = max(501, 250 * k + 1) if smooth else 20001
+    if k * (2 * n_points + 1) > SIZE_BUDGET:  # the pair's fine matrix
+        raise ValidationError(f"{k} levels on {2 * n_points + 1} fine matrix rows exceed the size "
+                              f"budget of {SIZE_BUDGET} rows x levels; lower --levels or --points")
     g_wall = wall_g(k - 1, p) if smooth else turning_point_g(k - 1, p, 30)
     radius = float(np.sqrt(g_wall / p.omega))
     h = radius / (n_points + 1)

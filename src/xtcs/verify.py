@@ -233,11 +233,8 @@ def numeric_spectrum(p: ModelParams, k: int, n_points: int | None = None,
 
     The coarse grid is `solver.solver_grid`(p, k, n_points), so it ends at the wall
     that holds all k levels; the fine grid has 2 n_points + 1 nodes and the same wall.
-    The potential is evaluated once, on the fine nodes (`_ladder`).
-    The coarse ladder is refined from the analytic E_n and the fine one from
-    coarse + 3/4 (E_n - coarse), as the h^2 error shrinks 4x, starting from the
-    coarse ladder's vectors; seeds and starts set only the cost
-    (`solver.lowest_eigenvalues`)."""
+    The potential is evaluated once, on the fine nodes (`_ladder`).  Seeds and starts,
+    which set only the cost, are those of the `solver` module docstring."""
     grid = solver_grid(p, k, n_points)
     fine = grid.refined()
     pot = _v_eff(p, fine)
@@ -251,9 +248,8 @@ def _ladder(p, k, grid, pot, extended) -> SpectrumReport:
     on the fine nodes: the coarse nodes are the fine grid's odd nodes, so the coarse matrix
     reads pot[1::2] (they differ from grid.nodes by rounding only).
 
-    A refined coarse ladder's vectors, `solver._prolonged` to the fine grid, start the
-    fine ladder's iteration: 1.04 solves per fine level at tau >= 4 and 1.19 below,
-    against 1.51 and 2.24 from ones (`solver` module docstring).  After a "full" coarse
+    A refined coarse ladder's vectors, `solver._prolonged` to the fine grid, start the fine
+    ladder's iteration (solves per level: `solver` module docstring); after a "full" coarse
     ladder, which returns no vectors, it starts from ones."""
     analytic = np.array([energy_level(n, p) for n in range(k)])
     coarse_matrix, fine_matrix = _tridiagonal(grid, pot[1::2]), _tridiagonal(grid.refined(), pot)

@@ -28,7 +28,7 @@ from .errors import NonFiniteError, QuadratureError, ResolutionError, Validation
 from .laguerre import _check_index, _lag_rows, _maybe_scalar, _xm_rows, x1_laguerre
 from .model import Configuration, ModelParams, _check_rho, turning_point_g
 from .quadrature import panel_nodes
-from .solver import RadialGrid, wall_g
+from .solver import SIZE_BUDGET, RadialGrid, wall_g
 
 __all__ = [
     "radial_eigenfunction",
@@ -43,9 +43,8 @@ X1_DENOMINATOR_FORMS = ("g_plus_alpha", "2g_plus_alpha")
 
 # Tail of the norm integrand past the default rho_max, relative to the total.
 TAIL_TOLERANCE = 1e-10
-# Panels whose log-integrand sits further below every level's peak (e^-70 ~ 4e-31 of it)
-# are not integrated.
-PANEL_MARGIN = 70.0
+# Width of the Gram rule's panels in trap lengths s = sqrt(omega) rho.
+PANEL_WIDTH = 2.0
 
 
 def radial_eigenfunction(n, p: ModelParams, rho, x1_denominator="g_plus_alpha"):
@@ -120,33 +119,31 @@ def _log_rows(levels, p: ModelParams, rho):
 
 
 def _gram(levels, p: ModelParams):
-    """Shifted Gram matrix <Phi_i, Phi_j> e^(-s_i - s_j) under rho^tau d rho, and the shifts s.
+    """Shifted Gram matrix <Phi_i, Phi_j> e^(-c_i - c_j) under rho^tau d rho, and the shifts c.
 
-    The rule is max(8, ceil(g_wall / 4)) 64-point panels of equal width in g on [0, g_wall],
-    g_wall = `solver.wall_g` of the top level, which has decayed by WALL_DECAY_NATS there.
-    Row n is sign(Phi_n) exp(log|Phi_n| + (tau/2) log rho + (1/2) log w - s_n), s_n its peak.
-    Only the hull of the panels where some level's log-integrand, at a panel edge, lies within
-    PANEL_MARGIN of its peak is integrated, plus one neighbour panel on each side.  The top
-    level's norm is also integrated on the tail rule extending the g-range to 1.5x; a
-    non-positive norm or a tail above TAIL_TOLERANCE raises.
+    The rule is max(8, ceil(s_wall / PANEL_WIDTH)) 64-point panels, all integrated, of equal
+    width in the trap length s = sqrt(omega) rho on [0, s_wall], s_wall^2 = `solver.wall_g` of
+    the top level.  In s the integrand starts like s^tau (like g^alpha in g = s^2: s^1.6
+    against g^0.3 at tau = 1.6) and each level's peak is a Gaussian about one trap length
+    wide, so the panel count grows like sqrt(alpha).  Row n is
+    sign(Phi_n) exp(log|Phi_n| + (tau/2) log rho + (1/2) log w - c_n), c_n its peak.  The top
+    level's norm is also integrated on the tail rule out to 1.5 s_wall^2 in g.  Above
+    SIZE_BUDGET nodes x levels, a non-positive norm or a tail above TAIL_TOLERANCE, it raises.
     """
     levels = list(levels)
     n_max = max(levels)
-    g_wall = wall_g(n_max, p)
-    n_panels = max(8, int(np.ceil(g_wall / 4)))
-    g_max = p.omega * float(np.sqrt(g_wall / p.omega)) ** 2
-    edges = np.sqrt(np.linspace(0.0, g_max, n_panels + 1) / p.omega)
-    at_edges = _log_rows(levels, p, edges)[1]
-    near = np.any(at_edges >= np.max(at_edges, axis=1, keepdims=True) - PANEL_MARGIN, axis=0)
-    hit = np.nonzero(near[:-1] | near[1:])[0]  # panel i spans edges i and i + 1
-    lo, hi = max(hit[0] - 1, 0), min(hit[-1] + 1, n_panels - 1)
-    nodes, weights = panel_nodes(edges[lo:hi + 2])
+    s_wall = float(np.sqrt(wall_g(n_max, p)))
+    edges = np.linspace(0.0, s_wall, max(8, int(np.ceil(s_wall / PANEL_WIDTH))) + 1)
+    nodes, weights = panel_nodes(edges / np.sqrt(p.omega))
+    if len(levels) * len(nodes) > SIZE_BUDGET:
+        raise ValidationError(f"{len(levels)} levels on {len(nodes)} quadrature nodes exceed "
+                              f"the size budget of {SIZE_BUDGET} nodes x levels; lower --levels")
     sign, log = _log_rows(levels, p, nodes)
     shift = np.max(log, axis=1)
     rows = sign * np.exp(log - shift[:, None] + 0.5 * np.log(weights))
     gram, top = rows @ rows.T, levels.index(n_max)
     total = float(gram[top, top])  # not a 1-d dot: threaded OpenBLAS took ~7 ms on 17k nodes
-    tn, tw = panel_nodes(np.sqrt(np.array([g_max, 1.25 * g_max, 1.5 * g_max]) / p.omega))
+    tn, tw = panel_nodes(s_wall * np.sqrt([1.0, 1.25, 1.5]) / np.sqrt(p.omega))
     tail = float(np.sum(np.exp(2 * (_log_rows([n_max], p, tn)[1][0] - shift[top])) * tw))
     if not total > 0:
         raise QuadratureError(f"norm came out non-positive ({total!r})")

@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from xtcs import ModelParams, NonFiniteError, cli, solver, verify
+from xtcs import AttractiveCouplingWarning, ModelParams, NonFiniteError, cli, solver, verify
 from xtcs.cli import SUITES, load_params, main
 from xtcs.verify import VerificationReport
 
@@ -349,6 +350,43 @@ def test_ortho_passes_at_large_tau(cfg, tmp_path, capsys):
     items = json.loads((out / "report_ortho.json").read_text())["items"]
     assert items[0]["name"].startswith("worst off-diagonal") and items[0]["value"] <= 1e-12
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("omega", [0.05, 1, 20])
+@pytest.mark.parametrize("m", [20, 60])
+def test_ortho_passes_at_tau_1_6_with_large_m(omega, m, tmp_path, capsys):
+    # tau = 1.6: the integrand starts like g^0.3 in g = omega rho^2, where panels of equal
+    # width in g read off-diagonals of 1.6e-8 (m = 20) and 4.6e-8 (m = 60), and like s^1.6 in
+    # the trap length s = sqrt(omega) rho, where the Gram rule's panels read 2.4e-9 and 7.0e-9
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 2, "lambda": 0.3, "r": 1, "omega": omega, "s": 0, "m": m}))
+    out = tmp_path / "reports"
+    with pytest.warns(AttractiveCouplingWarning):
+        assert main(["verify", "--config", str(path), "--suite", "ortho", "--out", str(out)]) == 0
+    items = json.loads((out / "report_ortho.json").read_text())["items"]
+    assert items[0]["name"].startswith("worst off-diagonal") and items[0]["value"] <= 1e-8
+    assert capsys.readouterr().out == "ortho: PASS\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--suite", "spectrum"], "suite spectrum: 5000 levels on 2500003 fine matrix rows"),
+    (["verify", "--suite", "all"], "suite spectrum: 5000 levels on 2500003 fine matrix rows"),
+    (["verify", "--suite", "ortho"], "suite ortho: 5000 levels on 4608 quadrature nodes"),
+    (["table", "--what", "spectrum"], "5000 levels on 2500003 fine matrix rows"),
+])
+def test_size_above_the_budget_exits_1_before_any_work(argv, message, tmp_path, capsys):
+    # N=3, lambda=1, r=1, m=3 (tau = 6): at 0.2 us per fine row and level the spectrum alone
+    # would take about an hour
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": 3}))
+    start = time.perf_counter()
+    assert main(argv + ["--config", str(path), "--levels", "5000"]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"xtcs: error: {message} exceed the size budget of 8388608 ")
+    assert err.count("\n") == 1
+    assert err.endswith("; lower --levels\n" if "ortho" in argv else
+                        "; lower --levels or --points\n")
 
 
 @pytest.mark.parametrize("cfg, levels", [

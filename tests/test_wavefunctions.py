@@ -156,7 +156,7 @@ def test_norm_positive_and_panel_converged(monkeypatch):
                 patch.setattr(wavefunctions, "panel_nodes", split_nodes)
                 doubled = norm(2, p)
             assert abs(doubled - val) <= 1e-10 * val
-    assert len(split) == 2 * 3 * len(M_VALUES)  # the pruned rule and the tail rule
+    assert len(split) == 2 * 3 * len(M_VALUES)  # the Gram rule and the tail rule
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -247,11 +247,12 @@ def test_suite_node_counts_match_the_per_level_counts():
         assert wavefunctions._node_counts([3], p) == [count_nodes(3, p)] == [3]
 
 
-# -- pruned log-domain Gram matrix ------------------------------------------------
+# -- log-domain Gram matrix -------------------------------------------------------
 
 def full_panel_overlaps(p, k):
-    """Normalized Gram matrix over every panel of the rule on [0, wall_g(k - 1)], rows built
-    in the log domain and shifted by their peaks."""
+    """Normalized Gram matrix on an independent rule, all max(8, ceil(g_wall / 4)) panels of
+    equal width in g on [0, g_wall = wall_g(k - 1)], rows built in the log domain and shifted
+    by their peaks."""
     g_wall = wall_g(k - 1, p)
     rho, w = panel_nodes(np.sqrt(np.linspace(0.0, g_wall, max(8, math.ceil(g_wall / 4)) + 1)
                                  / p.omega))
@@ -269,7 +270,24 @@ def full_panel_overlaps(p, k):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_pruned_gram_matches_full_panel_reference():
+def test_gram_matches_every_g_panel_reference():
     for p in battery() + [ModelParams(30, 2.0, 29, 1.0, ext_index=1)]:
         got = orthogonality_matrix(p, 5)
         assert np.max(np.abs(got - full_panel_overlaps(p, 5))) <= 1e-13
+
+
+def test_gram_rule_is_equal_panels_in_trap_lengths(monkeypatch):
+    # tau = 1769, omega = 0.05: 23 panels 2 trap lengths wide; the rule of panels 4 wide in g
+    # integrated a hull of 273 of its 492 (17,472 nodes) after an edge pass over all of them
+    p = ModelParams(30, 2.0, 29, 0.05, ext_index=1)
+    rules = []
+    monkeypatch.setattr(wavefunctions, "panel_nodes",
+                        lambda edges: rules.append(np.asarray(edges)) or panel_nodes(edges))
+    orthogonality_matrix(p, 5)
+    s_wall = math.sqrt(wall_g(4, p))
+    budget = 64 * max(8, math.ceil(s_wall / wavefunctions.PANEL_WIDTH)) + 128
+    assert sum(64 * (len(edges) - 1) for edges in rules) <= budget
+    rule, tail = (math.sqrt(p.omega) * edges for edges in rules)
+    assert rule[0] == 0 and rule[-1] == pytest.approx(s_wall, rel=1e-14)
+    assert np.allclose(np.diff(rule), rule[1], rtol=1e-12)
+    assert tail ** 2 == pytest.approx(s_wall ** 2 * np.array([1.0, 1.25, 1.5]), rel=1e-14)
