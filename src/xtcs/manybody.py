@@ -24,6 +24,7 @@ from .errors import NonFiniteError, ValidationError
 from .laguerre import _lag
 from .model import (Configuration, ModelParams, _pair_window, _row_blocks, energy_level,
                     v_interaction, v_new)
+from .solver import SIZE_BUDGET
 
 __all__ = [
     "local_energy",
@@ -136,34 +137,30 @@ def local_energy(c, p: ModelParams, v_new_scale: float = 1.0,
 
 
 def _sample_positions(p: ModelParams, n_samples: int, seed: int):
-    """(n_samples, N) ordered positions; see sample_configurations."""
+    """(n_samples, N) ordered positions; see sample_configurations.  Above SIZE_BUDGET
+    samples x N x stencil shifts, the size of `local_energy`'s ratios, it raises."""
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+    if n_samples * p.n_particles * len(STENCIL_SHIFTS) > SIZE_BUDGET:
+        raise ValidationError(f"{n_samples} samples of {p.n_particles} particles exceed the size "
+                              f"budget of {SIZE_BUDGET} samples x particles x 4 stencil shifts; "
+                              "lower --samples")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(p.omega)
     centers = (np.arange(p.n_particles) - (p.n_particles - 1) / 2) * scale
     half = 0.8 * scale / 2
-    out, attempts = np.empty((0, p.n_particles)), 0
-    while len(out) < n_samples:
-        if attempts >= 100 * n_samples:
-            raise ValidationError(
-                f"could not draw {n_samples} valid configurations in {attempts} attempts")
-        # rows come in stream order, as if drawn one configuration at a time
-        x = centers + rng.uniform(-half, half, (n_samples - len(out), p.n_particles))
-        attempts += len(x)
-        out = np.concatenate([out, x[np.min(np.diff(x, axis=1), axis=1) >= 10 * _fd_step(p)]])
-    return out
+    # rows come in stream order, as if drawn one configuration at a time
+    return centers + rng.uniform(-half, half, (n_samples, p.n_particles))
 
 
 def sample_configurations(p: ModelParams, n_samples: int, seed: int):
     """Ordered configurations from a product of disjoint uniform windows.
 
-    Window i is centered at (i - (N-1)/2)/sqrt(omega) with width
-    0.8/sqrt(omega); the windows are disjoint, so draws are ordered by
-    construction.  Draws violating the 10 * FD_STEP / sqrt(omega) separation
-    rule are rejected and redrawn (up to 100x oversampling).
+    Window i is centered at (i - (N-1)/2)/sqrt(omega) with width 0.8/sqrt(omega), so
+    draws are ordered and neighbours stay 0.2/sqrt(omega) = 200 FD_STEP / sqrt(omega)
+    apart, 20x the 10 steps `local_energy` needs.
     """
     return [Configuration(tuple(x), min_separation=10 * _fd_step(p))
             for x in _sample_positions(p, n_samples, seed)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "ExtConstants",
     "energy_level",
     "turning_point_g",
+    "trap_units",
     "v_interaction",
     "v_new",
     "v_new_x1_two_term",
@@ -195,6 +196,14 @@ def turning_point_g(n, p: ModelParams, margin: float) -> float:
     """
     n = _check_index("n", n, 0)
     return 2 * (2 * n + p.alpha + 1) + margin
+
+
+@functools.lru_cache(maxsize=16)
+def trap_units(p: ModelParams) -> ModelParams:
+    """p with omega = 1, the units of every radial check: lengths in trap lengths s =
+    sqrt(omega) rho, energies in omega.  Phi_n and v_new / omega depend on rho only through
+    g = s^2, so H(omega) = omega H(1); `verify._ladder` and `wavefunctions.norm` scale back."""
+    return replace(p, omega=1.0)
 
 
 def _check_rho(rho):

@@ -1,9 +1,9 @@
 """Composite 64-point Gauss-Legendre rule over given panel edges.
 
-The one caller, `wavefunctions._gram`, puts the edges equally spaced in the trap length
-s = sqrt(omega) rho: each level's peak is a Gaussian about one unit wide whatever alpha is, so
-fixed-width panels keep the per-panel variation bounded and 64-point rules at machine accuracy.
-Below tau = 2 the integrand's s^tau start limits the first panel: 7e-9 at tau = 1.6, m = 60.
+The one caller, `wavefunctions._gram`, puts the edges equally spaced in trap lengths: each
+level's peak is a Gaussian about one unit wide whatever alpha is, so fixed-width panels keep
+the per-panel variation bounded and 64-point rules at machine accuracy.  The first panel,
+where the integrand starts like s^tau, is split at s_1 / 2, ..., s_1 / 2^20 for every tau.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Finite-difference discretization of the effective radial problem.
 
 The transformed eigenfunction u(rho) = rho^(tau/2) Phi(rho) satisfies
--u''/2 + V_eff u = E u with u -> 0 at both ends.  Second-order central
-differences on a uniform grid give a symmetric tridiagonal matrix T; its
-lowest eigenvalues come from `lowest_eigenvalues`, and Richardson
-extrapolation from grids h and h/2 upgrades them to effective fourth order.
+-u''/2 + V_eff u = E u with u -> 0 at both ends; grids and matrices are in trap units
+(`model.trap_units`).  Second-order central differences on a uniform grid give a
+symmetric tridiagonal matrix T; its lowest eigenvalues come from `lowest_eigenvalues`,
+and Richardson extrapolation from grids h and h/2 upgrades them to effective fourth order.
 
 Boundary handling: the grid starts one spacing away from the origin, with
 Dirichlet values at rho = 0 and rho = rho_max + h.  The zero at the origin
@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonFiniteError, ValidationError
-from .model import ModelParams, turning_point_g, v_eff_radial, v_new
+from .model import ModelParams, trap_units, turning_point_g, v_eff_radial, v_new
 
 __all__ = [
     "RadialGrid",
@@ -110,13 +110,13 @@ class RadialGrid:
 
 
 def wall_g(n, p: ModelParams) -> float:
-    """g = w rho^2 of the wall that ends the domains holding levels 0..n: the solver grid
+    """g = s^2 of the wall that ends the domains holding levels 0..n: the solver grid
     (tau >= 4, so `verify.convergence_orders` too) and the rule of `wavefunctions._gram`.
     It is g_t + max(40, (3 S sqrt(g_t))^(2/3)), g_t the turning point of level n,
     S = WALL_DECAY_NATS.
 
-    Past g_t level n decays like exp(-int kappa d rho) with kappa = sqrt(w (g - g_t)).
-    With d rho = dg / (2 sqrt(w g)) and D = g - g_t << g_t the exponent is
+    Past g_t level n decays like exp(-int kappa ds) with kappa = sqrt(g - g_t).
+    With ds = dg / (2 sqrt(g)) and D = g - g_t << g_t the exponent is
     D^(3/2) / (3 sqrt(g_t)), so the second term is where it reaches S nats.
     """
     g_t = turning_point_g(n, p, 0)
@@ -124,16 +124,12 @@ def wall_g(n, p: ModelParams) -> float:
 
 
 def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGrid:
-    """Eigensolver grid for the lowest k levels, sized from tau and k.  Its callers in
-    the package are the ladder path, `verify.numeric_spectrum` and `verify._spectra` (for
-    `isospectrality_check`, `spectrum_csv_rows` and `convergence_orders` alike).
+    """Eigensolver grid for the lowest k levels, for `verify.numeric_spectrum` and
+    `verify._spectra`.  Its outer Dirichlet radius R sits at R^2 = g_t + margin, g_t the top
+    level's turning point; n_points, unless given, follows from tau and k.  The constants
+    were measured with `isospectrality_check` (Richardson pair on n and 2n+1 points):
 
-    The outer Dirichlet radius R sits at g = w R^2 = g_t + margin, where
-    g_t = 2 E_(k-1) / w is the turning point of the top level; n_points,
-    unless given, follows from tau and k.  The constants were measured with
-    `isospectrality_check` (Richardson pair on n and 2n+1 points):
-
-    * tau >= 4: max(501, 250 k + 1) points; w R^2 = `wall_g`(k - 1).
+    * tau >= 4: max(501, 250 k + 1) points; R^2 = `wall_g`(k - 1).
       A fixed margin buys less decay as g_t grows.  Margin 40 gives 19.3 nats at
       k = 4, tau = 6 (g_t = 19), where it removed the top level's wall
       shift, but only 7.4 nats at k = 32 (g_t = 131): there N=3, lambda=1,
@@ -170,15 +166,14 @@ def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGr
     if k * (2 * n_points + 1) > SIZE_BUDGET:  # the pair's fine matrix
         raise ValidationError(f"{k} levels on {2 * n_points + 1} fine matrix rows exceed the size "
                               f"budget of {SIZE_BUDGET} rows x levels; lower --levels or --points")
-    g_wall = wall_g(k - 1, p) if smooth else turning_point_g(k - 1, p, 30)
-    radius = float(np.sqrt(g_wall / p.omega))
+    radius = float(np.sqrt(wall_g(k - 1, p) if smooth else turning_point_g(k - 1, p, 30)))
     h = radius / (n_points + 1)
     return RadialGrid(h, n_points * h, n_points)
 
 
 def hamiltonian_diagonals(p: ModelParams, grid: RadialGrid, extended: bool,
                           v_new_scale: float = 1.0):
-    """Diagonal and off-diagonal of the discretized operator on the grid.
+    """Diagonal and off-diagonal of the discretized operator on the grid, in trap units.
 
     Requires rho_min == spacing (exact Dirichlet zero at the origin) and
     tau > 2, the regime where u vanishes at the origin fast enough for that
@@ -190,7 +185,7 @@ def hamiltonian_diagonals(p: ModelParams, grid: RadialGrid, extended: bool,
 
 def _v_eff(p: ModelParams, grid: RadialGrid):
     """Conventional V_eff on the nodes of a solver grid (rho_min == spacing) at tau > 2, or
-    ValidationError; an overflow stays inf, which lowest_eigenvalues rejects."""
+    ValidationError."""
     h = grid.spacing
     if abs(grid.rho_min - h) > 1e-9 * h:
         raise ValidationError(
@@ -198,8 +193,7 @@ def _v_eff(p: ModelParams, grid: RadialGrid):
     if p.tau <= 2:
         raise ValidationError(
             f"tau = {p.tau} <= 2: origin boundary treatment invalid; increase coupling, degree, or n_particles")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return v_eff_radial(grid.nodes, p, extended=False)
+    return v_eff_radial(grid.nodes, trap_units(p), extended=False)
 
 
 def _extension(p: ModelParams, grid: RadialGrid, v_new_scale: float):
@@ -208,7 +202,7 @@ def _extension(p: ModelParams, grid: RadialGrid, v_new_scale: float):
     if not np.isfinite(v_new_scale):
         raise ValidationError(f"v_new_scale must be finite, got {v_new_scale!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        extra = v_new_scale * v_new(grid.nodes, p)
+        extra = v_new_scale * v_new(grid.nodes, trap_units(p))
     if not np.all(np.isfinite(extra)):
         raise NonFiniteError("spectrum: v_new is not finite (Laguerre overflow)")
     return extra

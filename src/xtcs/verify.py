@@ -6,7 +6,8 @@ differential-equation residuals, orthogonality from quadrature.  The one
 analytic input is the energy formula E_n = omega (2n + alpha + 1), which is
 exactly what the spectrum checks are designed to confirm or refute.  The
 E_n also seed the eigensolver, for cost only: a level it returns is
-certified against the matrix, never taken from the seed.
+certified against the matrix, never taken from the seed.  Every radial check
+runs in trap units (`model.trap_units`); only `_ladder` scales its energies back.
 
 Tolerance note: the eigensolver resolves eigenvalues of the assembled
 matrix no better than a few ulps of its norm, and the norm grows like
@@ -24,8 +25,8 @@ import numpy as np
 
 from .errors import NonFiniteError, ValidationError
 from .laguerre import _check_index, r_variant_battery, r_variant_residuals
-from .model import (ModelParams, energy_level, ext_constants, turning_point_g, v_new,
-                    v_new_x1_two_term)
+from .model import (ModelParams, energy_level, ext_constants, trap_units, turning_point_g,
+                    v_new, v_new_x1_two_term)
 from .solver import (RadialGrid, _extension, _prolonged, _tridiagonal, _v_eff,
                      lowest_eigenvalues, matrix_norm1, richardson, solver_grid)
 from .wavefunctions import _gram, _radial_rows, radial_eigenfunction
@@ -117,25 +118,21 @@ class VerificationReport:
 # pointwise differential-equation residuals
 
 RESIDUAL_FD_ORDER = 8
-RESIDUAL_STEP = 6e-3  # h sqrt(omega)
+RESIDUAL_STEP = 6e-3  # in trap lengths
 _D1 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
 _D2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560])
 
 
 def default_residual_grid(n, p: ModelParams) -> RadialGrid:
-    """Uniform grid of step h = RESIDUAL_STEP / sqrt(omega) from 0.05 / sqrt(omega) to 10
-    past the turning point of level n: every length scales with the trap length
-    1/sqrt(omega).  A set of levels is checked on the grid of its top level.
+    """Uniform grid in trap lengths of step h = RESIDUAL_STEP from 0.05 to 10 past the
+    turning point of level n.  A set of levels is checked on the grid of its top level.
 
     Roundoff (~1/h^2) and truncation (~h^order) met above the 1e-8 gate at order 4,
     h = 1e-3 (N=3, lambda=1, r=2: 1.6e-8 at m = 60, 5.0e-8 at 100).  Order 8 at 6e-3 reads
     4.4e-10, 8.2e-10, 5.4e-9 at m = 60, 100, 200 and <= 0.31x order 4 on 486 configs.
     """
-    h = RESIDUAL_STEP / np.sqrt(p.omega)
-    rho_min = float(0.05 / np.sqrt(p.omega))
-    rho_max = float(np.sqrt(turning_point_g(n, p, 10) / p.omega))
-    n_points = int(np.ceil((rho_max - rho_min) / h)) + 1
-    return RadialGrid(rho_min, rho_max, n_points)
+    s_max = float(np.sqrt(turning_point_g(n, p, 10)))
+    return RadialGrid(0.05, s_max, int(np.ceil((s_max - 0.05) / RESIDUAL_STEP)) + 1)
 
 
 def ode_residual(n, p: ModelParams, x1_denominator="g_plus_alpha") -> float:
@@ -151,12 +148,12 @@ def _scaled_residuals(levels, p: ModelParams, x1_denominator="g_plus_alpha"):
     Phi_n comes from `wavefunctions._radial_rows` (the rows of `radial_eigenfunction`,
     sharing one envelope and denominator; the 2g + alpha variant from
     `radial_eigenfunction` itself), E_n from the analytic formula, and
-    V_ext = w (w rho^2) / 2 + v_new, with v_new evaluated once for all levels.  Derivatives
-    are 9-point, eighth-order central differences; each residual is normalized by
-    max|Phi_n| times omega(2n+alpha+1).  A non-finite Phi_n or v_new (Laguerre overflow)
-    raises NonFiniteError.
+    V_ext = rho^2 / 2 + v_new, with v_new evaluated once for all levels.  Derivatives are
+    9-point, eighth-order central differences; each residual is normalized by max|Phi_n|
+    times E_n.  A non-finite Phi_n or v_new (Laguerre overflow) raises NonFiniteError.
     """
     levels = [_check_index("n", n, 0) for n in levels]
+    p = trap_units(p)
     grid = default_residual_grid(max(levels), p)
     rho = grid.nodes[4:-4]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -168,7 +165,7 @@ def _scaled_residuals(levels, p: ModelParams, x1_denominator="g_plus_alpha"):
     for name, values in [(f"Phi_{n}", f) for n, f in zip(levels, phi)] + [("v_new", v)]:
         if not np.all(np.isfinite(values)):
             raise NonFiniteError(f"residual: {name} is not finite (Laguerre overflow)")
-    pot = 0.5 * p.omega * (p.omega * rho ** 2) + v  # omega ** 2 alone leaves float64
+    pot = 0.5 * rho ** 2 + v
     out = []
     for n, f in zip(levels, phi):
         f1 = np.correlate(f, _D1) / grid.spacing
@@ -246,22 +243,29 @@ def numeric_spectrum(p: ModelParams, k: int, n_points: int | None = None,
 def _ladder(p, k, grid, pot, extended) -> SpectrumReport:
     """The SpectrumReport of one ladder on the pair grid, grid.refined(), from the potential
     on the fine nodes: the coarse nodes are the fine grid's odd nodes, so the coarse matrix
-    reads pot[1::2] (they differ from grid.nodes by rounding only).
+    reads pot[1::2] (they differ from grid.nodes by rounding only).  Its energies and
+    norm_fine are omega times the trap-unit ones; where one leaves float64, NonFiniteError.
 
     A refined coarse ladder's vectors, `solver._prolonged` to the fine grid, start the fine
     ladder's iteration (solves per level: `solver` module docstring); after a "full" coarse
     ladder, which returns no vectors, it starts from ones."""
-    analytic = np.array([energy_level(n, p) for n in range(k)])
+    analytic = np.array([energy_level(n, trap_units(p)) for n in range(k)])
     coarse_matrix, fine_matrix = _tridiagonal(grid, pot[1::2]), _tridiagonal(grid.refined(), pot)
     coarse, how_coarse, vectors = lowest_eigenvalues(*coarse_matrix, k, analytic)
     starts = None if vectors is None else _prolonged(vectors)
     fine, how_fine, _ = lowest_eigenvalues(*fine_matrix, k, coarse + 0.75 * (analytic - coarse),
                                            starts)
     extrap = richardson(coarse, fine)
+    with np.errstate(over="ignore"):
+        ladders = p.omega * np.array([analytic, coarse, fine, extrap])
+    norm_fine = p.omega * matrix_norm1(*fine_matrix)
+    if not (np.all(np.isfinite(ladders)) and np.isfinite(norm_fine)):
+        raise NonFiniteError(
+            f"spectrum: the ladder scaled by omega = {p.omega:.17g} leaves float64")
+    analytic, coarse, fine, extrap = ladders
     rows = tuple(SpectrumRow(n, float(analytic[n]), float(extrap[n])) for n in range(k))
     return SpectrumReport(p, extended, rows, grid, tuple(map(float, coarse)),
-                          tuple(map(float, fine)), (how_coarse, how_fine),
-                          matrix_norm1(*fine_matrix))
+                          tuple(map(float, fine)), (how_coarse, how_fine), float(norm_fine))
 
 
 def _spectra(p, k, n_points, v_new_scale):
@@ -298,8 +302,7 @@ def isospectrality_check(p: ModelParams, k: int = 4, n_points: int | None = None
     report = VerificationReport("isospectrality of the extended radial problem", p)
     report.metadata.update({
         "k": k, "grid_points": grid.n_points, "spacing": grid.spacing,
-        "outer_radius": radius,
-        "outer_margin_g": p.omega * radius ** 2 - turning_point_g(k - 1, p, 0),
+        "outer_radius": radius, "outer_margin_g": radius ** 2 - turning_point_g(k - 1, p, 0),
         "tol_iso": tol_iso, "bisection_noise_floor": noise_floor,
         "v_new_scale": v_new_scale,
     })
@@ -346,21 +349,14 @@ def consistency_suite(p: ModelParams) -> VerificationReport:
     are statements about that family); the vanishing check uses m = 0.  The R
     convention and the rejected-variant control come from `laguerre.r_variant_battery`
     (at this config's alpha the rejected residual falls like alpha^-2, 1.0e-3 at 128);
-    the consistent variant is probed here too.  A non-finite form raises NonFiniteError.
+    the consistent variant is probed here too.
     """
     rho = np.linspace(0.05, 10.0, 200)
     report = VerificationReport("closed-form cross-consistency", p)
-    p1 = dataclasses.replace(p, ext_index=1)
-    p0 = dataclasses.replace(p, ext_index=0)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # w g and w^2 rho^2 overflow at w ~ 1e154
-        forms = {"m=1 general": v_new(rho, p1), "m=1 two-term": v_new_x1_two_term(rho, p1),
-                 "m=1 constants": ext_constants(p1).evaluate(rho, p1.omega),
-                 "m=0": v_new(rho, p0)}
-    for name, values in forms.items():
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteError(f"consistency: the {name} form of v_new is not finite")
-    general, two_term, constants, zero = forms.values()
+    p1 = dataclasses.replace(trap_units(p), ext_index=1)
+    p0 = dataclasses.replace(p1, ext_index=0)
+    general, two_term = v_new(rho, p1), v_new_x1_two_term(rho, p1)
+    constants, zero = ext_constants(p1).evaluate(rho, p1.omega), v_new(rho, p0)
     scale = np.max(np.abs(two_term))
     report.add("m=1 extension: general form vs two-term form (max rel diff)",
                np.max(np.abs(general - two_term)) / scale, 1e-12)

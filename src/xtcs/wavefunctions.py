@@ -43,7 +43,7 @@ X1_DENOMINATOR_FORMS = ("g_plus_alpha", "2g_plus_alpha")
 
 # Tail of the norm integrand past the default rho_max, relative to the total.
 TAIL_TOLERANCE = 1e-10
-# Width of the Gram rule's panels in trap lengths s = sqrt(omega) rho.
+# Width of the Gram rule's panels in trap lengths.
 PANEL_WIDTH = 2.0
 
 
@@ -105,36 +105,38 @@ def manybody_groundstate(c: Configuration, p: ModelParams) -> float:
     return jastrow(c, p) * radial_eigenfunction(0, p, c.hyperradius)
 
 
-def _log_rows(levels, p: ModelParams, rho):
-    """sign(Phi_n) and log|Phi_n| + (tau/2) log rho, one row per level, never forming Phi_n
-    (exp(-g/2) and rho^tau leave float64 from tau ~ 255); NaN or +inf (overflow) raises."""
-    g = p.omega * rho ** 2
+def _log_rows(levels, p: ModelParams, s):
+    """sign(Phi_n) and log|Phi_n| + (tau/2) log s, one row per level, never forming Phi_n
+    (exp(-g/2) and s^tau leave float64 from tau ~ 255); NaN or +inf (overflow) raises."""
+    g = s ** 2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         den, rows = _xm_rows(levels, p.ext_index, p.alpha, g)
         poly = np.stack(list(rows))
-        log = np.log(np.abs(poly)) - (g / 2 + np.log(den) - 0.5 * p.tau * np.log(rho))
+        log = np.log(np.abs(poly)) - (g / 2 + np.log(den) - 0.5 * p.tau * np.log(s))
     if np.any(np.isnan(log) | (log == np.inf)):
         raise NonFiniteError("radial quadrature: log|Phi_n| is not finite (Laguerre overflow)")
     return np.sign(poly), log
 
 
 def _gram(levels, p: ModelParams):
-    """Shifted Gram matrix <Phi_i, Phi_j> e^(-c_i - c_j) under rho^tau d rho, and the shifts c.
+    """Shifted Gram matrix <Phi_i, Phi_j> e^(-c_i - c_j) under s^tau ds, and the shifts c.
 
     The rule is max(8, ceil(s_wall / PANEL_WIDTH)) 64-point panels, all integrated, of equal
-    width in the trap length s = sqrt(omega) rho on [0, s_wall], s_wall^2 = `solver.wall_g` of
-    the top level.  In s the integrand starts like s^tau (like g^alpha in g = s^2: s^1.6
-    against g^0.3 at tau = 1.6) and each level's peak is a Gaussian about one trap length
-    wide, so the panel count grows like sqrt(alpha).  Row n is
-    sign(Phi_n) exp(log|Phi_n| + (tau/2) log rho + (1/2) log w - c_n), c_n its peak.  The top
-    level's norm is also integrated on the tail rule out to 1.5 s_wall^2 in g.  Above
-    SIZE_BUDGET nodes x levels, a non-positive norm or a tail above TAIL_TOLERANCE, it raises.
+    width on [0, s_wall], s_wall^2 = `solver.wall_g` of the top level.  Each level's peak is
+    a Gaussian about one trap length wide, so the panel count grows like sqrt(alpha).  The
+    first panel is split at s_1 / 2, ..., s_1 / 2^20 for the integrand's s^tau start (unsplit
+    it read 7.0e-9 at tau = 1.6, m = 60 and 6.1e-7 at tau = 1.1, m = 120; split, <= 8.3e-15).
+    Row n is sign(Phi_n) exp(log|Phi_n| + (tau/2) log s + (1/2) log w - c_n), w the weights,
+    c_n its peak.  The top level's norm is also integrated on the tail rule out to
+    1.5 s_wall^2 in g.  Above SIZE_BUDGET nodes x levels, a non-positive norm or a tail above
+    TAIL_TOLERANCE, it raises.
     """
     levels = list(levels)
     n_max = max(levels)
     s_wall = float(np.sqrt(wall_g(n_max, p)))
     edges = np.linspace(0.0, s_wall, max(8, int(np.ceil(s_wall / PANEL_WIDTH))) + 1)
-    nodes, weights = panel_nodes(edges / np.sqrt(p.omega))
+    edges = np.concatenate(([0.0], edges[1] * 0.5 ** np.arange(20, 0, -1), edges[1:]))
+    nodes, weights = panel_nodes(edges)
     if len(levels) * len(nodes) > SIZE_BUDGET:
         raise ValidationError(f"{len(levels)} levels on {len(nodes)} quadrature nodes exceed "
                               f"the size budget of {SIZE_BUDGET} nodes x levels; lower --levels")
@@ -143,7 +145,7 @@ def _gram(levels, p: ModelParams):
     rows = sign * np.exp(log - shift[:, None] + 0.5 * np.log(weights))
     gram, top = rows @ rows.T, levels.index(n_max)
     total = float(gram[top, top])  # not a 1-d dot: threaded OpenBLAS took ~7 ms on 17k nodes
-    tn, tw = panel_nodes(s_wall * np.sqrt([1.0, 1.25, 1.5]) / np.sqrt(p.omega))
+    tn, tw = panel_nodes(s_wall * np.sqrt([1.0, 1.25, 1.5]))
     tail = float(np.sum(np.exp(2 * (_log_rows([n_max], p, tn)[1][0] - shift[top])) * tw))
     if not total > 0:
         raise QuadratureError(f"norm came out non-positive ({total!r})")
@@ -154,24 +156,24 @@ def _gram(levels, p: ModelParams):
 
 
 def norm(n, p: ModelParams) -> float:
-    """Squared-amplitude integral of Phi_n under the measure rho^tau d rho, on the rule of
-    `_gram`.  Where it leaves float64, a QuadratureError gives its log instead."""
-    gram, shift = _gram((n,), p)
-    log_norm = np.log(gram[0, 0]) + 2 * shift[0]  # _gram raises unless gram[0, 0] > 0
-    if log_norm > np.log(np.finfo(float).max):
-        raise QuadratureError(f"norm overflows float64: log |norm| = {log_norm:.17g}")
+    """Squared-amplitude integral of Phi_n under the measure rho^tau d rho: omega^-(alpha+1)
+    times the integral in trap lengths, on the rule of `_gram`.  Where it leaves float64, a
+    QuadratureError gives its log instead."""
+    gram, shift = _gram((n,), p)  # _gram raises unless gram[0, 0] > 0
+    log_norm = np.log(gram[0, 0]) + 2 * shift[0] - (p.alpha + 1) * np.log(p.omega)
+    if not np.log(np.finfo(float).tiny) <= log_norm <= np.log(np.finfo(float).max):
+        side = "over" if log_norm > 0 else "under"
+        raise QuadratureError(f"norm {side}flows float64: log |norm| = {log_norm:.17g}")
     return float(np.exp(log_norm))
 
 
 def default_node_grid(n, p: ModelParams) -> RadialGrid:
-    """Uniform rho-grid resolving the zeros of Phi_n: >= 220 points per unit sqrt(omega) rho.
-
-    For large alpha the zeros sit about dx_Hermite / sqrt(2 omega) apart in rho, whatever
-    alpha is, so the grid grows like sqrt(alpha), not like alpha."""
-    g_max = turning_point_g(n, p, 10)
-    rho_max = float(np.sqrt(g_max / p.omega))
-    n_points = max(2001, int(np.ceil(220 * np.sqrt(g_max))))
-    return RadialGrid(rho_max / n_points, rho_max, n_points)
+    """Uniform grid in trap lengths resolving the zeros of Phi_n: >= 220 points per unit.
+    For large alpha the zeros sit about dx_Hermite / sqrt(2) apart, whatever alpha is, so
+    the grid grows like sqrt(alpha), not like alpha."""
+    s_max = float(np.sqrt(turning_point_g(n, p, 10)))
+    n_points = max(2001, int(np.ceil(220 * s_max)))
+    return RadialGrid(s_max / n_points, s_max, n_points)
 
 
 def _sign_changes(signs):
@@ -202,7 +204,7 @@ def _node_counts(levels, p: ModelParams) -> list:
     # Phi_n = Xm polynomial * exp(-g/2) / L_m^(alpha-1)(-g), the last factor positive; the
     # polynomial keeps its sign where exp(-g/2) underflows (large alpha)
     counts = []
-    for poly in _xm_rows(levels, p.ext_index, p.alpha, p.omega * halved.nodes ** 2)[1]:
+    for poly in _xm_rows(levels, p.ext_index, p.alpha, halved.nodes ** 2)[1]:
         signs = np.sign(poly)
         cells, count_halved = _sign_changes(signs[::2]), len(_sign_changes(signs))
         if np.any(np.diff(cells) <= 2):

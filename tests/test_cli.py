@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from xtcs import AttractiveCouplingWarning, ModelParams, NonFiniteError, cli, solver, verify
@@ -353,25 +354,26 @@ def test_ortho_passes_at_large_tau(cfg, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("omega", [0.05, 1, 20])
-@pytest.mark.parametrize("m", [20, 60])
-def test_ortho_passes_at_tau_1_6_with_large_m(omega, m, tmp_path, capsys):
-    # tau = 1.6: the integrand starts like g^0.3 in g = omega rho^2, where panels of equal
-    # width in g read off-diagonals of 1.6e-8 (m = 20) and 4.6e-8 (m = 60), and like s^1.6 in
-    # the trap length s = sqrt(omega) rho, where the Gram rule's panels read 2.4e-9 and 7.0e-9
+@pytest.mark.parametrize("lam, m", [(0.3, 20), (0.3, 60), (0.3, 120), (0.05, 20)])
+def test_ortho_passes_at_tau_1_6_with_large_m(omega, lam, m, tmp_path, capsys):
+    # tau = 1.6 (lambda = 0.3) and 1.1 (0.05): the integrand starts like s^tau in the trap
+    # length s, where equal panels alone read off-diagonals of 2.4e-9, 7.0e-9 and 1.4e-8
+    # (tau = 1.6, m = 20, 60, 120) and 1.0e-7 (tau = 1.1, m = 20); with the first panel
+    # halved 20 times towards the origin they read <= 2.5e-15
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"N": 2, "lambda": 0.3, "r": 1, "omega": omega, "s": 0, "m": m}))
+    path.write_text(json.dumps({"N": 2, "lambda": lam, "r": 1, "omega": omega, "s": 0, "m": m}))
     out = tmp_path / "reports"
     with pytest.warns(AttractiveCouplingWarning):
         assert main(["verify", "--config", str(path), "--suite", "ortho", "--out", str(out)]) == 0
     items = json.loads((out / "report_ortho.json").read_text())["items"]
-    assert items[0]["name"].startswith("worst off-diagonal") and items[0]["value"] <= 1e-8
+    assert items[0]["name"].startswith("worst off-diagonal") and items[0]["value"] <= 1e-13
     assert capsys.readouterr().out == "ortho: PASS\n"
 
 
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--suite", "spectrum"], "suite spectrum: 5000 levels on 2500003 fine matrix rows"),
     (["verify", "--suite", "all"], "suite spectrum: 5000 levels on 2500003 fine matrix rows"),
-    (["verify", "--suite", "ortho"], "suite ortho: 5000 levels on 4608 quadrature nodes"),
+    (["verify", "--suite", "ortho"], "suite ortho: 5000 levels on 5888 quadrature nodes"),
     (["table", "--what", "spectrum"], "5000 levels on 2500003 fine matrix rows"),
 ])
 def test_size_above_the_budget_exits_1_before_any_work(argv, message, tmp_path, capsys):
@@ -547,33 +549,82 @@ def test_table_with_a_non_finite_value_exits_1_and_writes_no_csv(what, column, t
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("command, message", [
-    (["table", "--what", "potential"],
-     "table potential: v_eff_conventional is not finite in 1001 of 1001 rows"),
-    (["table", "--what", "wavefunction"],
-     "table wavefunction: v_eff_conventional is not finite in 1001 of 1001 rows"),
-    (["table", "--what", "spectrum"], "spectrum: the tridiagonal matrix is not finite"),
-    (["verify", "--suite", "spectrum"],
-     "suite spectrum: spectrum: the tridiagonal matrix is not finite"),
-    (["verify", "--suite", "consistency"],
-     "suite consistency: consistency: the m=1 general form of v_new is not finite"),
-], ids=["table-potential", "table-wavefunction", "table-spectrum", "spectrum", "consistency"])
-def test_omega_whose_square_overflows_exits_1_with_one_line(command, message, tmp_path, capsys):
-    # w = 1e300: w ** 2 and w g overflow float64 (a Python float w ** 2 raised OverflowError)
+@pytest.mark.parametrize("what", ["potential", "wavefunction"],
+                         ids=["table-potential", "table-wavefunction"])
+def test_omega_whose_square_overflows_exits_1_with_one_line(what, tmp_path, capsys):
+    # w = 1e300: the physical tables hold w^2 rho^2 / 2, which overflows float64 (a Python
+    # float w ** 2 raised OverflowError)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": 1e300, "s": 0, "m": 1}))
     out = tmp_path / "out"
-    assert main(command + ["--config", str(path), "--out", str(out)]) == 1
+    assert main(["table", "--what", what, "--config", str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"xtcs: error: {message}\n"
+    assert captured.err == (f"xtcs: error: table {what}: v_eff_conventional is not finite in "
+                            "1001 of 1001 rows\n")
     assert captured.out == ""
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega", [1e-300, 1e-160, 1e150, 1e200, 1e300])
+def test_radial_checks_hold_at_extreme_omega(omega, tmp_path, capsys):
+    # every radial check runs in trap units, so omega never enters a grid or a matrix: the
+    # consistency items equal those at omega = 1, the spectrum's energies are omega times
+    # theirs, and table --what spectrum reads the same ladders (with omega in the grids,
+    # w ** 2 and w g left float64: E_0 read 2.4e4 times too large at 1e-300, 1e150 exited 1)
+    reports, tables = {}, {}
+    for w in (1.0, omega):
+        path = tmp_path / f"{w}.json"
+        path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": w, "s": 0, "m": 1}))
+        out = tmp_path / f"out-{w}"
+        for suite in ("spectrum", "consistency"):
+            assert main(["verify", "--config", str(path), "--suite", suite, "--out", str(out)]) == 0
+            reports[w, suite] = json.loads((out / f"report_{suite}.json").read_text())
+        assert main(["table", "--what", "spectrum", "--config", str(path), "--out", str(out)]) == 0
+        tables[w] = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+    assert capsys.readouterr().err == ""
+    for suite in ("spectrum", "consistency"):
+        unit, scaled = reports[1.0, suite], reports[omega, suite]
+        assert scaled["passed"] is True
+        if suite == "consistency":
+            assert scaled["items"] == unit["items"]
+    for ladder in ("conventional", "extended"):
+        unit, scaled = (reports[w, "spectrum"]["metadata"][ladder] for w in (1.0, omega))
+        assert scaled["grid"] == unit["grid"]
+        assert np.allclose(scaled["raw_fine"], omega * np.array(unit["raw_fine"]), rtol=1e-15,
+                           atol=0)
+        for row, unit_row in zip(scaled["levels"], unit["levels"]):
+            assert row["e_analytic"] == omega * unit_row["e_analytic"]
+            assert row["e_numeric"] == pytest.approx(omega * unit_row["e_numeric"], rel=1e-15)
+            assert row["rel_err"] <= 1e-6
+            assert row["rel_err"] == pytest.approx(unit_row["rel_err"], rel=1e-6)
+    assert tables[omega][:, 0].tolist() == [0, 1, 2, 3]
+    assert np.allclose(tables[omega][:, 1:4], omega * tables[1.0][:, 1:4], rtol=1e-15, atol=0)
+    assert np.all(tables[omega][:, 4:] <= 1e-6)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", [["verify", "--suite", "spectrum"],
+                                     ["table", "--what", "spectrum"]])
+def test_spectrum_beyond_float64_exits_1_naming_the_stage(command, tmp_path, capsys):
+    # w = 1e306: the trap-unit ladder is finite, but w times the fine matrix's norm (the
+    # roundoff scale of tol_iso) is not; without the check tol_iso = inf passed every level
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": 1e306, "s": 0, "m": 1}))
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    prefix = "suite spectrum: " if command[0] == "verify" else ""
+    assert captured.err == (f"xtcs: error: {prefix}spectrum: the ladder scaled by omega = "
+                            "1e+306 leaves float64\n")
+    assert captured.out == "" and not out.exists()
+    with pytest.raises(NonFiniteError, match="spectrum: the ladder scaled by omega"):
+        verify.isospectrality_check(ModelParams(3, 1.0, 1, 1e306, ext_index=1))
+
+
 @pytest.mark.parametrize("omega", [1e-300, 1e160, 1e300])
 def test_residual_suite_passes_at_extreme_omega(omega, tmp_path, capsys):
-    # the trap term is w (w rho^2) / 2: w ** 2 underflows below ~1e-160 and overflows a
-    # Python float (OverflowError) above ~1e154, while every product here stays in range
+    # the residual is dimensionless and runs in trap units, where no factor of omega appears
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": omega, "s": 0, "m": 1}))
     out = tmp_path / "out"
@@ -581,6 +632,23 @@ def test_residual_suite_passes_at_extreme_omega(omega, tmp_path, capsys):
     items = json.loads((out / "report_residual.json").read_text())["items"]
     assert all(item["value"] <= 1e-11 for item in items[:4])
     assert items[4]["value"] > 1.5  # the 2g+alpha control
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["local-energy"], ""),
+    (["verify", "--suite", "local-energy"], "suite local-energy: "),
+])
+def test_local_energy_size_above_the_budget_exits_1_before_any_work(argv, prefix, config,
+                                                                     capsys):
+    # 1e9 samples of N = 2: the (samples, N, 4) stencil ratios alone would take 64 GB
+    start = time.perf_counter()
+    assert main(argv + ["--config", config, "--samples", "1000000000"]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"xtcs: error: {prefix}1000000000 samples of 2 particles exceed "
+                            "the size budget of 8388608 samples x particles x 4 stencil "
+                            "shifts; lower --samples\n")
+    assert captured.out == ""
 
 
 def _count_calls(monkeypatch, module, name):

@@ -1,4 +1,4 @@
-"""A pinned slice of the domain verdict map (`tools/domain_map.py`): six configs, every
+"""A pinned slice of the domain verdict map (`tools/domain_map.py`): eight configs, every
 suite through `cli.main`, compared verdict for verdict."""
 
 import importlib.util
@@ -29,10 +29,12 @@ def _domain_map():
     # s = 1: the many-body local energy exists for s = 0 only
     ((5, 1, 1, 1, 1, 3), PASS[:4] + [("local-energy", 1, "local energy implemented for "
                                       "degree s = # only, got s = #")]),
-    # every check length scales with the trap length 1/sqrt(omega), so eight decades either
-    # side of omega = 1 give its verdicts
+    # the radial checks run in trap units and the sampler in trap lengths 1/sqrt(omega), so
+    # every omega float64 holds gives the verdicts of omega = 1
     ((3, 1, 1, 1e-8, 0, 3), PASS + [CONTROL_SEES_E0]),
     ((3, 1, 1, 1e8, 0, 3), PASS + [CONTROL_SEES_E0]),
+    ((3, 1, 1, 1e-300, 0, 3), PASS + [CONTROL_SEES_E0]),
+    ((3, 1, 1, 1e300, 0, 3), PASS + [CONTROL_SEES_E0]),
 ])
 def test_pinned_slice_of_the_domain_map(config, expected):
     cfg = dict(zip(("N", "lambda", "r", "omega", "s", "m"), config))

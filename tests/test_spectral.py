@@ -178,10 +178,12 @@ def test_refined_ladders_match_the_full_range_call_on_the_battery():
             assert report.grid == grid
             assert report.solves == ("refined", "refined"), (p, extended)
             for g, values in zip((grid, grid.refined()), (report.raw_coarse, report.raw_fine)):
+                # the matrix is in trap units: omega times its levels are the raw ladder
                 matrix = hamiltonian_diagonals(p, g, extended)
                 full, how, _ = lowest_eigenvalues(*matrix, 4)
                 assert how == "full"
-                assert np.max(np.abs(np.array(values) - full)) <= EPS * matrix_norm1(*matrix), p
+                assert (np.max(np.abs(np.array(values) - p.omega * full))
+                        <= EPS * p.omega * matrix_norm1(*matrix)), p
 
 
 def _fine_matrix_and_levels():
@@ -388,14 +390,16 @@ def test_residual_stencil_is_eighth_order(monkeypatch):
 
 @pytest.mark.parametrize("omega", (1e-12, 1e-5, 1e-3, 1e4, 1e12))
 def test_residual_grid_follows_the_trap_length(omega):
-    # Every length of the grid scales with the trap length 1/sqrt(omega): it runs from
-    # 0.05/sqrt(omega) in steps of 6e-3/sqrt(omega) to 10 past the turning point.
+    # The grid is in trap lengths s = sqrt(omega) rho, one grid for every omega: it runs
+    # from 0.05 in steps of 6e-3 to 10 past the turning point, and the residual, which is
+    # dimensionless, is the one of omega = 1 bit for bit.
     p = ModelParams(3, 1.0, 2, omega, ext_index=2)
+    unit = ModelParams(3, 1.0, 2, 1.0, ext_index=2)
     grid = verify.default_residual_grid(0, p)
-    assert grid.rho_min * np.sqrt(omega) == pytest.approx(0.05, rel=1e-15)
-    assert grid.rho_max * np.sqrt(omega) == pytest.approx(np.sqrt(turning_point_g(0, p, 10)),
-                                                          rel=1e-15)
-    assert ode_residual(0, p) <= 1e-8
+    assert grid == verify.default_residual_grid(0, unit)
+    assert grid.rho_min == 0.05 and 5.9e-3 < grid.spacing <= 6e-3
+    assert grid.rho_max == pytest.approx(np.sqrt(turning_point_g(0, p, 10)), rel=1e-15)
+    assert ode_residual(0, p) == ode_residual(0, unit) <= 1e-8
 
 
 def test_suite_residuals_give_the_standalone_verdicts():

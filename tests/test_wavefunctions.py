@@ -173,6 +173,22 @@ def test_norm_overflow_reported_as_non_positive():
     assert log_norm == pytest.approx(math.lgamma(p.alpha + 1) - math.log(2), rel=1e-13)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_norm_takes_omega_once_and_raises_where_it_leaves_float64():
+    # the rule runs in trap lengths; norm(omega) = omega^-(alpha+1) norm(1), here
+    # Gamma(alpha + 1) / 2 omega^-(alpha+1) at m = 0, n = 0 (alpha = 2.5)
+    unit = ModelParams(3, 1.0, 1, 1.0)
+    for omega in (1e-30, 1e30):
+        p = dataclasses.replace(unit, omega=omega)
+        assert norm(0, p) == pytest.approx(norm(0, unit) * omega ** -3.5, rel=1e-13)
+    for omega, side in ((1e-300, "over"), (1e300, "under")):
+        with pytest.raises(QuadratureError, match=f"norm {side}flows float64") as err:
+            norm(0, dataclasses.replace(unit, omega=omega))
+        log_norm = float(str(err.value).rsplit("= ", 1)[1])
+        want = math.lgamma(3.5) - math.log(2) - 3.5 * math.log(omega)
+        assert log_norm == pytest.approx(want, rel=1e-13)
+
+
 def test_norm_tail_error_reported(monkeypatch):
     # a wall only 20 past the turning point leaves too fat a tail at tau = 12
     monkeypatch.setattr(wavefunctions, "wall_g", lambda n, p: turning_point_g(n, p, 20))
@@ -220,10 +236,10 @@ def test_node_count_rejects_an_unresolved_grid(monkeypatch, grid, message):
 
 
 def old_node_grid(n, p):
-    """The node grid before it was sized from sqrt(omega) rho: >= 220 points per unit g."""
+    """The node grid, in trap lengths s, before it was sized from s: >= 220 points per unit g."""
     g_max = 2 * (2 * n + p.alpha + 1) + 10
     n_points = max(2001, math.ceil(220 * g_max))
-    return RadialGrid(math.sqrt(g_max / p.omega) / n_points, math.sqrt(g_max / p.omega), n_points)
+    return RadialGrid(math.sqrt(g_max) / n_points, math.sqrt(g_max), n_points)
 
 
 def test_node_counts_match_the_old_dense_grid(monkeypatch):
@@ -277,17 +293,20 @@ def test_gram_matches_every_g_panel_reference():
 
 
 def test_gram_rule_is_equal_panels_in_trap_lengths(monkeypatch):
-    # tau = 1769, omega = 0.05: 23 panels 2 trap lengths wide; the rule of panels 4 wide in g
-    # integrated a hull of 273 of its 492 (17,472 nodes) after an edge pass over all of them
+    # tau = 1769, omega = 0.05: 23 panels 2 trap lengths wide, the first split in 21 at
+    # s_1 / 2, ..., s_1 / 2^20; the rule of panels 4 wide in g integrated a hull of 273 of its
+    # 492 (17,472 nodes) after an edge pass over all of them
     p = ModelParams(30, 2.0, 29, 0.05, ext_index=1)
     rules = []
     monkeypatch.setattr(wavefunctions, "panel_nodes",
                         lambda edges: rules.append(np.asarray(edges)) or panel_nodes(edges))
     orthogonality_matrix(p, 5)
     s_wall = math.sqrt(wall_g(4, p))
-    budget = 64 * max(8, math.ceil(s_wall / wavefunctions.PANEL_WIDTH)) + 128
+    budget = 64 * (max(8, math.ceil(s_wall / wavefunctions.PANEL_WIDTH)) + 20) + 128
     assert sum(64 * (len(edges) - 1) for edges in rules) <= budget
-    rule, tail = (math.sqrt(p.omega) * edges for edges in rules)
+    rule, tail = rules
     assert rule[0] == 0 and rule[-1] == pytest.approx(s_wall, rel=1e-14)
-    assert np.allclose(np.diff(rule), rule[1], rtol=1e-12)
+    first, equal = rule[:22], rule[21:]
+    assert np.all(first[2:] == 2 * first[1:-1])  # the first panel, halved 20 times
+    assert np.allclose(np.diff(equal), equal[0], rtol=1e-12)
     assert tail ** 2 == pytest.approx(s_wall ** 2 * np.array([1.0, 1.25, 1.5]), rel=1e-14)
