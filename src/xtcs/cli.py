@@ -24,9 +24,9 @@ from . import __version__
 from .errors import NonFiniteError, QuadratureError, ResolutionError, ValidationError
 from .manybody import constancy_scan
 from .model import ModelParams, energy_level, ext_constants, turning_point_g, v_eff_radial
-from .verify import (RESIDUAL_FD_ORDER, VerificationReport, _fmt, _scaled_residuals,
-                     consistency_suite, isospectrality_check, ode_residual,
-                     orthogonality_matrix, spectrum_csv_rows)
+from .verify import (VerificationReport, _fmt, _scaled_residuals, consistency_suite,
+                     isospectrality_check, ode_residual, orthogonality_matrix,
+                     spectrum_csv_rows)
 from .wavefunctions import _node_counts, radial_eigenfunction
 
 SUITES = ("residual", "spectrum", "ortho", "consistency", "local-energy")
@@ -216,8 +216,7 @@ def _suite_residual(p, args) -> VerificationReport:
     report.add("scaled residual, level 0, m=1 denominator variant 2g+alpha",
                ode_residual(0, p1, x1_denominator="2g_plus_alpha"), 1e-2, comparison=">=",
                detail="variant rejected: only g+alpha solves the extended radial equation")
-    report.metadata.update(fd_order=RESIDUAL_FD_ORDER, spacing=grid.spacing,
-                           grid_points=grid.n_points)
+    report.metadata.update(spacing=grid.spacing, grid_points=grid.n_points)
     return report
 
 

@@ -66,24 +66,93 @@ def _check_index(name, value, minimum):
     return int(value)
 
 
+def _value(x):
+    """The value part of a Jet; anything else as it is."""
+    return x.f if isinstance(x, Jet) else x
+
+
 def _check_argument(name, x):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    x = x if isinstance(x, Jet) else np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(_value(x))):
         raise ValidationError(f"{name} must be finite")
-    return arr
+    return x
+
+
+def _check_nonnegative(name, x):
+    x = _check_argument(name, x)
+    if np.any(_value(x) < 0):
+        raise ValidationError(f"{name} must be >= 0")
+    return x
 
 
 def _check_alpha_g(alpha, g):
     if alpha <= 0:
         raise ValidationError(f"alpha must be > 0, got {alpha}")
-    ga = _check_argument("g", g)
-    if np.any(ga < 0):
-        raise ValidationError("g must be >= 0")
-    return ga
+    return _check_nonnegative("g", g)
 
 
 def _maybe_scalar(arr, like):
     return float(arr) if np.isscalar(like) or np.ndim(like) == 0 else arr
+
+
+class Jet:
+    """Second-order jet (f, f', f''): values and two derivatives along one variable, carried
+    through + - * /, constant powers, exp and log (hyper-dual numbers; Fike & Alonso, AIAA
+    2011-886).  The closed forms run on a Jet as on an array and give their own derivatives;
+    the value part is their float result bit for bit.  Numbers and arrays are constants."""
+
+    __slots__ = ("f", "d1", "d2")
+
+    def __init__(self, f, d1, d2):
+        self.f, self.d1, self.d2 = f, d1, d2
+
+    shape, ndim = property(lambda j: np.shape(j.f)), property(lambda j: np.ndim(j.f))
+    size = property(lambda j: np.size(j.f))  # the point count perfbench/spans.py records
+
+    def __add__(self, o):
+        o = o if isinstance(o, Jet) else Jet(o, 0.0, 0.0)
+        return Jet(self.f + o.f, self.d1 + o.d1, self.d2 + o.d2)
+
+    def __neg__(self):
+        return Jet(-self.f, -self.d1, -self.d2)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(self.f * o, self.d1 * o, self.d2 * o)
+        return Jet(self.f * o.f, self.d1 * o.f + self.f * o.d1,
+                   self.d2 * o.f + 2 * self.d1 * o.d1 + self.f * o.d2)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(self.f / o, self.d1 / o, self.d2 / o)
+        q = self.f / o.f
+        q1 = (self.d1 - q * o.d1) / o.f
+        return Jet(q, q1, (self.d2 - 2 * q1 * o.d1 - q * o.d2) / o.f)
+
+    def __pow__(self, k):
+        f1, f2 = k * self.f ** (k - 1), k * (k - 1) * self.f ** (k - 2)
+        return Jet(self.f ** k, f1 * self.d1, f1 * self.d2 + f2 * self.d1 ** 2)
+
+    def __array_ufunc__(self, ufunc, method, *inputs):  # np.exp, np.log; + - * with arrays
+        if ufunc is np.exp:
+            e = np.exp(self.f)
+            return Jet(e, e * self.d1, e * (self.d2 + self.d1 ** 2))
+        if ufunc is np.log:
+            q = self.d1 / self.f
+            return Jet(np.log(self.f), q, self.d2 / self.f - q * q)
+        op = {np.add: "add", np.subtract: "sub", np.multiply: "mul"}.get(ufunc)
+        if op is None or method != "__call__":
+            return NotImplemented
+        a, b = inputs
+        return getattr(a, f"__{op}__")(b) if a is self else getattr(b, f"__r{op}__")(a)
 
 
 def _lag_step(k, alpha, x, cur, prev):
@@ -93,8 +162,7 @@ def _lag_step(k, alpha, x, cur, prev):
 
 def _lag_rows(n, alpha, x):
     """Yield L_0^(alpha)(x), ..., L_n^(alpha)(x) from one pass of the recurrence (nothing for
-    n < 0); row j is `_lag`(j, alpha, x) bit for bit, no validation."""
-    x = np.asarray(x, dtype=float)
+    n < 0); row j is `_lag`(j, alpha, x) bit for bit, no validation; x may be a Jet."""
     if n < 0:
         return
     yield np.ones(x.shape)
@@ -111,7 +179,6 @@ def _lag_pair(n, alpha, x):
     """(L_{n-1}, L_n)^(alpha)(x) by the steps of `_lag_rows`, without its generator and ones
     array (2-5 us a call, several per cent of a local-energy scan); degrees below 0 are
     zero, and L_0 is the scalar 1.0 at n = 1."""
-    x = np.asarray(x, dtype=float)
     if n < 1:
         zero = np.zeros(x.shape)
         return zero, np.ones(x.shape) if n == 0 else zero
@@ -132,14 +199,13 @@ def _xm_rows(levels, m, alpha, g):
     L_m^(alpha)(-g) and the denominator L_m^(alpha-1)(-g) (`xm_denominator`, which validates
     alpha and g) are evaluated once; the factors L_n^(alpha-1)(g) and L_{n-1}^(alpha)(g) of
     every level come from one `_lag_rows` pass each, so each row is `xm_laguerre`'s
-    arithmetic bit for bit.  Rows are made one at a time."""
-    den = np.asarray(xm_denominator(m, alpha, g))
-    g = np.asarray(g, dtype=float)
+    arithmetic bit for bit.  Rows are made one at a time; g may be a Jet."""
+    den = xm_denominator(m, alpha, g)
     lm = _lag(m, alpha, -g)
     wanted, top = set(levels), max(levels)
 
     def rows():
-        shifted = itertools.chain([np.zeros_like(g)], _lag_rows(top - 1, alpha, g))
+        shifted = itertools.chain([0.0], _lag_rows(top - 1, alpha, g))
         for n, (b, d) in enumerate(zip(_lag_rows(top, alpha - 1, g), shifted)):
             if n in wanted:
                 yield lm * b + den * d

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AttractiveCouplingWarning, ValidationError
-from .laguerre import _check_index, _lag, _lag_pair, _maybe_scalar
+from .laguerre import _check_index, _check_nonnegative, _lag, _lag_pair, _maybe_scalar
 
 __all__ = [
     "ModelParams",
@@ -140,15 +140,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Ordered N-particle position vector.
-
-    Positions must be strictly increasing with adjacent separations of at
-    least min_separation, so every interaction term is finite and the
-    positive-Jastrow ordered sector is well defined.
-    """
+    """Ordered N-particle position vector: finite, strictly increasing positions, in the
+    ordered sector where the pair product is positive.  Particles may come arbitrarily close;
+    `manybody.local_energy` raises NonFiniteError on a term that leaves float64."""
 
     positions: tuple
-    min_separation: float = 1e-3
 
     def __post_init__(self):
         pos = tuple(float(x) for x in self.positions)
@@ -157,17 +153,11 @@ class Configuration:
             raise ValidationError(f"positions must have at least 2 entries, got {len(pos)}")
         if not all(np.isfinite(pos)):
             raise ValidationError("positions must be finite")
-        if not (np.isfinite(self.min_separation) and self.min_separation > 0):
-            raise ValidationError(f"min_separation must be > 0, got {self.min_separation!r}")
         gaps = np.diff(pos)
         if np.any(gaps <= 0):
             i = int(np.argmax(gaps <= 0))
             raise ValidationError(
                 f"positions must be strictly increasing: x[{i}]={pos[i]} >= x[{i + 1}]={pos[i + 1]}")
-        if np.any(gaps < self.min_separation):
-            i = int(np.argmax(gaps < self.min_separation))
-            raise ValidationError(
-                f"separation x[{i + 1}]-x[{i}] = {gaps[i]:.3e} below min_separation {self.min_separation:.3e}")
 
     @property
     def n(self) -> int:
@@ -204,13 +194,6 @@ def trap_units(p: ModelParams) -> ModelParams:
     sqrt(omega) rho, energies in omega.  Phi_n and v_new / omega depend on rho only through
     g = s^2, so H(omega) = omega H(1); `verify._ladder` and `wavefunctions.norm` scale back."""
     return replace(p, omega=1.0)
-
-
-def _check_rho(rho):
-    rho_a = np.asarray(rho, dtype=float)
-    if not np.all(np.isfinite(rho_a)) or np.any(rho_a < 0):
-        raise ValidationError("rho must be finite and >= 0")
-    return rho_a
 
 
 # Most elements one block of a pair-window pass holds in its pair-sized arrays (samples
@@ -317,7 +300,7 @@ def v_new(rho, p: ModelParams):
     m = 0, D = L_0 = 1 and L_{-1} = L_{-2} = 0 make it exactly 0.0.  D > 0: no pole.
     Three recurrences: L_{m-2}^(a) and L_{m-1}^(a) come from one pass.
     """
-    rho_a = _check_rho(rho)
+    rho_a = _check_nonnegative("rho", rho)
     m, a, w = p.ext_index, p.alpha, p.omega
     g = w * rho_a ** 2
     den, (l2, l1) = _lag(m, a - 1, -g), _lag_pair(m - 1, a, -g)
@@ -336,7 +319,7 @@ def v_new_x1_two_term(rho, p: ModelParams):
     """
     if p.ext_index != 1:
         raise ValidationError(f"two-term form is defined for ext_index m = 1, got m = {p.ext_index}")
-    rho_a = _check_rho(rho)
+    rho_a = _check_nonnegative("rho", rho)
     w, tau = p.omega, p.tau
     den = 2 * w * rho_a ** 2 + tau - 1
     return _maybe_scalar(4 * w / den - 8 * w * (tau - 1) / den ** 2, rho)
@@ -358,7 +341,7 @@ class ExtConstants:
 
     def evaluate(self, rho, omega):
         rho_a = np.asarray(rho, dtype=float)
-        w2r2 = np.float64(omega) ** 2 * rho_a ** 2  # inf, not OverflowError, past w ~ 1e154
+        w2r2 = (omega * rho_a) ** 2  # w^2 alone leaves float64 from w ~ 1e154
         val = (self.alpha1 + self.alpha2 * w2r2) / (self.beta1 + self.beta2 * w2r2) ** 2
         return _maybe_scalar(val, rho)
 

@@ -2,7 +2,8 @@
 
 Nothing here trusts the closed forms it checks: eigenvalues come from the
 finite-difference solver, eigenfunction correctness from pointwise
-differential-equation residuals, orthogonality from quadrature.  The one
+differential-equation residuals (Phi_n, Phi_n' and Phi_n'' from the closed form run
+on a second-order jet, `laguerre.Jet`), orthogonality from quadrature.  The one
 analytic input is the energy formula E_n = omega (2n + alpha + 1), which is
 exactly what the spectrum checks are designed to confirm or refute.  The
 E_n also seed the eigensolver, for cost only: a level it returns is
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteError, ValidationError
-from .laguerre import _check_index, r_variant_battery, r_variant_residuals
+from .laguerre import Jet, _check_index, r_variant_battery, r_variant_residuals
 from .model import (ModelParams, energy_level, ext_constants, trap_units, turning_point_g,
                     v_new, v_new_x1_two_term)
 from .solver import (RadialGrid, _extension, _prolonged, _tridiagonal, _v_eff,
@@ -117,19 +118,13 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # pointwise differential-equation residuals
 
-RESIDUAL_FD_ORDER = 8
-RESIDUAL_STEP = 6e-3  # in trap lengths
-_D1 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
-_D2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560])
+RESIDUAL_STEP = 0.05  # in trap lengths
 
 
 def default_residual_grid(n, p: ModelParams) -> RadialGrid:
     """Uniform grid in trap lengths of step h = RESIDUAL_STEP from 0.05 to 10 past the
-    turning point of level n.  A set of levels is checked on the grid of its top level.
-
-    Roundoff (~1/h^2) and truncation (~h^order) met above the 1e-8 gate at order 4,
-    h = 1e-3 (N=3, lambda=1, r=2: 1.6e-8 at m = 60, 5.0e-8 at 100).  Order 8 at 6e-3 reads
-    4.4e-10, 8.2e-10, 5.4e-9 at m = 60, 100, 200 and <= 0.31x order 4 on 486 configs.
+    turning point of level n.  A set of levels is checked on the grid of its top level.  The
+    jet derivatives are exact to rounding, so h only sets how densely the residual is sampled.
     """
     s_max = float(np.sqrt(turning_point_g(n, p, 10)))
     return RadialGrid(0.05, s_max, int(np.ceil((s_max - 0.05) / RESIDUAL_STEP)) + 1)
@@ -145,34 +140,33 @@ def _scaled_residuals(levels, p: ModelParams, x1_denominator="g_plus_alpha"):
     """The grid `default_residual_grid`(max(levels), p) and, for each n in levels (ascending),
     the scaled max residual of Phi'' + (tau/rho) Phi' + 2(E_n - V_ext) Phi on it.
 
-    Phi_n comes from `wavefunctions._radial_rows` (the rows of `radial_eigenfunction`,
-    sharing one envelope and denominator; the 2g + alpha variant from
-    `radial_eigenfunction` itself), E_n from the analytic formula, and
-    V_ext = rho^2 / 2 + v_new, with v_new evaluated once for all levels.  Derivatives are
-    9-point, eighth-order central differences; each residual is normalized by max|Phi_n|
-    times E_n.  A non-finite Phi_n or v_new (Laguerre overflow) raises NonFiniteError.
+    Phi_n, Phi_n' and Phi_n'' come from `wavefunctions._radial_rows` run on a `laguerre.Jet`
+    in rho (the rows of `radial_eigenfunction`, sharing one envelope and denominator; the
+    2g + alpha variant from `radial_eigenfunction` itself), E_n from the analytic formula,
+    and V_ext = rho^2 / 2 + v_new, evaluated once for all levels.  Each residual is
+    normalized by max|Phi_n| E_n.  A non-finite jet or v_new (Laguerre overflow) raises.
     """
     levels = [_check_index("n", n, 0) for n in levels]
     p = trap_units(p)
     grid = default_residual_grid(max(levels), p)
-    rho = grid.nodes[4:-4]
+    rho = grid.nodes
+    jet = Jet(rho, np.ones_like(rho), np.zeros_like(rho))
     with np.errstate(over="ignore", invalid="ignore"):
         if x1_denominator == "g_plus_alpha":
-            phi = list(_radial_rows(levels, p, grid.nodes))
+            phi = list(_radial_rows(levels, p, jet))
         else:  # the inconsistent m = 1 variant, a negative control
-            phi = [radial_eigenfunction(n, p, grid.nodes, x1_denominator) for n in levels]
+            phi = [radial_eigenfunction(n, p, jet, x1_denominator) for n in levels]
         v = v_new(rho, p)
-    for name, values in [(f"Phi_{n}", f) for n, f in zip(levels, phi)] + [("v_new", v)]:
+    for name, values in [(f"Phi_{n}", (f.f, f.d1, f.d2)) for n, f in zip(levels, phi)] + [
+            ("v_new", v)]:
         if not np.all(np.isfinite(values)):
             raise NonFiniteError(f"residual: {name} is not finite (Laguerre overflow)")
     pot = 0.5 * rho ** 2 + v
     out = []
     for n, f in zip(levels, phi):
-        f1 = np.correlate(f, _D1) / grid.spacing
-        f2 = np.correlate(f, _D2) / grid.spacing ** 2
         e_n = energy_level(n, p)
-        resid = f2 + (p.tau / rho) * f1 + 2 * (e_n - pot) * f[4:-4]
-        out.append(float(np.max(np.abs(resid)) / (np.max(np.abs(f)) * e_n)))
+        resid = f.d2 + (p.tau / rho) * f.d1 + 2 * (e_n - pot) * f.f
+        out.append(float(np.max(np.abs(resid)) / (np.max(np.abs(f.f)) * e_n)))
     return grid, out
 
 
@@ -346,7 +340,9 @@ def consistency_suite(p: ModelParams) -> VerificationReport:
     plus the diagnosis of the two R-coefficient variants.
 
     The m = 1 items are evaluated at m = 1 regardless of p.ext_index (they
-    are statements about that family); the vanishing check uses m = 0.  The R
+    are statements about that family); the vanishing check uses m = 0.  They run in trap
+    units on s in [0.05, 10], and the three m = 1 forms also at p.omega, where rho =
+    s / sqrt(omega) must give omega times their trap-unit values.  The R
     convention and the rejected-variant control come from `laguerre.r_variant_battery`
     (at this config's alpha the rejected residual falls like alpha^-2, 1.0e-3 at 128);
     the consistent variant is probed here too.
@@ -363,6 +359,12 @@ def consistency_suite(p: ModelParams) -> VerificationReport:
     report.add("m=1 extension: constants form vs two-term form (max rel diff)",
                np.max(np.abs(constants - two_term)) / scale, 1e-12)
     report.add("m=0 extension vanishes (max |v_new|)", np.max(np.abs(zero)), 1e-14)
+    pw, rho_w = dataclasses.replace(p, ext_index=1), rho / np.sqrt(p.omega)
+    at_omega = (v_new(rho_w, pw), v_new_x1_two_term(rho_w, pw),
+                ext_constants(pw).evaluate(rho_w, pw.omega))
+    report.add("m=1 extension: each form at omega vs omega x its trap-unit value (max rel diff)",
+               max(np.max(np.abs(v / p.omega - u)) for v, u in
+                   zip(at_omega, (general, two_term, constants))) / scale, 1e-12)
 
     # R-coefficient diagnosis on the closed-form polynomials.
     battery = r_variant_battery()

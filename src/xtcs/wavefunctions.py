@@ -25,8 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonFiniteError, QuadratureError, ResolutionError, ValidationError
-from .laguerre import _check_index, _lag_rows, _maybe_scalar, _xm_rows, x1_laguerre
-from .model import Configuration, ModelParams, _check_rho, turning_point_g
+from .laguerre import (_check_index, _check_nonnegative, _lag_rows, _maybe_scalar, _xm_rows,
+                       x1_laguerre)
+from .model import Configuration, ModelParams, turning_point_g
 from .quadrature import panel_nodes
 from .solver import SIZE_BUDGET, RadialGrid, wall_g
 
@@ -48,7 +49,7 @@ PANEL_WIDTH = 2.0
 
 
 def radial_eigenfunction(n, p: ModelParams, rho, x1_denominator="g_plus_alpha"):
-    """Unnormalized radial eigenfunction Phi_n(rho); scalar or ndarray rho.
+    """Unnormalized radial eigenfunction Phi_n(rho); scalar, ndarray or `laguerre.Jet` rho.
 
     x1_denominator selects, for m = 1 only, between the consistent
     denominator (g + alpha) and the inconsistent variant (2g + alpha) kept
@@ -58,7 +59,7 @@ def radial_eigenfunction(n, p: ModelParams, rho, x1_denominator="g_plus_alpha"):
     if x1_denominator not in X1_DENOMINATOR_FORMS:
         raise ValidationError(
             f"x1_denominator must be one of {X1_DENOMINATOR_FORMS}, got {x1_denominator!r}")
-    rho_a = _check_rho(rho)
+    rho_a = _check_nonnegative("rho", rho)
     if x1_denominator == "g_plus_alpha":
         return _maybe_scalar(next(_radial_rows([n], p, rho_a)), rho)
     if p.ext_index != 1:
@@ -70,7 +71,8 @@ def radial_eigenfunction(n, p: ModelParams, rho, x1_denominator="g_plus_alpha"):
 def _radial_rows(levels, p: ModelParams, rho):
     """Iterator over Phi_n(rho) for n in levels (ascending) on a checked rho array, consistent
     denominator, made one row at a time; exp(-g/2), L_m^(alpha)(-g) and the denominator
-    L_m^(alpha-1)(-g) are evaluated once for all levels (`laguerre._xm_rows`)."""
+    L_m^(alpha-1)(-g) are evaluated once for all levels (`laguerre._xm_rows`).  On a
+    `laguerre.Jet` in rho the rows are Jets: Phi_n with its first two derivatives."""
     m, a = p.ext_index, p.alpha
     g = p.omega * rho ** 2
     envelope = np.exp(-g / 2)

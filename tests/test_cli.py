@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xtcs import AttractiveCouplingWarning, ModelParams, NonFiniteError, cli, solver, verify
+from xtcs import (AttractiveCouplingWarning, ExtConstants, ModelParams, NonFiniteError, cli,
+                  solver, verify)
 from xtcs.cli import SUITES, load_params, main
 from xtcs.verify import VerificationReport
 
@@ -446,10 +447,10 @@ def test_residual_passes_at_large_m(m, tmp_path, capsys):
     meta = doc["metadata"]
     # levels 0-3 share the grid of level 3, which reaches furthest
     grid = verify.default_residual_grid(3, ModelParams.from_json_dict(doc["params"]))
-    assert meta["fd_order"] == 8 and meta["grid_points"] == grid.n_points
-    assert meta["spacing"] == grid.spacing and 5.9e-3 < grid.spacing <= 6e-3  # omega = 1
+    assert set(meta) == {"spacing", "grid_points"} and meta["grid_points"] == grid.n_points
+    assert meta["spacing"] == grid.spacing and 0.049 < grid.spacing <= 0.05  # omega = 1
     text = (out / "report_residual.txt").read_text()
-    assert "# fd_order: 8" in text and f"# grid_points: {grid.n_points}" in text
+    assert f"# grid_points: {grid.n_points}" in text and "fd_order" not in text
 
 
 @pytest.mark.parametrize("cfg, suite, message", [
@@ -477,14 +478,14 @@ def test_non_finite_local_energy_exits_1_without_nan(tmp_path, capsys):
     assert main(["local-energy", "--config", str(path), "--samples", "4",
                  "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("xtcs: error: local energy: Psi ratio is not finite")
+    assert captured.err.startswith("xtcs: error: local energy: kinetic energy is not finite")
     assert captured.err.count("\n") == 1
     assert captured.out == "" and not out.exists()
     assert main(["verify", "--config", str(path), "--suite", "local-energy",
                  "--samples", "4", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(
-        "xtcs: error: suite local-energy: local energy: Psi ratio is not finite")
+        "xtcs: error: suite local-energy: local energy: kinetic energy is not finite")
     assert captured.err.count("\n") == 1
     assert captured.out == "" and not out.exists()
 
@@ -497,6 +498,51 @@ def test_negative_seed_exits_1_with_one_line(argv, prefix, config, capsys):
     assert main(argv + ["--config", config, "--samples", "5"]) == 1
     err = capsys.readouterr().err
     assert err == f"xtcs: error: {prefix}seed must be >= 0, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("cfg", [
+    # tau = 1.6, m = 60: the FD residual read 4.2e-6 here against the 1e-8 gate
+    {"N": 2, "lambda": 0.3, "r": 1, "omega": 1, "s": 0, "m": 60},
+    # the local energy with a fixed FD step read mean errors of 9.3e-5 and 6.0e-3 here
+    {"N": 150, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": 0},
+    {"N": 300, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": 0},
+])
+def test_jet_derivatives_pass_where_fd_stencils_failed(cfg, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    if cfg["m"]:
+        assert main(["verify", "--config", str(path), "--suite", "residual"]) == 0
+    else:
+        assert main(["local-energy", "--config", str(path), "--samples", "20"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+@pytest.mark.parametrize("omega", [1e-300, 1.0, 1e300])
+def test_consistency_scaling_item_passes_at_every_omega(omega, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": omega, "s": 0, "m": 2}))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--suite", "consistency", "--out", str(out)]) == 0
+    items = json.loads((out / "report_consistency.json").read_text())["items"]
+    scaling = [item for item in items if "at omega" in item["name"]]
+    assert len(scaling) == 1 and scaling[0]["passed"] and scaling[0]["value"] <= 1e-15
+
+
+def test_consistency_catches_a_misplaced_omega(tmp_path, monkeypatch, capsys):
+    # beta2 = 2 w instead of 2 / w cancels in trap units; only the scaling item sees it
+    def misplaced(p):
+        w, tau = p.omega, p.tau
+        return ExtConstants(alpha1=-4 * w * (tau - 1), alpha2=8.0, beta1=tau - 1, beta2=2 * w)
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": 2, "s": 0, "m": 1}))
+    monkeypatch.setattr(verify, "ext_constants", misplaced)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--suite", "consistency", "--out", str(out)]) == 2
+    failed = [item["name"] for item in json.loads((out / "report_consistency.json").read_text())[
+        "items"] if not item["passed"]]
+    assert failed == ["m=1 extension: each form at omega vs omega x its trap-unit value "
+                      "(max rel diff)"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -586,7 +632,10 @@ def test_radial_checks_hold_at_extreme_omega(omega, tmp_path, capsys):
     for suite in ("spectrum", "consistency"):
         unit, scaled = reports[1.0, suite], reports[omega, suite]
         assert scaled["passed"] is True
-        if suite == "consistency":
+        if suite == "consistency":  # all but the scaling law's item, which runs at omega
+            scaling = [i for i, item in enumerate(unit["items"]) if "at omega" in item["name"]]
+            assert len(scaling) == 1 and unit["items"][scaling[0]]["value"] == 0
+            del scaled["items"][scaling[0]], unit["items"][scaling[0]]
             assert scaled["items"] == unit["items"]
     for ladder in ("conventional", "extended"):
         unit, scaled = (reports[w, "spectrum"]["metadata"][ladder] for w in (1.0, omega))
@@ -640,14 +689,13 @@ def test_residual_suite_passes_at_extreme_omega(omega, tmp_path, capsys):
 ])
 def test_local_energy_size_above_the_budget_exits_1_before_any_work(argv, prefix, config,
                                                                      capsys):
-    # 1e9 samples of N = 2: the (samples, N, 4) stencil ratios alone would take 64 GB
+    # 1e9 samples of N = 2: each (samples, N) array of the jet path alone would take 16 GB
     start = time.perf_counter()
     assert main(argv + ["--config", config, "--samples", "1000000000"]) == 1
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.err == (f"xtcs: error: {prefix}1000000000 samples of 2 particles exceed "
-                            "the size budget of 8388608 samples x particles x 4 stencil "
-                            "shifts; lower --samples\n")
+                            "the size budget of 8388608 samples x particles; lower --samples\n")
     assert captured.out == ""
 
 
@@ -668,7 +716,7 @@ def test_residual_suite_evaluates_v_new_once_for_its_levels(config, tmp_path, mo
     assert main(["verify", "--config", config, "--suite", "residual",
                  "--out", str(tmp_path)]) == 0
     p = cli.load_params(config)
-    assert calls == [verify.default_residual_grid(n, p).n_points - 8 for n in (3, 0)]
+    assert calls == [verify.default_residual_grid(n, p).n_points for n in (3, 0)]
 
 
 @pytest.mark.parametrize("m, v_new_calls", [(1, 1), (0, 0)])

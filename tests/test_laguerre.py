@@ -7,7 +7,8 @@ import pytest
 from xtcs import (ValidationError, laguerre, laguerre_derivative, ode_coefficients,
                   resolve_r_denominator, x1_laguerre, xm_denominator, xm_laguerre,
                   xm_ode_residual)
-from xtcs.laguerre import _lag, _lag_pair, _lag_rows, _xm_rows, r_variant_residuals
+from xtcs.laguerre import (Jet, _lag, _lag_pair, _lag_rows, _ode_terms, _xm_rows,
+                           r_variant_residuals)
 
 from conftest import battery
 
@@ -130,6 +131,55 @@ def test_derivative_matches_central_differences():
         fd = (laguerre(n, alpha, x + h) - laguerre(n, alpha, x - h)) / (2 * h)
         exact = laguerre_derivative(n, alpha, x)
         assert exact == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+# -- second-order jets -------------------------------------------------------
+
+def unit_jet(x):
+    """The jet of the variable itself: (x, 1, 0)."""
+    return Jet(x, np.ones_like(x), np.zeros_like(x))
+
+
+def assert_close_to_scale(got, want, rtol=1e-13):
+    """|got - want| <= rtol max|want|: pointwise relative error is meaningless at a zero."""
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 4.0, 885.0])
+def test_jet_derivatives_of_the_recurrence_match_the_derivative_identity(a):
+    # the recurrence run on a jet against d/dx L_n^(a) = -L_{n-1}^(a+1), applied once and
+    # twice; its value part is the float recurrence bit for bit
+    x = np.concatenate((-np.geomspace(1e-2, 50.0, 25), np.geomspace(1e-2, 50.0, 25)))
+    for n in range(1, 11):
+        jet = _lag(n, a, unit_jet(x))
+        assert np.array_equal(jet.f, _lag(n, a, x))
+        assert_close_to_scale(jet.d1, laguerre_derivative(n, a, x))
+        assert_close_to_scale(jet.d2, -laguerre_derivative(n - 1, a + 1, x))
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 4.0, 885.0])
+def test_jet_derivatives_of_xm_rows_match_the_product_rule(a):
+    # the Xm rows run on a jet against _ode_terms' product rule on the classical factors
+    g = np.geomspace(1e-2, 50.0, 30)
+    for m in (1, 2, 5):
+        for n, row in enumerate(_xm_rows(list(range(11)), m, a, unit_jet(g))[1]):
+            y, y1, y2, *_ = _ode_terms(n, m, a, g)
+            assert np.array_equal(row.f, y)
+            assert_close_to_scale(row.d1, y1)
+            assert_close_to_scale(row.d2, y2)
+
+
+def test_jet_rules():
+    # exp, log, powers, quotients and numpy operands on the left, against closed forms
+    x = np.linspace(0.5, 3.0, 7)
+    j = unit_jet(x)
+    for got, want in ((np.exp(-j / 2), (np.exp(-x / 2), -np.exp(-x / 2) / 2, np.exp(-x / 2) / 4)),
+                      (np.log(j * j), (np.log(x * x), 2 / x, -2 / x ** 2)),
+                      (j ** 3 / (1 + j), (x ** 3 / (1 + x), (2 * x ** 3 + 3 * x ** 2) / (1 + x) ** 2,
+                                          (2 * x ** 3 + 6 * x ** 2 + 6 * x) / (1 + x) ** 3)),
+                      (np.float64(2.0) - x * j, (2 - x * x, -x, 0 * x))):
+        for part, ref in zip((got.f, got.d1, got.d2), want):
+            np.testing.assert_allclose(part, ref, rtol=1e-14, atol=0)
 
 
 # -- X1 family ---------------------------------------------------------------

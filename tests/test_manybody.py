@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from xtcs import (Configuration, ModelParams, ValidationError, constancy_scan,
+from xtcs import (Configuration, ModelParams, NonFiniteError, ValidationError, constancy_scan,
                   energy_level, local_energy, manybody_groundstate, sample_configurations,
                   v_interaction, v_new)
 from xtcs import manybody, model
@@ -33,21 +33,25 @@ def reference_v_interaction(x, p):
     return two + three
 
 
-def reference_log_psi_ratios(x, wp, step):
-    """log Psi(x + d h e_i) - log Psi(x), one index distance k = 1..r at a time."""
-    delta = step * manybody.STENCIL_SHIFTS
-    dg = wp.omega * (2 * x[..., None] * delta + delta ** 2)
-    out = -dg / 2
+def reference_log_psi_derivatives(x, wp):
+    """(d_i log Psi, d_i^2 log Psi), the pairs one index distance k = 1..r at a time and the
+    radial part from the hand-written derivatives of its Laguerre factors,
+    d/dg L_m^(a)(-g) = L_{m-1}^(a+1)(-g) and d^2/dg^2 L_m^(a)(-g) = L_{m-2}^(a+2)(-g)."""
+    lam, w, m, a = wp.coupling, wp.omega, wp.ext_index, wp.alpha
+    grad, lap = np.zeros(x.shape), np.zeros(x.shape)
     for k in range(1, wp.trunc_range + 1):
-        gap = (x[:, k:] - x[:, :-k])[..., None]
-        out[:, :-k] += wp.coupling * np.log1p(-delta / gap)
-        out[:, k:] += wp.coupling * np.log1p(delta / gap)
-    if wp.ext_index:
-        m, a = wp.ext_index, wp.alpha
-        g = wp.omega * np.sum(x ** 2, axis=-1)[:, None, None]
-        shifted, base = (np.log(_lag(m, a, -h)) - np.log(_lag(m, a - 1, -h)) for h in (g + dg, g))
-        out += shifted - base
-    return out
+        inv = 1 / (x[:, k:] - x[:, :-k])
+        grad[:, :-k] -= lam * inv
+        grad[:, k:] += lam * inv
+        lap[:, :-k] -= lam * inv ** 2
+        lap[:, k:] -= lam * inv ** 2
+    g = w * np.sum(x ** 2, axis=-1, keepdims=True)
+    d1, d2 = -0.5, 0.0
+    for b in (a, a - 1):  # log L_m^(a)(-g) - log L_m^(a-1)(-g)
+        y, y1, y2 = _lag(m, b, -g), _lag(m - 1, b + 1, -g), _lag(m - 2, b + 2, -g)
+        sign = 1 if b == a else -1
+        d1, d2 = d1 + sign * y1 / y, d2 + sign * (y2 / y - (y1 / y) ** 2)
+    return grad + d1 * 2 * w * x, lap + d2 * (2 * w * x) ** 2 + d1 * 2 * w
 
 
 def reference_local_energy(c, p, fd_step=1e-3):
@@ -56,7 +60,7 @@ def reference_local_energy(c, p, fd_step=1e-3):
     x = np.asarray(c.positions)
 
     def psi(y):
-        return manybody_groundstate(Configuration(tuple(y), min_separation=1e-12), p)
+        return manybody_groundstate(Configuration(tuple(y)), p)
 
     psi0 = psi(x)
     kinetic = 0.0
@@ -87,15 +91,16 @@ def test_batched_local_energy_matches_scalar_reference(n):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_pair_window_log_ratios_match_the_per_distance_loop():
+def test_pair_window_log_psi_derivatives_match_the_per_distance_loop():
     n = 8
     for r in range(1, n):
         for m in (0, 1, 3):
             p = ModelParams(n, 1.3, r, 0.8, ext_index=m)
             x = manybody._sample_positions(p, 20, seed=r + 10 * m)
-            step = manybody._fd_step(p)
-            np.testing.assert_allclose(manybody._log_psi_ratios(x, p, step),
-                                       reference_log_psi_ratios(x, p, step), rtol=0, atol=1e-14)
+            for jet, loop in zip(manybody._log_psi_derivatives(x, p),
+                                 reference_log_psi_derivatives(x, p)):
+                np.testing.assert_allclose(jet.T, loop, rtol=1e-13,
+                                           atol=1e-13 * np.max(np.abs(loop)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -179,10 +184,28 @@ def test_local_energy_deterministic():
 
 
 def test_separation_guard():
+    # no step to protect any more: close pairs are evaluated, unordered arrays are refused
     p = ModelParams(2, 1.0, 1, 1.0)
-    c = Configuration((0.0, 0.005))  # above eps_sep but below 10 * fd_step
-    with pytest.raises(ValidationError, match="fd_step"):
-        local_energy(c, p)
+    assert local_energy(Configuration((0.0, 0.005)), p) == pytest.approx(2.0, rel=1e-12)
+    for x in ([[0.3, 0.3]], [[0.3, -0.2]], [[0.0, np.nan]], [[0.0, np.inf]]):
+        with pytest.raises(ValidationError, match="finite and strictly increasing"):
+            local_energy(np.array(x), p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_terms_raise_naming_their_stage(monkeypatch):
+    p = ModelParams(3, 2.0, 1, 1.0)
+    with pytest.raises(NonFiniteError, match="local energy: kinetic energy is not finite"):
+        local_energy(np.array([[-1.0, 0.0, 1e-170]]), p)  # 1/gap^2 leaves float64
+    monkeypatch.setattr(manybody, "v_interaction", lambda x, p: np.full(len(x), np.inf))
+    with pytest.raises(NonFiniteError, match="local energy: v_interaction is not finite"):
+        local_energy(np.array([[-1.0, 0.0, 1.0]]), p)
+
+
+def test_large_full_range_scan_is_exact_to_rounding():
+    # N = 300, r = 299 (tau ~ 9e4, E_0 = 45,000): a fixed FD step read a mean error of 5.2e-5
+    stats = constancy_scan(ModelParams(300, 1.0, 299, 1.0), n_samples=20, seed=1)
+    assert stats.relative_mean_error <= 1e-12 and stats.relative_spread <= 1e-12
 
 
 def test_s_nonzero_rejected():

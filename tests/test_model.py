@@ -113,7 +113,8 @@ def test_configuration_validation():
     with pytest.raises(ValidationError):
         Configuration((1.0, 0.0))
     with pytest.raises(ValidationError):
-        Configuration((0.0, 1e-5))  # below default min separation
+        Configuration((0.0, np.nan))
+    assert Configuration((0.0, 1e-300)).n == 2  # any strictly increasing pair is ordered
     c = Configuration((-0.5, 0.5))
     assert c.hyperradius == pytest.approx(np.sqrt(0.5))
 

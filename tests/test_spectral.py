@@ -375,29 +375,27 @@ def test_residual_broken_denominator_fails():
     assert bad > 1e-2
 
 
-def test_residual_stencil_is_eighth_order(monkeypatch):
-    # Both grids evaluate the residual on [1, 4], where truncation (1.9e-11 at h = 0.05)
-    # sits two decades above roundoff, so halving h must cut it by about 2^8.
-    p = ModelParams(3, 1.0, 1, 1.0)
-
-    def residual(h):
-        grid = RadialGrid(1.0 - 4 * h, 4.0 + 4 * h, round(3.0 / h) + 9)
-        monkeypatch.setattr(verify, "default_residual_grid", lambda n, p: grid)
-        return ode_residual(0, p)
-
-    assert 2 ** 7 <= residual(0.1) / residual(0.05) <= 2 ** 9
+def test_residual_is_at_rounding_level_on_any_grid(monkeypatch):
+    # The jet derivatives carry no truncation error, so the residual does not depend on the
+    # step: it sits at rounding level from h = 0.5 to 1e-3 (an FD stencil read 1.9e-11 at
+    # h = 0.05 here, falling like h^8).
+    for p in (ModelParams(3, 1.0, 1, 1.0), ModelParams(3, 1.0, 1, 1.0, ext_index=3)):
+        for h in (0.5, 0.05, 1e-3):
+            grid = RadialGrid(1.0, 4.0, round(3.0 / h) + 1)
+            monkeypatch.setattr(verify, "default_residual_grid", lambda n, p: grid)
+            assert ode_residual(0, p) <= 1e-14, (p, h)
 
 
 @pytest.mark.parametrize("omega", (1e-12, 1e-5, 1e-3, 1e4, 1e12))
 def test_residual_grid_follows_the_trap_length(omega):
     # The grid is in trap lengths s = sqrt(omega) rho, one grid for every omega: it runs
-    # from 0.05 in steps of 6e-3 to 10 past the turning point, and the residual, which is
+    # from 0.05 in steps of 0.05 to 10 past the turning point, and the residual, which is
     # dimensionless, is the one of omega = 1 bit for bit.
     p = ModelParams(3, 1.0, 2, omega, ext_index=2)
     unit = ModelParams(3, 1.0, 2, 1.0, ext_index=2)
     grid = verify.default_residual_grid(0, p)
     assert grid == verify.default_residual_grid(0, unit)
-    assert grid.rho_min == 0.05 and 5.9e-3 < grid.spacing <= 6e-3
+    assert grid.rho_min == 0.05 and 0.049 < grid.spacing <= 0.05
     assert grid.rho_max == pytest.approx(np.sqrt(turning_point_g(0, p, 10)), rel=1e-15)
     assert ode_residual(0, p) == ode_residual(0, unit) <= 1e-8
 

@@ -4,7 +4,7 @@
 
 The grid is N in {2, 3, 5, 8, 16, 30}, lambda in {0.3, 0.6, 1, 2.5}, r in {1, N-1},
 omega in {0.05, 1, 20}, s in {0, 1}, m in {0, 1, 3, 20, 60}: 1,320 configs, run on 2
-worker processes (about 35 s on 2 vCPUs), with the local-energy suite at 60 samples.
+worker processes (about 22 s on 2 vCPUs), with the local-energy suite at 60 samples.
 On the configs with s = 0, m >= 1 and tau > 2 (516 of them) it also runs the negative
 control `verify --suite spectrum --perturb 1.01`, its own class: exit 0 there means the
 control cannot see a 1 % error in the extension term.
