@@ -4,9 +4,10 @@ Analytic side: exceptional (X1/Xm) Laguerre polynomials, the extended
 radial potentials they solve, eigenfunctions, and the unchanged spectrum
 E_n = omega (2n + alpha + 1).  Verification side: a finite-difference
 radial eigensolver, differential-equation residuals, quadrature
-orthogonality, and a many-body local-energy oracle.  The residuals and the
-local energy take their derivatives from second-order jets run through the
-closed forms themselves, so no derivative is written out by hand.
+orthogonality, and a many-body local-energy oracle.  The residuals, the
+R-coefficient diagnosis and the local energy take their derivatives from
+second-order jets run through the closed forms themselves, so no derivative
+is written out by hand.
 """
 
 __version__ = "0.1.0"

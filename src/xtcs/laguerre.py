@@ -27,7 +27,8 @@ is kept only as a residual diagnostic: the zero-order coefficient R_m
 admits two superficially similar forms whose denominators differ by a
 unit shift of the parameter, and only one of them annihilates the closed
 forms above.  `resolve_r_denominator` settles this numerically instead of
-assuming either form; see `ode_coefficients`.
+assuming either form; see `ode_coefficients`.  Its y' and y'' come, as
+every pointwise derivative here, from the closed forms run on a `Jet` in g.
 
 All functions are pure and accept scalar or ndarray arguments where noted;
 they are safe to call concurrently.
@@ -92,7 +93,7 @@ def _check_alpha_g(alpha, g):
 
 
 def _maybe_scalar(arr, like):
-    return float(arr) if np.isscalar(like) or np.ndim(like) == 0 else arr
+    return arr if isinstance(arr, Jet) or np.ndim(like) else float(arr)
 
 
 class Jet:
@@ -296,84 +297,77 @@ def ode_coefficients(m, alpha, g):
     `resolve_r_denominator` reports which variant the closed-form polynomial
     actually satisfies.
     """
-    *_, q, r_linear = _ode_terms(0, m, alpha, g)
+    q, r_linear, _ = _ode_terms([0], m, alpha, g)
     return OdeCoefficients(*(_maybe_scalar(c, g) for c in (q, *r_linear.values())))
 
 
-def _ode_terms(n, m, alpha, g):
-    """(y, y', y'', Q, {variant: linear part of R}) of the Xm polynomial of degree n + m at
-    g > 0 (`ode_coefficients`).  The derivatives are analytic (product rule on the classical
-    representation, d/dx L_k^(a) = -L_{k-1}^(a+1)); the ten distinct Laguerre factors are
-    evaluated once each and shared with the coefficients."""
-    n = _check_index("n", n, 0)
+def _ode_terms(levels, m, alpha, g):
+    """(Q, {variant: linear part of R}, rows) of the Xm polynomials of degree n + m, n in
+    levels (ascending), at g > 0 (`ode_coefficients`).  One `_xm_rows` pass on a Jet in g
+    gives each row as a Jet (y, y', y''), and its denominator D = L_m^(alpha-1)(-g) with
+    D' = L_{m-1}^(alpha)(-g); L_m^(alpha)(-g) is D + D', a sum of two positive terms."""
     m = _check_index("m", m, 1)
+    for n in levels:
+        _check_index("n", n, 0)
     a = float(alpha)
     ga = _check_argument("g", g)
-    A, dA, d2A = _lag(m, a, -ga), _lag(m - 1, a + 1, -ga), _lag(m - 2, a + 2, -ga)
-    C, dC, d2C = _lag(m, a - 1, -ga), _lag(m - 1, a, -ga), _lag(m - 2, a + 1, -ga)
-    B, D = _lag(n, a - 1, ga), _lag(n - 1, a, ga)
-    dB, dD, d2D = -D, -_lag(n - 2, a + 1, ga), _lag(n - 3, a + 2, ga)
-    d2B = -dD
-    y = A * B + C * D
-    y1 = dA * B + A * dB + dC * D + C * dD
-    y2 = d2A * B + 2 * dA * dB + A * d2B + d2C * D + 2 * dC * dD + C * d2D
     if a <= 0:
         raise ValidationError(f"alpha must be > 0, got {a}")
     if not np.all(ga > 0):
         raise ValidationError(f"g must be > 0 (coefficients have a 1/g pole), got {ga}")
-    q = ((a + 1 - ga) - 2 * ga * dC / C) / ga  # dC = L_{m-1}^(a)(-g), C = L_m^(a-1)(-g)
-    return y, y1, y2, q, {"alpha": -2 * a * dC / A / ga, "alpha-1": -2 * a * dC / C / ga}
+    den, rows = _xm_rows(levels, m, a, Jet(ga, 1.0, 0.0))
+    c, dc = den.f, den.d1
+    q = ((a + 1 - ga) - 2 * ga * dc / c) / ga
+    return q, {"alpha": -2 * a * dc / (c + dc) / ga, "alpha-1": -2 * a * dc / c / ga}, rows
 
 
-def _ode_residual(n, m, g, terms, r_denominator):
-    """g y'' + g Q y' + g R y from `_ode_terms`, R = (n + m) / g + the variant's linear part."""
-    y, y1, y2, q, r_linear = terms
+def _ode_residual(n, m, g, q, r_linear, row, r_denominator):
+    """g y'' + g Q y' + g R y on a Jet row of `_ode_terms`, R = (n + m) / g + linear part."""
     r = (n + m) / g + r_linear[r_denominator]
-    return g * y2 + g * q * y1 + g * r * y
+    return g * row.d2 + g * q * row.d1 + g * r * row.f
 
 
 def xm_ode_residual(n, m, alpha, g, r_denominator="alpha-1"):
     """Residual g y'' + g Q y' + g R y on the closed-form Xm polynomial; scalar or array g.
 
-    Derivatives are analytic (product rule on the classical representation),
-    so a nonzero residual measures coefficient inconsistency, not numerics.
+    y' and y'' come from the closed form run on a second-order jet in g (`_ode_terms`), exact
+    to rounding, so a nonzero residual measures coefficient inconsistency, not numerics.
     r_denominator selects the R variant: "alpha-1" or "alpha".
     """
     if r_denominator not in ("alpha-1", "alpha"):
         raise ValidationError(f"r_denominator must be 'alpha-1' or 'alpha', got {r_denominator!r}")
-    terms = _ode_terms(n, m, alpha, g)
-    return _maybe_scalar(_ode_residual(n, m, np.asarray(g, dtype=float), terms, r_denominator), g)
+    q, r_linear, rows = _ode_terms([n], m, alpha, g)
+    res = _ode_residual(n, m, np.asarray(g, dtype=float), q, r_linear, next(rows), r_denominator)
+    return _maybe_scalar(res, g)
 
 
-def r_variant_residuals(probes):
-    """Worst scaled residual of each R variant over (n, m, alpha, g) probes.
+def r_variant_residuals(levels, ms, alphas, gs):
+    """Worst scaled residual of each R variant over the probes levels x ms x alphas x gs.
 
-    Each residual is scaled by max(1, |y|) (n + m + alpha + g), the size of
-    the terms that cancel in it.  Probes sharing (n, m, alpha) form one array
-    of g, whose polynomial, derivatives and coefficients (`_ode_terms`) serve both
-    variants and the scale; a NaN residual makes the worst NaN.  Returns {variant: worst}.
+    Each residual is scaled by max(1, |y|) (n + m + alpha + g), the size of the terms that
+    cancel in it.  One `_ode_terms` pass per (m, alpha) over the array of g gives every
+    level's polynomial, derivatives and coefficients, which serve both variants and the
+    scale; a NaN residual makes the worst NaN.  Returns {variant: worst}.
     """
-    groups = {}
-    for n, m, a, g in probes:
-        groups.setdefault((n, m, a), []).append(g)
+    levels, g = sorted(levels), np.array(gs, dtype=float)
     scaled = {"alpha-1": [], "alpha": []}
-    for (n, m, a), gs in groups.items():
-        g = np.array(gs, dtype=float)
-        terms = _ode_terms(n, m, a, g)
-        scale = np.maximum(1.0, np.abs(terms[0])) * (n + m + a + g)
-        for variant, out in scaled.items():
-            out.append(np.abs(_ode_residual(n, m, g, terms, variant)) / scale)
+    for m, a in itertools.product(ms, alphas):
+        q, r_linear, rows = _ode_terms(levels, m, a, g)
+        for n, row in zip(levels, rows):
+            scale = np.maximum(1.0, np.abs(row.f)) * (n + m + a + g)
+            for variant, out in scaled.items():
+                out.append(np.abs(_ode_residual(n, m, g, q, r_linear, row, variant)) / scale)
     return {variant: float(np.max(np.concatenate(out))) for variant, out in scaled.items()}
 
 
 @lru_cache(maxsize=1)
 def r_variant_battery():
     """{variant: worst scaled residual} over the fixed probe battery, evaluated once per
-    process: n < 4, m <= 3, alpha in {1, 1.5, 4, 5.5}, g in {0.5, 2, 11.3}.  At these
-    small alpha the rejected variant reads 0.4375; at large alpha its residual falls like
-    alpha^-2.  Shared by `resolve_r_denominator` and `verify.consistency_suite`."""
-    return r_variant_residuals((n, m, a, g) for n in range(4) for m in (1, 2, 3)
-                               for a in (1.0, 1.5, 4.0, 5.5) for g in (0.5, 2.0, 11.3))
+    process in 12 jet passes, one per (m, alpha): n < 4, m <= 3, alpha in {1, 1.5, 4, 5.5},
+    g in {0.5, 2, 11.3}.  At these small alpha the rejected variant reads 0.4375; at large
+    alpha its residual falls like alpha^-2.  Shared by `resolve_r_denominator` and
+    `verify.consistency_suite`."""
+    return r_variant_residuals(range(4), (1, 2, 3), (1.0, 1.5, 4.0, 5.5), (0.5, 2.0, 11.3))
 
 
 def resolve_r_denominator():

@@ -37,8 +37,7 @@ def _log_psi_derivatives(x, wp: ModelParams):
     -g/2 + log L_m^(alpha)(-g) - log L_m^(alpha-1)(-g) on a Jet in g = omega |x|^2, chained
     through d_i g = 2 omega x_i and d_i^2 g = 2 omega."""
     n, xt = x.shape[-1], x.T
-    left, right, partner = _pair_window(n, wp.trunc_range)[:3]
-    sign = np.where(np.append(right, n)[partner] == np.arange(n), 1.0, -1.0)[..., None]
+    left, right, partner, sign = _pair_window(n, wp.trunc_range)[:4]
     grad, lap = np.empty(xt.shape), np.empty(xt.shape)
     for rows in _row_blocks(len(x), len(left) + 2 * partner.size):
         block = xt[:, rows]

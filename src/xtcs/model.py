@@ -214,6 +214,7 @@ def _pair_window(n: int, r: int):
     left, right -- the P pairs i < j <= i + r, ordered by j - i, then i; index P, one
                    past the last pair, is the padding slot, where callers keep a zero
     partner     -- (min(2r, N - 1), N): column i holds the pairs of particle i, by partner
+    sign        -- partner's shape + (1,): +1 where particle i is that pair's right end
     triples     -- (2, min(r, N - 1 - r), N): the boundary triples (i, j, k) with
                    j - i, k - j <= r < k - i, by middle particle j.  Row t holds the
                    pair (j - a_t, j) in triples[0] and (j, j + b_t) in triples[1], with
@@ -237,12 +238,13 @@ def _pair_window(n: int, r: int):
     j = low + np.arange(min(2 * r, n - 1))[:, None]  # partners low, ..., i - 1, i + 1, ..., i + r
     j += j >= i
     partner = pair(np.minimum(i, j), np.maximum(i, j), j <= np.minimum(i + r, n - 1))
+    sign = np.where(np.append(right, n)[partner] == i, 1.0, -1.0)[..., None]
     a_max, b_max = np.minimum(r, i), np.minimum(r, n - 1 - i)
     t = np.arange(min(r, n - 1 - r))[:, None]
     valid = t < a_max + b_max - r
     b = b_max - t
     triples = np.stack((pair(i - (r + 1 - b), i, valid), pair(i, i + b, valid)))
-    arrays = (left, right, partner, triples, np.tri(len(t)))
+    arrays = (left, right, partner, sign, triples, np.tri(len(t)))
     for array in arrays:
         array.flags.writeable = False
     return arrays
@@ -270,7 +272,7 @@ def v_interaction(c, p: ModelParams):
     n, lam = x.shape[-1], p.coupling
     if n != p.n_particles:
         raise ValidationError(f"configuration has {n} positions but n_particles = {p.n_particles}")
-    left, right, _, triples, running = _pair_window(n, p.trunc_range)
+    left, right, _, _, triples, running = _pair_window(n, p.trunc_range)
     rows = x.reshape(-1, n)
     total = np.empty(len(rows))
     for block in _row_blocks(len(rows), len(left) + triples.size):

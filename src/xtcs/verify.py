@@ -370,9 +370,7 @@ def consistency_suite(p: ModelParams) -> VerificationReport:
     battery = r_variant_battery()
     resolved = min(battery, key=battery.get)
     rejected = "alpha" if resolved == "alpha-1" else "alpha-1"
-    a = p.alpha
-    worst = r_variant_residuals(
-        (n, m, a, g) for n in range(4) for m in (1, 2, 3) for g in (0.5, 2.0, a + 1.0, 11.3))
+    worst = r_variant_residuals(range(4), (1, 2, 3), (p.alpha,), (0.5, 2.0, p.alpha + 1.0, 11.3))
     report.add(f"R coefficient, denominator parameter {resolved}: scaled residual",
                worst[resolved], 1e-9,
                detail="consistent variant")

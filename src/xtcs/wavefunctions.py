@@ -199,21 +199,25 @@ def _node_counts(levels, p: ModelParams) -> list:
     Each count stands only with no pair of sign changes in adjacent cells (an unresolved
     near-tangency) and the same count on the grid's halving (2 n_points - 1 points);
     otherwise ResolutionError.  The polynomials share their level-independent factors
-    (`laguerre._xm_rows`) and are made one level row at a time.
+    (`laguerre._xm_rows`) and are made one level row at a time.  A row's +-inf keeps its
+    sign, but a NaN (inf - inf) would hide sign changes: it raises NonFiniteError.
     """
     grid = default_node_grid(max(levels), p)
     halved = RadialGrid(grid.rho_min, grid.rho_max, 2 * grid.n_points - 1)
     # Phi_n = Xm polynomial * exp(-g/2) / L_m^(alpha-1)(-g), the last factor positive; the
     # polynomial keeps its sign where exp(-g/2) underflows (large alpha)
     counts = []
-    for poly in _xm_rows(levels, p.ext_index, p.alpha, halved.nodes ** 2)[1]:
-        signs = np.sign(poly)
-        cells, count_halved = _sign_changes(signs[::2]), len(_sign_changes(signs))
-        if np.any(np.diff(cells) <= 2):
-            raise ResolutionError(
-                "two sign changes within adjacent cells: suspected tangency, refine the grid")
-        if count_halved != len(cells):
-            raise ResolutionError(f"{len(cells)} sign changes on the grid but {count_halved} on "
-                                  "its halving; refine the grid")
-        counts.append(len(cells))
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN row raises below
+        for poly in _xm_rows(levels, p.ext_index, p.alpha, halved.nodes ** 2)[1]:
+            if np.any(np.isnan(poly)):
+                raise NonFiniteError("node count: the Xm polynomial is NaN (Laguerre overflow)")
+            signs = np.sign(poly)
+            cells, count_halved = _sign_changes(signs[::2]), len(_sign_changes(signs))
+            if np.any(np.diff(cells) <= 2):
+                raise ResolutionError(
+                    "two sign changes within adjacent cells: suspected tangency, refine the grid")
+            if count_halved != len(cells):
+                raise ResolutionError(f"{len(cells)} sign changes on the grid but {count_halved} "
+                                      "on its halving; refine the grid")
+            counts.append(len(cells))
     return counts

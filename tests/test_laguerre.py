@@ -7,8 +7,7 @@ import pytest
 from xtcs import (ValidationError, laguerre, laguerre_derivative, ode_coefficients,
                   resolve_r_denominator, x1_laguerre, xm_denominator, xm_laguerre,
                   xm_ode_residual)
-from xtcs.laguerre import (Jet, _lag, _lag_pair, _lag_rows, _ode_terms, _xm_rows,
-                           r_variant_residuals)
+from xtcs.laguerre import Jet, _lag, _lag_pair, _lag_rows, _xm_rows, r_variant_residuals
 
 from conftest import battery
 
@@ -157,16 +156,28 @@ def test_jet_derivatives_of_the_recurrence_match_the_derivative_identity(a):
         assert_close_to_scale(jet.d2, -laguerre_derivative(n - 1, a + 1, x))
 
 
+def classical_jet(n, a, x):
+    """L_n^(a)(x) and its first two derivatives in x from the public value and derivative,
+    d^2/dx^2 L_n^(a) = -d/dx L_{n-1}^(a+1); zero below degree 0."""
+    if n < 0:
+        return 0 * x, 0 * x, 0 * x
+    return laguerre(n, a, x), laguerre_derivative(n, a, x), -laguerre_derivative(n - 1, a + 1, x)
+
+
 @pytest.mark.parametrize("a", [0.3, 1.0, 4.0, 885.0])
 def test_jet_derivatives_of_xm_rows_match_the_product_rule(a):
-    # the Xm rows run on a jet against _ode_terms' product rule on the classical factors
+    # the Xm rows run on a jet against the product rule on the classical representation
+    # L_m^(a)(-g) L_n^(a-1)(g) + L_m^(a-1)(-g) L_{n-1}^(a)(g); the chain rule flips the sign
+    # of each first derivative at -g
     g = np.geomspace(1e-2, 50.0, 30)
     for m in (1, 2, 5):
+        (A, dA, d2A), (C, dC, d2C) = classical_jet(m, a, -g), classical_jet(m, a - 1, -g)
         for n, row in enumerate(_xm_rows(list(range(11)), m, a, unit_jet(g))[1]):
-            y, y1, y2, *_ = _ode_terms(n, m, a, g)
-            assert np.array_equal(row.f, y)
-            assert_close_to_scale(row.d1, y1)
-            assert_close_to_scale(row.d2, y2)
+            (B, dB, d2B), (D, dD, d2D) = classical_jet(n, a - 1, g), classical_jet(n - 1, a, g)
+            assert np.array_equal(row.f, xm_laguerre(n, m, a, g))
+            assert_close_to_scale(row.d1, -dA * B + A * dB - dC * D + C * dD)
+            assert_close_to_scale(row.d2, d2A * B - 2 * dA * dB + A * d2B
+                                  + d2C * D - 2 * dC * dD + C * d2D)
 
 
 def test_jet_rules():
@@ -300,10 +311,11 @@ def test_batched_r_variants_match_per_probe_reference():
     assert resolve_r_denominator() == "alpha-1"
     alphas = sorted({p.alpha for p in battery()} | {884.0})  # 884: tau = 1769
     for a in alphas:
-        probes = [(n, m, a, g) for n in range(4) for m in (1, 2, 3)
-                  for g in (0.5, 2.0, a + 1.0, 11.3)]
-        # one pass per (n, m, alpha) group gives the per-probe values bit for bit
-        assert r_variant_residuals(probes) == per_probe_r_variant_residuals(probes)
+        gs = (0.5, 2.0, a + 1.0, 11.3)
+        probes = [(n, m, a, g) for n in range(4) for m in (1, 2, 3) for g in gs]
+        # one jet pass per (m, alpha) over all levels gives the per-probe values bit for bit
+        assert (r_variant_residuals(range(4), (1, 2, 3), (a,), gs)
+                == per_probe_r_variant_residuals(probes))
 
 
 def test_residual_and_coefficients_take_arrays():

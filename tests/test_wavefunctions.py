@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from xtcs import (Configuration, ModelParams, QuadratureError, ResolutionError,
-                  ValidationError, count_nodes, jastrow, laguerre, manybody_groundstate, norm,
-                  orthogonality_matrix, radial_eigenfunction, wavefunctions, xm_laguerre)
+from xtcs import (Configuration, ModelParams, NonFiniteError, QuadratureError,
+                  ResolutionError, ValidationError, count_nodes, jastrow, laguerre,
+                  manybody_groundstate, norm, orthogonality_matrix, radial_eigenfunction,
+                  wavefunctions, xm_laguerre)
 from xtcs.model import turning_point_g
 from xtcs.quadrature import panel_nodes
 from xtcs.solver import RadialGrid, wall_g
@@ -222,6 +223,21 @@ def test_node_counts_match_level():
 def test_node_counts_hold_at_large_alpha(m):
     # alpha ~ 2359: exp(-g/2) underflows over the whole oscillation region
     p = ModelParams(40, 3.0, 39, 1.0, ext_index=m)
+    assert [count_nodes(n, p) for n in range(5)] == [0, 1, 2, 3, 4]
+
+
+def test_node_count_raises_on_a_nan_polynomial():
+    # L_m^(alpha)(-g) L_n^(alpha-1)(g) reads inf - inf: a NaN row hides its sign changes
+    # and used to count 0
+    with pytest.raises(NonFiniteError, match="node count"):
+        count_nodes(4, ModelParams(60, 3.0, 59, 1.0, ext_index=200))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s", (0, 1))
+def test_node_counts_hold_on_infinite_rows(s):
+    # these rows overflow to +-inf without a NaN; inf keeps its sign
+    p = ModelParams(60, 2.5, 59, 1.0, degree=s, ext_index=120)
     assert [count_nodes(n, p) for n in range(5)] == [0, 1, 2, 3, 4]
 
 
