@@ -20,8 +20,7 @@ from .laguerre import (OdeCoefficients, laguerre, laguerre_derivative,
 from .model import (Configuration, ExtConstants, ModelParams, energy_level, ext_constants,
                     v_eff_radial, v_interaction, v_new, v_new_x1_two_term)
 from .solver import RadialGrid, richardson, solver_grid
-from .wavefunctions import (count_nodes, default_node_grid, jastrow, manybody_groundstate,
-                            norm, radial_eigenfunction)
+from .wavefunctions import count_nodes, jastrow, manybody_groundstate, norm, radial_eigenfunction
 from .verify import (ConvergenceStudy, SpectrumReport, VerificationReport,
                      consistency_suite, convergence_orders, isospectrality_check,
                      numeric_spectrum, ode_residual, orthogonality_matrix,
@@ -37,7 +36,7 @@ __all__ = [
     "v_new", "v_new_x1_two_term", "ext_constants", "v_eff_radial",
     "RadialGrid", "solver_grid", "richardson",
     "radial_eigenfunction", "jastrow", "manybody_groundstate", "norm",
-    "count_nodes", "default_node_grid",
+    "count_nodes",
     "SpectrumReport", "VerificationReport", "ConvergenceStudy",
     "numeric_spectrum", "isospectrality_check", "orthogonality_matrix",
     "consistency_suite", "convergence_orders", "ode_residual", "spectrum_csv_rows",

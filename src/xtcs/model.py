@@ -180,9 +180,9 @@ def turning_point_g(n, p: ModelParams, margin: float) -> float:
     2 E_n / omega = 2(2n + alpha + 1), plus `margin`.
 
     Each check builds its truncated domain from the model and its levels alone.  The
-    solver grid and the quadrature end at `solver.wall_g`, built on it (solver grids
-    below tau = 4 end 30 past it); the residual, node and table grids, which only
-    sample Phi_n, end 10 past it.
+    solver grid and the quadrature, whose nodes the node counts share, end at
+    `solver.wall_g`, built on it (solver grids below tau = 4 end 30 past it); the
+    residual and table grids, which only sample Phi_n, end 10 past it.
     """
     n = _check_index("n", n, 0)
     return 2 * (2 * n + p.alpha + 1) + margin

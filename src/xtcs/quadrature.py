@@ -1,6 +1,6 @@
 """Composite 64-point Gauss-Legendre rule over given panel edges.
 
-The one caller, `wavefunctions._gram`, puts the edges equally spaced in trap lengths: each
+The one caller, `wavefunctions._gram_rule`, puts the edges equally spaced in trap lengths: each
 level's peak is a Gaussian about one unit wide whatever alpha is, so fixed-width panels keep
 the per-panel variation bounded and 64-point rules at machine accuracy.  The first panel,
 where the integrand starts like s^tau, is split at s_1 / 2, ..., s_1 / 2^20 for every tau.

@@ -13,9 +13,9 @@ discretized; tau <= 2 is rejected.
 
 Refinement: each level starts from a seed s and runs shifted inverse
 iteration with Rayleigh-quotient shifts: solve (T - s I) y = x by LAPACK
-*gtsv*, x = y / |y|_2, s = x^T T x, until r = |T x - s x|_2 <= 2 eps ||T||_1,
-r stops halving (its rounding floor: 3-7 eps ||T||_1 on the tau < 4 grids)
-or RQI_STEPS steps, starting from x = ones or from given start vectors.
+*gtsv*, x = y / |y|_2, s = x^T T x, until r = |T x - s x|_2 <= 4 eps ||T||_1 (the
+certificate's floor below), r stops halving (its rounding floor: 3-7 eps ||T||_1 on the
+tau < 4 grids) or RQI_STEPS steps, starting from x = ones or from given start vectors.
 Certificate: for symmetric T and unit x some eigenvalue lies within r of
 s, so the intervals s_n +- max(r_n, 4 eps ||T||) (the floor covers the
 residual's own rounding) each hold one if they are finite, ordered and
@@ -30,14 +30,13 @@ coarse + 3/4 (E_n - coarse) for the fine one (the h^2 error shrinks 4x), for the
 conventional and the extended matrices alike.  The fine ladder's iteration starts
 from the coarse ladder's vectors, `_prolonged` to the fine grid; the coarse ladder,
 and a fine one after a "full" coarse one, start from ones.
-Over 1,944 `isospectrality_check` configs (N = 2 ... 16, lambda = 0.6 ... 2.5, r = 1
-and N - 1, w = 0.05 ... 20, m in {0, 1, 3, 20}, k in {1, 4, 12}, extension term
-scaled by 1 and 1.01) all 6,804 ladders solved were refined.  Solves per level:
-coarse 2.05 at tau >= 4 and 2.45 below; fine 1.04 at tau >= 4 (1.51 from ones) and
-1.19 below (2.24 from ones); 1.56 overall (1.82 from ones).  At tau < 4 the rounding
-floor can lie above the 2 eps stop, and a warm start that lands on it takes a second
-solve to see r stop halving: of the 252 fine ladders there, 30 (all at tau = 3, k = 4)
-take more solves warm than from ones, 35 as many and 187 fewer.
+Over 2,016 `isospectrality_check` configs (N in {2, 3, 8, 16}, lambda in {0.6, 1, 1.55,
+2.5}, r = 1 and N - 1, w in {0.05, 1, 20}, m in {0, 1, 3, 20}, k in {1, 4, 12}, extension
+term scaled by 1 and 1.01) all 7,056 ladders solved were refined.  Solves per level:
+coarse 2.04 at tau >= 4 and 2.07 below; fine 1.03 at tau >= 4 (1.39 from ones) and
+1.05 below (1.88 from ones); 1.54 overall (1.73 from ones).  Of the 252 fine ladders
+at tau < 4, 9 (all at tau = 3) take one solve more warm than from ones, 54 as many
+and 189 fewer.
 """
 
 from __future__ import annotations
@@ -270,7 +269,7 @@ def _refined(stebz, diag, off, k, guesses, starts):
     if guesses.shape != (k,):
         return None
     gtsv = sys.modules["scipy.linalg._flapack"].dgtsv  # loaded by _stebz
-    ulp_norm = np.finfo(float).eps * matrix_norm1(diag, off)
+    floor = 4 * np.finfo(float).eps * matrix_norm1(diag, off)  # covers r's own rounding
     values, radii, vectors = np.empty(k), np.empty(k), []
     for n, shift in enumerate(guesses):
         x = np.ones(len(diag)) if starts is None else np.array(starts[n], dtype=float)
@@ -286,10 +285,10 @@ def _refined(stebz, diag, off, k, guesses, starts):
             shift = x @ tx
             tx -= shift * x
             residual = np.sqrt(tx @ tx)
-            if residual <= 2 * ulp_norm or residual > last / 2:  # or at the rounding floor
+            if residual <= floor or residual > last / 2:  # or r stopped halving
                 break
             last = residual
-        values[n], radii[n] = shift, max(residual, 4 * ulp_norm)
+        values[n], radii[n] = shift, max(residual, floor)
         vectors.append(x)
     lo, hi = values - radii, values + radii
     if not (np.all(np.isfinite(hi - lo)) and np.all(hi[:-1] < lo[1:])):

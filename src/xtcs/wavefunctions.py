@@ -27,16 +27,15 @@ import numpy as np
 from .errors import NonFiniteError, QuadratureError, ResolutionError, ValidationError
 from .laguerre import (_check_index, _check_nonnegative, _lag_rows, _maybe_scalar, _xm_rows,
                        x1_laguerre)
-from .model import Configuration, ModelParams, turning_point_g
+from .model import Configuration, ModelParams
 from .quadrature import panel_nodes
-from .solver import SIZE_BUDGET, RadialGrid, wall_g
+from .solver import SIZE_BUDGET, wall_g
 
 __all__ = [
     "radial_eigenfunction",
     "jastrow",
     "manybody_groundstate",
     "norm",
-    "default_node_grid",
     "count_nodes",
 ]
 
@@ -120,14 +119,24 @@ def _log_rows(levels, p: ModelParams, s):
     return np.sign(poly), log
 
 
-def _gram(levels, p: ModelParams):
-    """Shifted Gram matrix <Phi_i, Phi_j> e^(-c_i - c_j) under s^tau ds, and the shifts c.
+def _gram_rule(n, p: ModelParams):
+    """s_wall and the (nodes, weights) of the rule on [0, s_wall] in trap lengths, s_wall^2 =
+    `solver.wall_g`(n): max(8, ceil(s_wall / PANEL_WIDTH)) 64-point panels of equal width.
+    Each level's peak is a Gaussian about one trap length wide, so the panel count grows like
+    sqrt(alpha).  The first panel is split at s_1 / 2, ..., s_1 / 2^20 for the integrand's
+    s^tau start (unsplit it read 7.0e-9 at tau = 1.6, m = 60 and 6.1e-7 at tau = 1.1,
+    m = 120; split, <= 8.3e-15).  The Gram matrix and the node counts both use it.
+    """
+    s_wall = float(np.sqrt(wall_g(n, p)))
+    edges = np.linspace(0.0, s_wall, max(8, int(np.ceil(s_wall / PANEL_WIDTH))) + 1)
+    edges = np.concatenate(([0.0], edges[1] * 0.5 ** np.arange(20, 0, -1), edges[1:]))
+    return s_wall, panel_nodes(edges)
 
-    The rule is max(8, ceil(s_wall / PANEL_WIDTH)) 64-point panels, all integrated, of equal
-    width on [0, s_wall], s_wall^2 = `solver.wall_g` of the top level.  Each level's peak is
-    a Gaussian about one trap length wide, so the panel count grows like sqrt(alpha).  The
-    first panel is split at s_1 / 2, ..., s_1 / 2^20 for the integrand's s^tau start (unsplit
-    it read 7.0e-9 at tau = 1.6, m = 60 and 6.1e-7 at tau = 1.1, m = 120; split, <= 8.3e-15).
+
+def _gram(levels, p: ModelParams):
+    """Shifted Gram matrix <Phi_i, Phi_j> e^(-c_i - c_j) under s^tau ds, and the shifts c,
+    on `_gram_rule` of the top level.
+
     Row n is sign(Phi_n) exp(log|Phi_n| + (tau/2) log s + (1/2) log w - c_n), w the weights,
     c_n its peak.  The top level's norm is also integrated on the tail rule out to
     1.5 s_wall^2 in g.  Above SIZE_BUDGET nodes x levels, a non-positive norm or a tail above
@@ -135,10 +144,7 @@ def _gram(levels, p: ModelParams):
     """
     levels = list(levels)
     n_max = max(levels)
-    s_wall = float(np.sqrt(wall_g(n_max, p)))
-    edges = np.linspace(0.0, s_wall, max(8, int(np.ceil(s_wall / PANEL_WIDTH))) + 1)
-    edges = np.concatenate(([0.0], edges[1] * 0.5 ** np.arange(20, 0, -1), edges[1:]))
-    nodes, weights = panel_nodes(edges)
+    s_wall, (nodes, weights) = _gram_rule(n_max, p)
     if len(levels) * len(nodes) > SIZE_BUDGET:
         raise ValidationError(f"{len(levels)} levels on {len(nodes)} quadrature nodes exceed "
                               f"the size budget of {SIZE_BUDGET} nodes x levels; lower --levels")
@@ -169,15 +175,6 @@ def norm(n, p: ModelParams) -> float:
     return float(np.exp(log_norm))
 
 
-def default_node_grid(n, p: ModelParams) -> RadialGrid:
-    """Uniform grid in trap lengths resolving the zeros of Phi_n: >= 220 points per unit.
-    For large alpha the zeros sit about dx_Hermite / sqrt(2) apart, whatever alpha is, so
-    the grid grows like sqrt(alpha), not like alpha."""
-    s_max = float(np.sqrt(turning_point_g(n, p, 10)))
-    n_points = max(2001, int(np.ceil(220 * s_max)))
-    return RadialGrid(s_max / n_points, s_max, n_points)
-
-
 def _sign_changes(signs):
     """Indices of the cells where the sign changes, zeros skipped."""
     nz = np.nonzero(signs)[0]
@@ -186,38 +183,36 @@ def _sign_changes(signs):
 
 
 def count_nodes(n, p: ModelParams) -> int:
-    """Sign changes of Phi_n on the open interval covered by `default_node_grid`(n, p):
+    """Sign changes of Phi_n on the open interval (0, s_wall) of `_gram_rule`(n, p):
     `_node_counts` on the one level n."""
     return _node_counts([_check_index("n", n, 0)], p)[0]
 
 
 def _node_counts(levels, p: ModelParams) -> list:
-    """Sign changes of Phi_n for n in levels (ascending), all on the grid of the top level,
-    `default_node_grid`(max(levels), p): its spacing grows with the top level's turning
-    point only below 2001 points, and the zeros of every level lie inside its domain.
+    """Sign changes of Phi_n for n in levels (ascending), all on the nodes of the top level's
+    `_gram_rule`, whose domain holds the zeros of every level and whose panels put 64 nodes
+    on at most PANEL_WIDTH trap lengths, whatever alpha is.
 
-    Each count stands only with no pair of sign changes in adjacent cells (an unresolved
-    near-tangency) and the same count on the grid's halving (2 n_points - 1 points);
-    otherwise ResolutionError.  The polynomials share their level-independent factors
+    A count stands only if no two sign changes on every other node fall within two cells
+    (an unresolved near-tangency) and all nodes give the same count; otherwise
+    ResolutionError.  The polynomials share their level-independent factors
     (`laguerre._xm_rows`) and are made one level row at a time.  A row's +-inf keeps its
     sign, but a NaN (inf - inf) would hide sign changes: it raises NonFiniteError.
     """
-    grid = default_node_grid(max(levels), p)
-    halved = RadialGrid(grid.rho_min, grid.rho_max, 2 * grid.n_points - 1)
+    _, (nodes, _) = _gram_rule(max(levels), p)
     # Phi_n = Xm polynomial * exp(-g/2) / L_m^(alpha-1)(-g), the last factor positive; the
     # polynomial keeps its sign where exp(-g/2) underflows (large alpha)
     counts = []
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN row raises below
-        for poly in _xm_rows(levels, p.ext_index, p.alpha, halved.nodes ** 2)[1]:
+        for poly in _xm_rows(levels, p.ext_index, p.alpha, nodes ** 2)[1]:
             if np.any(np.isnan(poly)):
                 raise NonFiniteError("node count: the Xm polynomial is NaN (Laguerre overflow)")
             signs = np.sign(poly)
-            cells, count_halved = _sign_changes(signs[::2]), len(_sign_changes(signs))
+            cells, count_all = _sign_changes(signs[::2]), len(_sign_changes(signs))
             if np.any(np.diff(cells) <= 2):
-                raise ResolutionError(
-                    "two sign changes within adjacent cells: suspected tangency, refine the grid")
-            if count_halved != len(cells):
-                raise ResolutionError(f"{len(cells)} sign changes on the grid but {count_halved} "
-                                      "on its halving; refine the grid")
+                raise ResolutionError("two sign changes within adjacent cells: suspected tangency")
+            if count_all != len(cells):
+                raise ResolutionError(f"{len(cells)} sign changes on the grid but {count_all} "
+                                      "on its halving (every other Gram node, then all)")
             counts.append(len(cells))
     return counts

@@ -149,10 +149,11 @@ def test_verify_rejects_bad_points(config, suite, flag, value, message, tmp_path
 
 
 def test_table_out_dir(config, tmp_path):
-    out = tmp_path / "tables"
-    assert main(["table", "--config", config, "--what", "potential",
-                 "--points", "8", "--out", str(out)]) == 0
-    assert (out / "potential.csv").exists()
+    out = tmp_path / "tables" / "potential"  # made, parents too, by the first write
+    for _ in range(2):  # the second call writes into the directory the first one made
+        assert main(["table", "--config", config, "--what", "potential",
+                     "--points", "8", "--out", str(out)]) == 0
+        assert [path.name for path in out.iterdir()] == ["potential.csv"]
 
 
 def _run_every_writer(config, out):

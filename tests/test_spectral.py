@@ -304,10 +304,12 @@ def _fine_ladder_solves(monkeypatch, p, k):
     return fine
 
 
-@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("m", [0, 1, 3])
 def test_warm_fine_ladder_takes_at_most_one_solve_per_level_and_one_more(monkeypatch, m):
-    p = make_params((3, 1.0, 1, 0, 1.0), m)  # tau = 6; a cold start takes 7 solves
-    assert _fine_ladder_solves(monkeypatch, p, 4) <= 4 + 1
+    # tau = 6, where a cold start takes 7 solves, and tau = 3, where stopping at 2 eps ||T||
+    # instead of the certificate's 4 eps floor took 7-8
+    for base in ((3, 1.0, 1, 0, 1.0), (2, 1.0, 1, 0, 1.0)):
+        assert _fine_ladder_solves(monkeypatch, make_params(base, m), 4) <= 4 + 1, base
 
 
 def test_warm_and_cold_fine_ladders_agree_on_the_battery(monkeypatch):

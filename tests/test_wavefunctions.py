@@ -1,6 +1,7 @@
 """Eigenfunctions, pair product, norms under the rho^tau measure, node counts."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from xtcs import (Configuration, ModelParams, NonFiniteError, QuadratureError,
                   ResolutionError, ValidationError, count_nodes, jastrow, laguerre,
                   manybody_groundstate, norm, orthogonality_matrix, radial_eigenfunction,
                   wavefunctions, xm_laguerre)
+from xtcs.cli import main
 from xtcs.model import turning_point_g
 from xtcs.quadrature import panel_nodes
 from xtcs.solver import RadialGrid, wall_g
@@ -241,12 +243,32 @@ def test_node_counts_hold_on_infinite_rows(s):
     assert [count_nodes(n, p) for n in range(5)] == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s", (0, 1))
+def test_node_count_raises_where_the_gram_rule_reaches_the_overflow(s, tmp_path, capsys):
+    # the Gram rule's wall reaches L_200^(alpha)(-g)'s overflow: the count raises rather
+    # than counting on a shorter domain, and the ortho suite stops with one line
+    p = ModelParams(30, 1.55, 29, 1.0, degree=s, ext_index=200)
+    with pytest.raises(NonFiniteError, match="node count"):
+        count_nodes(4, p)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 30, "lambda": 1.55, "r": 29, "omega": 1, "s": s,
+                                "m": 200}))
+    out = tmp_path / "reports"
+    assert main(["verify", "--config", str(path), "--suite", "ortho", "--out", str(out)]) == 1
+    captured = capsys.readouterr()  # the Gram rows see the overflow first
+    assert captured.err == ("xtcs: error: suite ortho: radial quadrature: log|Phi_n| is not "
+                            "finite (Laguerre overflow)\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("grid, message", [
-    (RadialGrid(0.5, 5.0, 10), "two sign changes within adjacent cells"),
-    (RadialGrid(0.75, 5.0, 4), "sign changes on the grid but"),
+    (np.linspace(0.5, 5.0, 19), "two sign changes within adjacent cells"),
+    (np.linspace(0.75, 5.0, 7), "sign changes on the grid but"),
 ])
 def test_node_count_rejects_an_unresolved_grid(monkeypatch, grid, message):
-    monkeypatch.setattr(wavefunctions, "default_node_grid", lambda n, p: grid)
+    # the counts read every other node, then all of them
+    monkeypatch.setattr(wavefunctions, "_gram_rule", lambda n, p: (grid[-1], (grid, None)))
     with pytest.raises(ResolutionError, match=message):
         count_nodes(4, ModelParams(2, 1.0, 1, 1.0))
 
@@ -258,13 +280,14 @@ def old_node_grid(n, p):
     return RadialGrid(math.sqrt(g_max) / n_points, math.sqrt(g_max), n_points)
 
 
-def test_node_counts_match_the_old_dense_grid(monkeypatch):
+def test_node_counts_match_the_old_dense_grid():
     cases = [(n, dataclasses.replace(make_params(base, m), omega=omega))
              for base in BATTERY_BASE for m in (0, 1, 2, 3, 20, 60)
              for omega in (0.05, 1.0, 20.0) for n in range(5)]
-    counts = [count_nodes(n, p) for n, p in cases]
-    monkeypatch.setattr(wavefunctions, "default_node_grid", old_node_grid)
-    assert counts == [count_nodes(n, p) for n, p in cases] == [n for n, _ in cases]
+    for n, p in cases:
+        signs = np.sign(xm_laguerre(n, p.ext_index, p.alpha, old_node_grid(n, p).nodes ** 2))
+        signs = signs[signs != 0]
+        assert count_nodes(n, p) == np.count_nonzero(signs[:-1] != signs[1:]) == n, (n, p)
 
 
 def test_suite_node_counts_match_the_per_level_counts():
