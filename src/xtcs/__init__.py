@@ -23,8 +23,8 @@ from .solver import RadialGrid, richardson, solver_grid
 from .wavefunctions import count_nodes, jastrow, manybody_groundstate, norm, radial_eigenfunction
 from .verify import (ConvergenceStudy, SpectrumReport, VerificationReport,
                      consistency_suite, convergence_orders, isospectrality_check,
-                     numeric_spectrum, ode_residual, orthogonality_matrix,
-                     spectrum_csv_rows)
+                     local_energy_suite, numeric_spectrum, ode_residual, ortho_suite,
+                     orthogonality_matrix, residual_suite, spectrum_csv_rows)
 from .manybody import ConstancyStats, constancy_scan, local_energy, sample_configurations
 
 __all__ = [
@@ -40,5 +40,6 @@ __all__ = [
     "SpectrumReport", "VerificationReport", "ConvergenceStudy",
     "numeric_spectrum", "isospectrality_check", "orthogonality_matrix",
     "consistency_suite", "convergence_orders", "ode_residual", "spectrum_csv_rows",
+    "residual_suite", "ortho_suite", "local_energy_suite",
     "ConstancyStats", "constancy_scan", "local_energy", "sample_configurations",
 ]

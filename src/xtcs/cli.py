@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: it parses, dispatches and writes; `verify` builds every report.
 
 Subcommands: params, table, verify, local-energy.  Configuration is a JSON
 file with exactly the keys {"N", "lambda", "r", "omega", "s", "m"}; runtime
@@ -24,10 +24,9 @@ from . import __version__
 from .errors import NonFiniteError, QuadratureError, ResolutionError, ValidationError
 from .manybody import constancy_scan
 from .model import ModelParams, energy_level, ext_constants, turning_point_g, v_eff_radial
-from .verify import (VerificationReport, _fmt, _scaled_residuals, consistency_suite,
-                     isospectrality_check, ode_residual, orthogonality_matrix,
-                     spectrum_csv_rows)
-from .wavefunctions import _node_counts, radial_eigenfunction
+from .verify import (_fmt, consistency_suite, isospectrality_check, local_energy_suite,
+                     ortho_suite, residual_suite, spectrum_csv_rows)
+from .wavefunctions import radial_eigenfunction
 
 SUITES = ("residual", "spectrum", "ortho", "consistency", "local-energy")
 
@@ -110,13 +109,14 @@ def load_params(path) -> ModelParams:
 
 def _csv(rows, header, what) -> str:
     """CSV text of a table; like `_json`, a NaN or an infinity raises instead."""
-    finite = np.isfinite(np.array(rows, dtype=float))
+    table = np.array(rows, dtype=float)
+    finite = np.isfinite(table)
     for name, column in zip(header, finite.T):
         if not np.all(column):
             raise NonFiniteError(f"table {what}: {name} is not finite in "
                                  f"{np.sum(~column)} of {len(rows)} rows")
-    lines = [",".join(header)]
-    lines += [",".join(str(c) if isinstance(c, int) else _fmt(c) for c in row) for row in rows]
+    row_format = ",".join(["{:.17g}"] * len(header))  # an integral n prints as "3"
+    lines = [",".join(header)] + [row_format.format(*row) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -208,55 +208,12 @@ def cmd_table(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-
-def _suite_residual(p, args) -> VerificationReport:
-    report = VerificationReport("eigen-equation residuals", p)
-    grid, residuals = _scaled_residuals(range(4), p)
-    for n, value in enumerate(residuals):
-        report.add(f"scaled residual, level {n} (m={p.ext_index})", value, 1e-8)
-    # the inconsistent m=1 denominator must fail; run it on the m=1 family
-    p1 = dataclasses.replace(p, ext_index=1)
-    report.add("scaled residual, level 0, m=1 denominator variant 2g+alpha",
-               ode_residual(0, p1, x1_denominator="2g_plus_alpha"), 1e-2, comparison=">=",
-               detail="variant rejected: only g+alpha solves the extended radial equation")
-    report.metadata.update(spacing=grid.spacing, grid_points=grid.n_points)
-    return report
-
-
-def _suite_spectrum(p, args) -> VerificationReport:
-    return isospectrality_check(p, args.levels, args.points, v_new_scale=args.perturb)
-
-
-def _suite_ortho(p, args) -> VerificationReport:
-    report = VerificationReport("orthogonality and node structure", p)
-    k = max(args.levels, 5)
-    gram = orthogonality_matrix(p, k)
-    off = np.max(np.abs(gram - np.eye(k)))
-    report.add(f"worst off-diagonal normalized inner product (k={k})", off, 1e-8)
-    for n, count in enumerate(_node_counts(range(5), p)):
-        report.add(f"node count, level {n} (expect {n})", abs(count - n), 0)
-    return report
-
-
-def _suite_consistency(p, args) -> VerificationReport:
-    return consistency_suite(p)
-
-
-def _suite_local_energy(p, args) -> VerificationReport:
-    report = VerificationReport("many-body local-energy constancy", p)
-    stats = constancy_scan(p, args.samples, args.seed, v_new_scale=args.perturb)
-    report.add("stddev / |mean|", stats.relative_spread, 1e-5)
-    report.add("|mean - E_0| / E_0", stats.relative_mean_error, 1e-5)
-    report.metadata["scan"] = stats.to_json_dict()
-    return report
-
-
 _SUITE_RUNNERS = {
-    "residual": _suite_residual,
-    "spectrum": _suite_spectrum,
-    "ortho": _suite_ortho,
-    "consistency": _suite_consistency,
-    "local-energy": _suite_local_energy,
+    "residual": lambda p, args: residual_suite(p),
+    "spectrum": lambda p, args: isospectrality_check(p, args.levels, args.points, args.perturb),
+    "ortho": lambda p, args: ortho_suite(p, args.levels),
+    "consistency": lambda p, args: consistency_suite(p),
+    "local-energy": lambda p, args: local_energy_suite(p, args.samples, args.seed, args.perturb),
 }
 
 

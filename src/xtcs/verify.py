@@ -26,11 +26,12 @@ import numpy as np
 
 from .errors import NonFiniteError, ValidationError
 from .laguerre import Jet, _check_index, r_variant_battery, r_variant_residuals
+from .manybody import constancy_scan
 from .model import (ModelParams, energy_level, ext_constants, trap_units, turning_point_g,
                     v_new, v_new_x1_two_term)
 from .solver import (RadialGrid, _extension, _prolonged, _tridiagonal, _v_eff,
                      lowest_eigenvalues, matrix_norm1, richardson, solver_grid)
-from .wavefunctions import _gram, _radial_rows, radial_eigenfunction
+from .wavefunctions import _gram, _node_counts, _radial_rows, radial_eigenfunction
 
 __all__ = [
     "CheckItem",
@@ -39,11 +40,14 @@ __all__ = [
     "SpectrumReport",
     "default_residual_grid",
     "ode_residual",
+    "residual_suite",
     "numeric_spectrum",
     "isospectrality_check",
     "spectrum_csv_rows",
     "orthogonality_matrix",
+    "ortho_suite",
     "consistency_suite",
+    "local_energy_suite",
     "ConvergenceStudy",
     "convergence_orders",
 ]
@@ -168,6 +172,22 @@ def _scaled_residuals(levels, p: ModelParams, x1_denominator="g_plus_alpha"):
         resid = f.d2 + (p.tau / rho) * f.d1 + 2 * (e_n - pot) * f.f
         out.append(float(np.max(np.abs(resid)) / (np.max(np.abs(f.f)) * e_n)))
     return grid, out
+
+
+def residual_suite(p: ModelParams) -> VerificationReport:
+    """Scaled residuals (`_scaled_residuals`) of levels 0-3, each <= 1e-8, and the control:
+    level 0 of the m = 1 family with the 2g + alpha denominator must read >= 1e-2."""
+    report = VerificationReport("eigen-equation residuals", p)
+    grid, residuals = _scaled_residuals(range(4), p)
+    for n, value in enumerate(residuals):
+        report.add(f"scaled residual, level {n} (m={p.ext_index})", value, 1e-8)
+    # the inconsistent m=1 denominator must fail; run it on the m=1 family
+    p1 = dataclasses.replace(p, ext_index=1)
+    report.add("scaled residual, level 0, m=1 denominator variant 2g+alpha",
+               ode_residual(0, p1, x1_denominator="2g_plus_alpha"), 1e-2, comparison=">=",
+               detail="variant rejected: only g+alpha solves the extended radial equation")
+    report.metadata.update(spacing=grid.spacing, grid_points=grid.n_points)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +322,8 @@ def isospectrality_check(p: ModelParams, k: int = 4, n_points: int | None = None
     })
     for n in range(k):
         ta = 1e-6 * energy_level(n, p)
-        report.add(f"|E_conv({n}) - E_analytic({n})|",
-                   conv.rows[n].abs_err, ta)
-        report.add(f"|E_ext({n}) - E_analytic({n})|",
-                   ext.rows[n].abs_err, ta)
+        report.add(f"|E_conv({n}) - E_analytic({n})|", conv.rows[n].abs_err, ta)
+        report.add(f"|E_ext({n}) - E_analytic({n})|", ext.rows[n].abs_err, ta)
         report.add(f"|E_ext({n}) - E_conv({n})|",
                    abs(ext.rows[n].e_numeric - conv.rows[n].e_numeric), tol_iso)
     report.metadata["conventional"] = conv.to_json_dict()
@@ -332,8 +350,21 @@ def orthogonality_matrix(p: ModelParams, k: int):
     return gram / np.outer(scale, scale)
 
 
+def ortho_suite(p: ModelParams, k: int) -> VerificationReport:
+    """The worst off-diagonal of `orthogonality_matrix` over max(k, 5) levels, <= 1e-8, and
+    the node count of each of levels 0-4 (`wavefunctions._node_counts`), off its level by 0."""
+    report = VerificationReport("orthogonality and node structure", p)
+    k = max(k, 5)
+    gram = orthogonality_matrix(p, k)
+    off = np.max(np.abs(gram - np.eye(k)))
+    report.add(f"worst off-diagonal normalized inner product (k={k})", off, 1e-8)
+    for n, count in enumerate(_node_counts(range(5), p)):
+        report.add(f"node count, level {n} (expect {n})", abs(count - n), 0)
+    return report
+
+
 # ---------------------------------------------------------------------------
-# formula cross-consistency
+# formula cross-consistency; the many-body local energy
 
 def consistency_suite(p: ModelParams) -> VerificationReport:
     """Pointwise agreement of independent expressions for the extension term,
@@ -372,14 +403,25 @@ def consistency_suite(p: ModelParams) -> VerificationReport:
     rejected = "alpha" if resolved == "alpha-1" else "alpha-1"
     worst = r_variant_residuals(range(4), (1, 2, 3), (p.alpha,), (0.5, 2.0, p.alpha + 1.0, 11.3))
     report.add(f"R coefficient, denominator parameter {resolved}: scaled residual",
-               worst[resolved], 1e-9,
-               detail="consistent variant")
+               worst[resolved], 1e-9, detail="consistent variant")
     report.add(f"R coefficient, denominator parameter {rejected}: scaled residual",
                battery[rejected], 1e-3, comparison=">=",
                detail="inconsistent variant correctly rejected")
     report.metadata["r_denominator_resolved"] = resolved
     report.metadata["x1_r_denominators"] = {
         "consistent (m=1)": "g + alpha", "rejected (m=1)": "g + alpha + 1"}
+    return report
+
+
+def local_energy_suite(p: ModelParams, n_samples: int, seed: int,
+                       v_new_scale: float) -> VerificationReport:
+    """`manybody.constancy_scan`(p, n_samples, seed, v_new_scale): its relative spread and
+    relative mean error against E_0, each <= 1e-5, with the scan in the metadata."""
+    report = VerificationReport("many-body local-energy constancy", p)
+    stats = constancy_scan(p, n_samples, seed, v_new_scale=v_new_scale)
+    report.add("stddev / |mean|", stats.relative_spread, 1e-5)
+    report.add("|mean - E_0| / E_0", stats.relative_mean_error, 1e-5)
+    report.metadata["scan"] = stats.to_json_dict()
     return report
 
 

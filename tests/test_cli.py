@@ -186,6 +186,54 @@ def test_spectrum_report_is_one_compact_json_line(config, tmp_path, capsys):
     assert json.loads(text) == report.to_json_dict()
 
 
+def test_every_suite_report_is_its_verify_function_report(config, tmp_path, capsys):
+    # the CLI writes what one verify call returns, handed the flags that suite reads
+    out = tmp_path / "reports"
+    assert main(["verify", "--config", config, "--suite", "all", "--out", str(out),
+                 "--levels", "6", "--points", "6001", "--samples", "40", "--seed", "3",
+                 "--perturb", "1.01"]) == 2
+    p = load_params(config)
+    expected = {
+        "residual": verify.residual_suite(p),
+        "spectrum": verify.isospectrality_check(p, 6, 6001, v_new_scale=1.01),
+        "ortho": verify.ortho_suite(p, 6),
+        "consistency": verify.consistency_suite(p),
+        "local-energy": verify.local_energy_suite(p, 40, 3, 1.01),
+    }
+    assert list(expected) == list(SUITES)
+    for suite, report in expected.items():
+        text = (out / f"report_{suite}.json").read_text(encoding="utf-8")
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert json.loads(text) == report.to_json_dict()
+        assert (out / f"report_{suite}.txt").read_text(encoding="utf-8") == report.to_text()
+    assert not expected["spectrum"].passed and not expected["local-energy"].passed
+
+
+def _per_value_csv(rows, header):
+    """The table text as each value was once formatted: an int by str, a float by %.17g."""
+    lines = [",".join(header)]
+    lines += [",".join(str(c) if isinstance(c, int) else f"{float(c):.17g}" for c in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("what", ["potential", "wavefunction", "spectrum"])
+def test_tables_equal_the_per_value_format(what, config, monkeypatch, capsys):
+    # _csv formats the array it checks for finiteness; the text must not change
+    seen, csv = [], cli._csv
+
+    def recorded(rows, header, name):
+        seen.append((rows, header))
+        return csv(rows, header, name)
+    monkeypatch.setattr(cli, "_csv", recorded)
+    assert main(["table", "--config", config, "--what", what, "--level", "2",
+                 "--points", "3001" if what == "spectrum" else "257"]) == 0
+    (rows, header), = seen
+    assert capsys.readouterr().out == _per_value_csv(rows, header)
+    edge = [(3, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -1e-300)]
+    assert csv(edge, "abcdef", what) == _per_value_csv(edge, "abcdef")
+
+
 def test_verify_all_passes(config, tmp_path, capsys):
     out = tmp_path / "reports"
     code = main(["verify", "--config", config, "--suite", "all", "--out", str(out),
