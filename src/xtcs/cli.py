@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import NonFiniteError, QuadratureError, ResolutionError, ValidationError
 from .manybody import constancy_scan
-from .model import ModelParams, energy_level, ext_constants, turning_point_g, v_eff_radial
+from .model import ModelParams, energy_level, ext_constants, v_eff_radial, wall_g
 from .verify import (_fmt, consistency_suite, isospectrality_check, local_energy_suite,
                      ortho_suite, residual_suite, spectrum_csv_rows)
 from .wavefunctions import radial_eigenfunction
@@ -148,25 +148,26 @@ def _write(out_dir, name, text):
 
 def cmd_params(args) -> int:
     p = load_params(args.config)
-    energies = [energy_level(n, p) for n in range(5)]
-    constants = ext_constants(p) if p.ext_index == 1 else None
+    energies = {f"E_{n}": energy_level(n, p) for n in range(5)}
+    constants = dataclasses.asdict(ext_constants(p)) if p.ext_index == 1 else {}
+    values = {"tau": p.tau, "alpha": p.alpha, **energies, **constants}
+    infinite = [name for name, value in values.items() if not np.isfinite(value)]
+    if infinite:
+        raise NonFiniteError(f"params: {', '.join(infinite)} not finite")
     if args.json:
         doc = {"params": p.to_json_dict(), "tau": p.tau, "alpha": p.alpha,
-               "pair_count": p.pair_count,
-               "energies": {f"E_{n}": e for n, e in enumerate(energies)}}
-        if constants is not None:
-            doc["x1_constants"] = dataclasses.asdict(constants)
+               "pair_count": p.pair_count, "energies": energies}
+        if constants:
+            doc["x1_constants"] = constants
         print(_json(doc))
         return 0
     print(f"tau        = {_fmt(p.tau)}")
     print(f"alpha      = {_fmt(p.alpha)}")
     print(f"pair_count = {p.pair_count}")
-    for n, e in enumerate(energies):
-        print(f"E_{n}        = {_fmt(e)}")
-    if constants is not None:
-        c = constants
-        print(f"x1 constants: alpha1={_fmt(c.alpha1)} alpha2={_fmt(c.alpha2)} "
-              f"beta1={_fmt(c.beta1)} beta2={_fmt(c.beta2)}")
+    for name, e in energies.items():
+        print(f"{name}        = {_fmt(e)}")
+    if constants:
+        print("x1 constants: " + " ".join(f"{k}={_fmt(v)}" for k, v in constants.items()))
     return 0
 
 
@@ -184,9 +185,12 @@ def cmd_table(args) -> int:
                   "rel_err_conv", "rel_err_ext")
     else:
         n_points = 1001 if args.points is None else args.points
-        rho_max = (float(np.sqrt(turning_point_g(args.level, p, 10) / p.omega))
-                   if args.rho_max is None else args.rho_max)
-        if not (np.isfinite(rho_max) and rho_max > 0):
+        rho_max = args.rho_max
+        if rho_max is None:  # the level's wall
+            rho_max = float(np.sqrt(wall_g(args.level, p) / p.omega))
+            if not np.isfinite(rho_max):
+                raise NonFiniteError(f"table {args.what}: the default rho_max leaves float64")
+        elif not (np.isfinite(rho_max) and rho_max > 0):
             raise ValidationError(f"--rho-max must be finite and > 0, got {rho_max}")
         rho = np.linspace(rho_max / n_points, rho_max, n_points)
         columns = {"rho": rho, "g": p.omega * rho ** 2}

@@ -17,9 +17,8 @@ import numpy as np
 
 from .errors import NonFiniteError, ValidationError
 from .laguerre import Jet, _lag
-from .model import (Configuration, ModelParams, _pair_window, _row_blocks, energy_level,
-                    v_interaction, v_new)
-from .solver import SIZE_BUDGET
+from .model import (SIZE_BUDGET, Configuration, ModelParams, _pair_window, _row_blocks,
+                    energy_level, v_interaction, v_new)
 
 __all__ = [
     "local_energy",

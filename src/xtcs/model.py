@@ -14,6 +14,7 @@ Units: hbar = mass = 1 throughout.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -28,6 +29,7 @@ __all__ = [
     "ExtConstants",
     "energy_level",
     "turning_point_g",
+    "wall_g",
     "trap_units",
     "v_interaction",
     "v_new",
@@ -37,6 +39,10 @@ __all__ = [
 ]
 
 PARAM_JSON_KEYS = ("N", "lambda", "r", "omega", "s", "m")
+# WKB decay of the top level between its turning point and the wall of a default domain.
+WALL_DECAY_NATS = 19.3
+# Cap on levels x points (fine matrix rows, Gram nodes), samples x particles: ~0.2 us, 20 B each.
+SIZE_BUDGET = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -175,17 +181,29 @@ def energy_level(n, p: ModelParams) -> float:
     return p.omega * (2 * n + p.alpha + 1)
 
 
-def turning_point_g(n, p: ModelParams, margin: float) -> float:
-    """g = omega rho^2 at the classical turning point of level n,
-    2 E_n / omega = 2(2n + alpha + 1), plus `margin`.
-
-    Each check builds its truncated domain from the model and its levels alone.  The
-    solver grid and the quadrature, whose nodes the node counts share, end at
-    `solver.wall_g`, built on it (solver grids below tau = 4 end 30 past it); the
-    residual and table grids, which only sample Phi_n, end 10 past it.
-    """
+def turning_point_g(n, p: ModelParams) -> float:
+    """g = omega rho^2 at the harmonic turning point of level n, 2 E_n / omega =
+    2(2n + alpha + 1), the centrifugal term ignored; `wall_g` and the tau < 4
+    `solver.solver_grid` end past it."""
     n = _check_index("n", n, 0)
-    return 2 * (2 * n + p.alpha + 1) + margin
+    return 2 * (2 * n + p.alpha + 1)
+
+
+def wall_g(n, p: ModelParams) -> float:
+    """g = s^2 of the wall that ends every default domain holding levels 0..n: the solver grid
+    (tau >= 4), the Gram rule and its node counts, the residual grid and the table rho_max.
+    It is g_t + max(40, (3 S sqrt(g_t))^(2/3)), g_t = `turning_point_g`(n, p), S =
+    WALL_DECAY_NATS.
+
+    Past g_t level n decays like exp(-int kappa ds) with kappa = sqrt(g - g_t).
+    With ds = dg / (2 sqrt(g)) and D = g - g_t << g_t the exponent is
+    D^(3/2) / (3 sqrt(g_t)), so the second term is where it reaches S nats.  A fixed margin
+    buys less decay as g_t grows: 40 gives S nats at g_t = 19 (k = 4, tau = 6) but 7.4 at
+    g_t = 131 (k = 32), where the solver's top level at N=3, lambda=1, r=1, m=60 moved by
+    3.47 tol_iso on 8001 points; the wall at fixed S moves it by 0.03 tol_iso.
+    """
+    g_t = turning_point_g(n, p)
+    return g_t + max(40.0, (3 * WALL_DECAY_NATS * math.sqrt(g_t)) ** (2 / 3))
 
 
 @functools.lru_cache(maxsize=16)

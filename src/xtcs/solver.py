@@ -50,11 +50,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonFiniteError, ValidationError
-from .model import ModelParams, trap_units, turning_point_g, v_eff_radial, v_new
+from .model import (SIZE_BUDGET, ModelParams, trap_units, turning_point_g, v_eff_radial, v_new,
+                    wall_g)
 
 __all__ = [
     "RadialGrid",
-    "wall_g",
     "solver_grid",
     "hamiltonian_diagonals",
     "lowest_eigenvalues",
@@ -62,12 +62,8 @@ __all__ = [
     "richardson",
 ]
 
-# WKB decay of the top level between its turning point and the wall of a default domain.
-WALL_DECAY_NATS = 19.3
 # Cap on the Rayleigh-quotient inverse-iteration steps per refined level.
 RQI_STEPS = 6
-# Cap on levels x points (fine matrix rows, `wavefunctions._gram` nodes): ~0.2 us, 20 B each.
-SIZE_BUDGET = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -108,35 +104,15 @@ class RadialGrid:
         return RadialGrid(h2, self.rho_max + h2, 2 * self.n_points + 1)
 
 
-def wall_g(n, p: ModelParams) -> float:
-    """g = s^2 of the wall that ends the domains holding levels 0..n: the solver grid
-    (tau >= 4, so `verify.convergence_orders` too) and the rule of `wavefunctions._gram`.
-    It is g_t + max(40, (3 S sqrt(g_t))^(2/3)), g_t the turning point of level n,
-    S = WALL_DECAY_NATS.
-
-    Past g_t level n decays like exp(-int kappa ds) with kappa = sqrt(g - g_t).
-    With ds = dg / (2 sqrt(g)) and D = g - g_t << g_t the exponent is
-    D^(3/2) / (3 sqrt(g_t)), so the second term is where it reaches S nats.
-    """
-    g_t = turning_point_g(n, p, 0)
-    return g_t + max(40.0, (3 * WALL_DECAY_NATS * np.sqrt(g_t)) ** (2 / 3))
-
-
 def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGrid:
     """Eigensolver grid for the lowest k levels, for `verify.numeric_spectrum` and
-    `verify._spectra`.  Its outer Dirichlet radius R sits at R^2 = g_t + margin, g_t the top
-    level's turning point; n_points, unless given, follows from tau and k.  The constants
-    were measured with `isospectrality_check` (Richardson pair on n and 2n+1 points):
+    `verify._spectra`.  Its outer Dirichlet radius R sits at R^2 = `model.wall_g`(k - 1), the
+    wall of every default domain, except below tau = 4; n_points, unless given, follows from
+    tau and k.  The constants were measured with `isospectrality_check` (Richardson pair on n
+    and 2n+1 points):
 
-    * tau >= 4: max(501, 250 k + 1) points; R^2 = `wall_g`(k - 1).
-      A fixed margin buys less decay as g_t grows.  Margin 40 gives 19.3 nats at
-      k = 4, tau = 6 (g_t = 19), where it removed the top level's wall
-      shift, but only 7.4 nats at k = 32 (g_t = 131): there N=3, lambda=1,
-      r=1, m=60 shows a wall shift of 0.86 tol_iso (0.87 at w = 20), which
-      passed only because 16001 points inflated tol_iso, and on 8001 points
-      it reads 3.47 tol_iso.  Holding S fixed puts that wall at margin 76
-      and the shift at 0.03 tol_iso.
-      Points: bisection roundoff, not truncation, limits large grids: the
+    * tau >= 4: max(501, 250 k + 1) points.
+      Bisection roundoff, not truncation, limits large grids: the
       floor 25 eps ||T_fine|| grows like 1/h^2 (tol_iso 8.2e-7 on 20001
       points, 1.0e-8 on 2001 at N=3, lambda=1, r=1, m=2).  Over five configs
       (tau = 4 ... 1769) x w in {0.05, 1, 20} at k = 4, 125 points per level
@@ -147,14 +123,15 @@ def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGr
       within 0.051 tol_iso and 8.8e-3 of the gate, and the 1.01-scaled
       extension term (N=8, r=1, k=4) still fails up to tau = 52.5 (m = 1),
       73.5 (m = 2) and 87.5 (m = 3).
-    * tau < 4: 20001 points, margin 30, as before.  u ~ rho^(tau/2) is too
-      rough at the origin for the pair to be fourth order: its error falls
-      like h^(tau-1) (slope 1.2 at tau = 2.2, 1.5 at 2.5, 2 at 3).  At tau = 3
-      (N=2, lambda=1, r=1, m=1..3) 2001 points give |E_ext - E_conv| = 15 to
-      45 tol_iso; at tau = 4 they give <= 0.016 tol_iso.  Margin 40 here would
-      stretch h enough to fail N=2, lambda=0.75, r=1, m=2 (tau = 2.5).
+    * tau < 4: 20001 points, R^2 = `model.turning_point_g`(k - 1) + 30, the one margin not
+      on the wall.  u ~ rho^(tau/2) is too rough at the origin for the pair to be fourth
+      order: its error falls like h^(tau-1) (slope 1.2 at tau = 2.2, 1.5 at 2.5, 2 at 3).
+      At tau = 3 (N=2, lambda=1, r=1, m=1..3) 2001 points give |E_ext - E_conv| = 15 to
+      45 tol_iso; at tau = 4 they give <= 0.016 tol_iso.  The wall (margin 40 there) would
+      stretch h enough to fail N=2, lambda=0.75, r=1, m=2 (tau = 2.5, k = 4): 0.79 -> 1.12
+      of the gate.
 
-    An explicit n_points keeps the margin rule of its tau regime.  Above SIZE_BUDGET rows
+    An explicit n_points keeps the wall rule of its tau regime.  Above SIZE_BUDGET rows
     x levels of the pair's fine matrix it raises before any work.
     """
     if k < 1:
@@ -165,7 +142,7 @@ def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGr
     if k * (2 * n_points + 1) > SIZE_BUDGET:  # the pair's fine matrix
         raise ValidationError(f"{k} levels on {2 * n_points + 1} fine matrix rows exceed the size "
                               f"budget of {SIZE_BUDGET} rows x levels; lower --levels or --points")
-    radius = float(np.sqrt(wall_g(k - 1, p) if smooth else turning_point_g(k - 1, p, 30)))
+    radius = float(np.sqrt(wall_g(k - 1, p) if smooth else turning_point_g(k - 1, p) + 30))
     h = radius / (n_points + 1)
     return RadialGrid(h, n_points * h, n_points)
 

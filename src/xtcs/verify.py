@@ -28,7 +28,7 @@ from .errors import NonFiniteError, ValidationError
 from .laguerre import Jet, _check_index, r_variant_battery, r_variant_residuals
 from .manybody import constancy_scan
 from .model import (ModelParams, energy_level, ext_constants, trap_units, turning_point_g,
-                    v_new, v_new_x1_two_term)
+                    v_new, v_new_x1_two_term, wall_g)
 from .solver import (RadialGrid, _extension, _prolonged, _tridiagonal, _v_eff,
                      lowest_eigenvalues, matrix_norm1, richardson, solver_grid)
 from .wavefunctions import _gram, _node_counts, _radial_rows, radial_eigenfunction
@@ -126,11 +126,11 @@ RESIDUAL_STEP = 0.05  # in trap lengths
 
 
 def default_residual_grid(n, p: ModelParams) -> RadialGrid:
-    """Uniform grid in trap lengths of step h = RESIDUAL_STEP from 0.05 to 10 past the
-    turning point of level n.  A set of levels is checked on the grid of its top level.  The
-    jet derivatives are exact to rounding, so h only sets how densely the residual is sampled.
+    """Uniform grid in trap lengths of step h = RESIDUAL_STEP from 0.05 to the wall of level
+    n, `model.wall_g`(n).  A set of levels is checked on the grid of its top level.  The jet
+    derivatives are exact to rounding, so h only sets how densely the residual is sampled.
     """
-    s_max = float(np.sqrt(turning_point_g(n, p, 10)))
+    s_max = float(np.sqrt(wall_g(n, p)))
     return RadialGrid(0.05, s_max, int(np.ceil((s_max - 0.05) / RESIDUAL_STEP)) + 1)
 
 
@@ -316,7 +316,7 @@ def isospectrality_check(p: ModelParams, k: int = 4, n_points: int | None = None
     report = VerificationReport("isospectrality of the extended radial problem", p)
     report.metadata.update({
         "k": k, "grid_points": grid.n_points, "spacing": grid.spacing,
-        "outer_radius": radius, "outer_margin_g": radius ** 2 - turning_point_g(k - 1, p, 0),
+        "outer_radius": radius, "outer_margin_g": radius ** 2 - turning_point_g(k - 1, p),
         "tol_iso": tol_iso, "bisection_noise_floor": noise_floor,
         "v_new_scale": v_new_scale,
     })
@@ -341,7 +341,7 @@ def spectrum_csv_rows(p: ModelParams, k: int = 4, n_points: int | None = None):
 
 def orthogonality_matrix(p: ModelParams, k: int):
     """k x k matrix of normalized inner products under rho^tau d rho on the rule of
-    `wavefunctions._gram`, which ends at `solver.wall_g`(k - 1) and tail-checks the
+    `wavefunctions._gram`, which ends at `model.wall_g`(k - 1) and tail-checks the
     highest level's norm as `norm` does; non-convergence is raised."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -391,8 +391,11 @@ def consistency_suite(p: ModelParams) -> VerificationReport:
                np.max(np.abs(constants - two_term)) / scale, 1e-12)
     report.add("m=0 extension vanishes (max |v_new|)", np.max(np.abs(zero)), 1e-14)
     pw, rho_w = dataclasses.replace(p, ext_index=1), rho / np.sqrt(p.omega)
-    at_omega = (v_new(rho_w, pw), v_new_x1_two_term(rho_w, pw),
-                ext_constants(pw).evaluate(rho_w, pw.omega))
+    with np.errstate(over="ignore", invalid="ignore"):  # rho_w^2 or omega x a form overflows
+        at_omega = (v_new(rho_w, pw), v_new_x1_two_term(rho_w, pw),
+                    ext_constants(pw).evaluate(rho_w, pw.omega))
+    if not np.all(np.isfinite(at_omega)):
+        raise NonFiniteError(f"consistency: an m=1 form at omega = {p.omega:.17g} is not finite")
     report.add("m=1 extension: each form at omega vs omega x its trap-unit value (max rel diff)",
                max(np.max(np.abs(v / p.omega - u)) for v, u in
                    zip(at_omega, (general, two_term, constants))) / scale, 1e-12)

@@ -27,9 +27,8 @@ import numpy as np
 from .errors import NonFiniteError, QuadratureError, ResolutionError, ValidationError
 from .laguerre import (_check_index, _check_nonnegative, _lag_rows, _maybe_scalar, _xm_rows,
                        x1_laguerre)
-from .model import Configuration, ModelParams
+from .model import SIZE_BUDGET, Configuration, ModelParams, wall_g
 from .quadrature import panel_nodes
-from .solver import SIZE_BUDGET, wall_g
 
 __all__ = [
     "radial_eigenfunction",
@@ -121,7 +120,7 @@ def _log_rows(levels, p: ModelParams, s):
 
 def _gram_rule(n, p: ModelParams):
     """s_wall and the (nodes, weights) of the rule on [0, s_wall] in trap lengths, s_wall^2 =
-    `solver.wall_g`(n): max(8, ceil(s_wall / PANEL_WIDTH)) 64-point panels of equal width.
+    `model.wall_g`(n): max(8, ceil(s_wall / PANEL_WIDTH)) 64-point panels of equal width.
     Each level's peak is a Gaussian about one trap length wide, so the panel count grows like
     sqrt(alpha).  The first panel is split at s_1 / 2, ..., s_1 / 2^20 for the integrand's
     s^tau start (unsplit it read 7.0e-9 at tau = 1.6, m = 60 and 6.1e-7 at tau = 1.1,

@@ -50,6 +50,17 @@ def test_params_json(config_m0, capsys):
     assert "x1_constants" not in doc  # m = 0
 
 
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+def test_params_with_a_non_finite_value_exits_1_and_prints_nothing(extra, tmp_path, capsys):
+    # w = 1e308: every E_n = w (2n + alpha + 1) and alpha1 = -4 w (tau - 1) leave float64
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": 1e308, "s": 0, "m": 1}))
+    assert main(["params", "--config", str(path)] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "xtcs: error: params: E_0, E_1, E_2, E_3, E_4, alpha1 not finite\n"
+    assert captured.out == ""
+
+
 def test_missing_key_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"N": 2, "lambda": 1, "r": 1, "s": 0, "m": 1}))
@@ -566,7 +577,7 @@ def test_jet_derivatives_pass_where_fd_stencils_failed(cfg, tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
-@pytest.mark.parametrize("omega", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("omega", [1e-306, 1e-300, 1.0, 1e300])
 def test_consistency_scaling_item_passes_at_every_omega(omega, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": omega, "s": 0, "m": 2}))
@@ -575,6 +586,22 @@ def test_consistency_scaling_item_passes_at_every_omega(omega, tmp_path):
     items = json.loads((out / "report_consistency.json").read_text())["items"]
     scaling = [item for item in items if "at omega" in item["name"]]
     assert len(scaling) == 1 and scaling[0]["passed"] and scaling[0]["value"] <= 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("omega", [1e-310, 1.7e308])
+def test_consistency_item_at_omega_beyond_float64_exits_1_naming_the_stage(omega, tmp_path,
+                                                                           capsys):
+    # w = 1e-310: the item at omega reads its forms at rho = s / sqrt(w) up to 1e156, whose
+    # square overflows; w = 1.7e308: w times a form does
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": omega, "s": 0, "m": 2}))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--suite", "consistency", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("xtcs: error: suite consistency: consistency: an m=1 form at omega "
+                            f"= {omega:.17g} is not finite\n")
+    assert captured.out == "" and not out.exists()
 
 
 def test_consistency_catches_a_misplaced_omega(tmp_path, monkeypatch, capsys):
@@ -658,6 +685,19 @@ def test_omega_whose_square_overflows_exits_1_with_one_line(what, tmp_path, caps
                             "1001 of 1001 rows\n")
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("what", ["potential", "wavefunction"])
+def test_table_whose_default_rho_max_leaves_float64_exits_1_naming_the_table(what, tmp_path,
+                                                                             capsys):
+    # w = 1e-310: the wall sqrt(wall_g / w) is past float64; no --rho-max was given
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": 1e-310, "s": 0, "m": 1}))
+    assert main(["table", "--what", what, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"xtcs: error: table {what}: the default rho_max leaves float64\n"
+    assert captured.out == ""
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -5,11 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from xtcs import (ModelParams, NonFiniteError, ValidationError, consistency_suite,
+from xtcs import (ModelParams, NonFiniteError, ValidationError, cli, consistency_suite,
                   convergence_orders, energy_level, isospectrality_check, numeric_spectrum,
-                  ode_residual, orthogonality_matrix, solver, solver_grid, spectrum_csv_rows,
-                  verify, wavefunctions)
-from xtcs.model import turning_point_g
+                  ode_residual, orthogonality_matrix, residual_suite, solver, solver_grid,
+                  spectrum_csv_rows, verify, wavefunctions)
+from xtcs.model import turning_point_g, wall_g
 from xtcs.quadrature import panel_nodes
 from xtcs.laguerre import r_variant_battery
 from xtcs.solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, matrix_norm1,
@@ -55,20 +55,33 @@ def test_solver_grid_sized_from_tau_and_k(p, k, n_points, margin):
     assert explicit.rho_max + explicit.spacing == pytest.approx(radius, rel=1e-14)
 
 
-def test_every_default_domain_ends_at_the_solver_wall(monkeypatch):
-    # tau = 21, k = 3: g_t = 30, where the WKB margin (46.5), 30 + 2 alpha = 50 and 30 differ
+def test_every_default_domain_ends_at_the_wall(monkeypatch, tmp_path, capsys):
+    # tau = 21, k = 4 (the residual suite's levels): g_t = 34, where the WKB margin (48.5)
+    # and the margins 10, 30 and 40 differ
     p = ModelParams(8, 1.0, 1, 1.0, ext_index=1)
-    k = 3
-    g_wall = solver.wall_g(k - 1, p)
-    assert g_wall == pytest.approx(30 + _wkb_margin(30), rel=1e-15)
-    rules = []
+    k = 4
+    g_wall = wall_g(k - 1, p)
+    assert g_wall == pytest.approx(34 + _wkb_margin(34), rel=1e-15)
+    rules, grids = [], []
     monkeypatch.setattr(wavefunctions, "panel_nodes",
                         lambda edges: rules.append(edges) or panel_nodes(edges))
+    residual_grid = verify.default_residual_grid
+    monkeypatch.setattr(verify, "default_residual_grid",
+                        lambda n, p: grids.append(residual_grid(n, p)) or grids[-1])
     orthogonality_matrix(p, k)
     tail_start = rules[-1][0]  # the tail rule starts at the wall of the quadrature
     grid = solver_grid(p, k)
     study = convergence_orders(p, k)
-    for radius in (tail_start, grid.rho_max + grid.spacing, study.spacings[0] * 80):
+    residual_suite(p)
+    suite_grid = grids[0]  # levels 0..3; the 2g+alpha control runs level 0 of m = 1
+    ode_residual(k - 1, p)
+    path = tmp_path / "cfg.json"
+    path.write_text('{"N": 8, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": 1}')
+    assert cli.main(["table", "--what", "potential", "--level", str(k - 1),
+                     "--config", str(path)]) == 0
+    table_rho_max = float(capsys.readouterr().out.splitlines()[-1].split(",")[0])
+    for radius in (tail_start, grid.rho_max + grid.spacing, study.spacings[0] * 80,
+                   suite_grid.rho_max, grids[-1].rho_max, table_rho_max):
         assert p.omega * radius ** 2 == pytest.approx(g_wall, rel=1e-14)
 
 
@@ -391,20 +404,21 @@ def test_residual_is_at_rounding_level_on_any_grid(monkeypatch):
 @pytest.mark.parametrize("omega", (1e-12, 1e-5, 1e-3, 1e4, 1e12))
 def test_residual_grid_follows_the_trap_length(omega):
     # The grid is in trap lengths s = sqrt(omega) rho, one grid for every omega: it runs
-    # from 0.05 in steps of 0.05 to 10 past the turning point, and the residual, which is
-    # dimensionless, is the one of omega = 1 bit for bit.
+    # from 0.05 in steps of 0.05 to the wall (40 past the turning point here), and the
+    # residual, which is dimensionless, is the one of omega = 1 bit for bit.
     p = ModelParams(3, 1.0, 2, omega, ext_index=2)
     unit = ModelParams(3, 1.0, 2, 1.0, ext_index=2)
     grid = verify.default_residual_grid(0, p)
     assert grid == verify.default_residual_grid(0, unit)
     assert grid.rho_min == 0.05 and 0.049 < grid.spacing <= 0.05
-    assert grid.rho_max == pytest.approx(np.sqrt(turning_point_g(0, p, 10)), rel=1e-15)
+    assert grid.rho_max == pytest.approx(np.sqrt(turning_point_g(0, p) + 40), rel=1e-15)
     assert ode_residual(0, p) == ode_residual(0, unit) <= 1e-8
 
 
 def test_suite_residuals_give_the_standalone_verdicts():
     # levels 0-3 on the grid of level 3, as the residual suite evaluates them, against
-    # ode_residual on each level's own grid; the tau < 4 configs at m = 60 fail both ways
+    # ode_residual on each level's own grid; every one passes, the tau < 4 configs at
+    # m = 60 included (<= 4.9e-11)
     cases = battery() + [make_params(base, m) for base in BATTERY_BASE for m in (20, 60)]
     cases += [ModelParams(2, 0.6, 1, 0.05, ext_index=m) for m in (20, 60)]
     cases += [ModelParams(30, 2.0, 29, 1.0, ext_index=1)]
@@ -412,7 +426,7 @@ def test_suite_residuals_give_the_standalone_verdicts():
         grid, suite = verify._scaled_residuals(range(4), p)
         assert grid == verify.default_residual_grid(3, p)
         standalone = [ode_residual(n, p) for n in range(4)]
-        assert [v <= 1e-8 for v in suite] == [v <= 1e-8 for v in standalone], p
+        assert max(suite + standalone) <= 1e-8, p
         assert suite[3] == standalone[3]  # same grid, same code
 
 
@@ -431,7 +445,7 @@ def test_orthogonality_matrix_reports_nonconvergence(monkeypatch):
     from xtcs import QuadratureError
 
     # a wall 20 past the top turning point (13 panels at tau = 12) leaves too fat a tail
-    monkeypatch.setattr(wavefunctions, "wall_g", lambda n, p: turning_point_g(n, p, 20))
+    monkeypatch.setattr(wavefunctions, "wall_g", lambda n, p: turning_point_g(n, p) + 20)
     p = make_params((3, 2.0, 1, 1, 1.0), 2)  # tau = 12: heavy measure
     with pytest.raises(QuadratureError, match="norm tail estimate"):
         orthogonality_matrix(p, 5)

@@ -12,9 +12,9 @@ from xtcs import (Configuration, ModelParams, NonFiniteError, QuadratureError,
                   manybody_groundstate, norm, orthogonality_matrix, radial_eigenfunction,
                   wavefunctions, xm_laguerre)
 from xtcs.cli import main
-from xtcs.model import turning_point_g
+from xtcs.model import turning_point_g, wall_g
 from xtcs.quadrature import panel_nodes
-from xtcs.solver import RadialGrid, wall_g
+from xtcs.solver import RadialGrid
 
 from conftest import BATTERY_BASE, M_VALUES, battery, make_params
 
@@ -194,7 +194,7 @@ def test_norm_takes_omega_once_and_raises_where_it_leaves_float64():
 
 def test_norm_tail_error_reported(monkeypatch):
     # a wall only 20 past the turning point leaves too fat a tail at tau = 12
-    monkeypatch.setattr(wavefunctions, "wall_g", lambda n, p: turning_point_g(n, p, 20))
+    monkeypatch.setattr(wavefunctions, "wall_g", lambda n, p: turning_point_g(n, p) + 20)
     p = ModelParams(3, 2.0, 1, 1.0, degree=1)  # tau = 12: heavy measure growth
     with pytest.raises(QuadratureError, match="norm tail estimate"):
         norm(0, p)
