@@ -19,12 +19,11 @@ from .laguerre import (OdeCoefficients, laguerre, laguerre_derivative,
                        xm_denominator, xm_laguerre, xm_ode_residual)
 from .model import (Configuration, ExtConstants, ModelParams, energy_level, ext_constants,
                     v_eff_radial, v_interaction, v_new, v_new_x1_two_term)
-from .solver import RadialGrid, richardson, solver_grid
+from .solver import RadialGrid, SpectrumReport, numeric_spectrum, richardson, solver_grid
 from .wavefunctions import count_nodes, jastrow, manybody_groundstate, norm, radial_eigenfunction
-from .verify import (ConvergenceStudy, SpectrumReport, VerificationReport,
-                     consistency_suite, convergence_orders, isospectrality_check,
-                     local_energy_suite, numeric_spectrum, ode_residual, ortho_suite,
-                     orthogonality_matrix, residual_suite, spectrum_csv_rows)
+from .verify import (ConvergenceStudy, VerificationReport, consistency_suite,
+                     convergence_orders, isospectrality_check, local_energy_suite, ode_residual,
+                     ortho_suite, orthogonality_matrix, residual_suite, spectrum_csv_rows)
 from .manybody import ConstancyStats, constancy_scan, local_energy, sample_configurations
 
 __all__ = [

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import NonFiniteError, ValidationError
 from .laguerre import Jet, _lag
-from .model import (SIZE_BUDGET, Configuration, ModelParams, _pair_window, _row_blocks,
-                    energy_level, v_interaction, v_new)
+from .model import (SIZE_BUDGET, Configuration, ModelParams, _omega_scaled, _pair_window,
+                    _row_blocks, energy_level, trap_units, v_interaction, v_new)
 
 __all__ = [
     "local_energy",
@@ -28,29 +28,29 @@ __all__ = [
 ]
 
 
-def _log_psi_derivatives(x, wp: ModelParams):
-    """(d_i log Psi, d_i^2 log Psi), each (N, S), at ordered positions x (S, N).  Pairs: the
-    jet log rule on each gap u = x_j - x_i (d_j u = 1 = -d_i u, d^2 u = 0) of the window
-    |i - j| <= r gives lambda (+-1/u, -1/u^2); one pass gathers every 1/u and each particle
-    sums its `_pair_window` partners, in blocks under model.BLOCK_ELEMENTS.  Radial part:
-    -g/2 + log L_m^(alpha)(-g) - log L_m^(alpha-1)(-g) on a Jet in g = omega |x|^2, chained
-    through d_i g = 2 omega x_i and d_i^2 g = 2 omega."""
-    n, xt = x.shape[-1], x.T
+def _log_psi_derivatives(s, s2, wp: ModelParams):
+    """(d_i log Psi, d_i^2 log Psi), each (N, S), at ordered positions s (S, N) in trap
+    lengths, for trap-unit wp.  Pairs: the jet log rule on each gap u = s_j - s_i (d_j u = 1
+    = -d_i u, d^2 u = 0) of the window |i - j| <= r gives lambda (+-1/u, -1/u^2); one pass
+    gathers every 1/u and each particle sums its `_pair_window` partners, in blocks under
+    model.BLOCK_ELEMENTS.  Radial part: -g/2 + log L_m^(alpha)(-g) - log L_m^(alpha-1)(-g)
+    on a Jet in g = s2 = |s|^2 (the caller's), chained through d_i g = 2 s_i, d_i^2 g = 2."""
+    n, st = s.shape[-1], s.T
     left, right, partner, sign = _pair_window(n, wp.trunc_range)[:4]
-    grad, lap = np.empty(xt.shape), np.empty(xt.shape)
-    for rows in _row_blocks(len(x), len(left) + 2 * partner.size):
-        block = xt[:, rows]
+    grad, lap = np.empty(st.shape), np.empty(st.shape)
+    for rows in _row_blocks(len(s), len(left) + 2 * partner.size):
+        block = st[:, rows]
         inv = np.zeros((len(left) + 1, block.shape[1]))  # (pairs + padding, samples)
         np.divide(1, block[right] - block[left], out=inv[:-1])
         near = inv[partner]  # (partners, N, samples)
         grad[:, rows] = np.sum(sign * near, axis=0)
         lap[:, rows] = np.sum(near * near, axis=0)
-    g = Jet(wp.omega * np.sum(x ** 2, axis=-1), 1.0, 0.0)
+    g = Jet(s2, 1.0, 0.0)
     m, a = wp.ext_index, wp.alpha
     radial = -g / 2 + np.log(_lag(m, a, -g)) - np.log(_lag(m, a - 1, -g))
-    dg = 2 * wp.omega * xt
+    dg = 2 * st
     return (wp.coupling * grad + radial.d1 * dg,
-            radial.d2 * dg ** 2 + (2 * wp.omega) * radial.d1 - wp.coupling * lap)
+            radial.d2 * dg ** 2 + 2 * radial.d1 - wp.coupling * lap)
 
 
 def local_energy(c, p: ModelParams, v_new_scale: float = 1.0,
@@ -58,11 +58,12 @@ def local_energy(c, p: ModelParams, v_new_scale: float = 1.0,
     """(H Psi)/Psi with the ground-state Psi, for a Configuration (a float) or an (S, N)
     array of finite, strictly increasing positions (S values, same pass).
 
-    The kinetic term is -1/2 sum_i (d_i^2 log Psi + (d_i log Psi)^2), from
-    `_log_psi_derivatives`.  wavefunction_params evaluates Psi with different parameters than
-    the Hamiltonian (negative control: a perturbed Psi is not an eigenfunction); v_new_scale
-    multiplies the extension term of H only.  A NaN or infinite term raises NonFiniteError
-    naming the stage."""
+    It runs in trap lengths s = sqrt(omega) x at `model.trap_units`(p), where H(omega) =
+    omega H(1): the kinetic term -1/2 sum_i (d_i^2 log Psi + (d_i log Psi)^2), from
+    `_log_psi_derivatives`, the trap, v_interaction and v_new are summed, then scaled by
+    `model._omega_scaled`.  wavefunction_params evaluates Psi with other parameters, omega
+    excepted (negative control: a perturbed Psi is not an eigenfunction); v_new_scale scales
+    the extension term of H only.  A NaN or infinite term raises NonFiniteError naming it."""
     if p.degree != 0:
         raise ValidationError(f"local energy implemented for degree s = 0 only, got s = {p.degree}")
     single = isinstance(c, Configuration)
@@ -73,20 +74,22 @@ def local_energy(c, p: ModelParams, v_new_scale: float = 1.0,
     if not (np.all(np.isfinite(x)) and np.all(np.diff(x, axis=-1) > 0)):
         raise ValidationError("positions must be finite and strictly increasing")
     wp = p if wavefunction_params is None else wavefunction_params
-    if wp.degree != 0 or wp.n_particles != p.n_particles:
-        raise ValidationError("wavefunction_params must have degree s = 0 and the same N")
+    if wp.degree != 0 or wp.n_particles != p.n_particles or wp.omega != p.omega:
+        raise ValidationError("wavefunction_params must have degree 0 and the same N and omega")
 
+    unit, s = trap_units(p), math.sqrt(p.omega) * x
     with np.errstate(over="ignore", invalid="ignore"):  # each stage raises on its result
-        grad, lap = _log_psi_derivatives(x, wp)
+        s2 = np.sum(s ** 2, axis=-1)
+        grad, lap = _log_psi_derivatives(s, s2, trap_units(wp))
         kinetic = -0.5 * np.sum(lap + grad * grad, axis=0)
-        rho2 = np.sum(x ** 2, axis=-1)
-        extension = v_new_scale * v_new(np.sqrt(rho2), p)
-        interaction = v_interaction(x, p)
+        extension = v_new_scale * v_new(np.sqrt(s2), unit)
+        interaction = v_interaction(s, unit)
     for stage, term in (("kinetic energy", kinetic), ("v_new", extension),
                         ("v_interaction", interaction)):
         if not np.all(np.isfinite(term)):
             raise NonFiniteError(f"local energy: {stage} is not finite for {p}")
-    energies = kinetic + 0.5 * p.omega * (p.omega * rho2) + interaction + extension
+    energies = _omega_scaled(p.omega, kinetic + 0.5 * s2 + interaction + extension,
+                             "local energy: the energy")
     return float(energies[0]) if single else energies
 
 
@@ -156,12 +159,12 @@ def constancy_scan(p: ModelParams, n_samples: int = 200, seed: int = 1,
     fixed seed.
     """
     x = _sample_positions(p, n_samples, seed)
-    energies = local_energy(x, p, v_new_scale, wavefunction_params)
-    mean = math.fsum(energies) / n_samples
+    energies, e_0 = local_energy(x, p, v_new_scale, wavefunction_params), energy_level(0, p)
+    # in units of E_0 and |mean|: the sum would overflow at omega ~ 1e306, and the squared
+    # deviations would underflow to 0 at omega ~ 1e-300
+    mean = e_0 * (math.fsum(energies / e_0) / n_samples)
     dev = energies - mean
-    # in units of |mean|: at omega ~ 1e-300 the squared deviations would underflow to 0
     stddev = abs(mean) * math.sqrt(math.fsum((dev / abs(mean)) ** 2) / n_samples)
     max_dev = float(np.max(np.abs(dev)))
-    return ConstancyStats(
-        params=p, n_samples=n_samples, seed=seed, mean=mean,
-        stddev=stddev, max_dev=max_dev, e_analytic=energy_level(0, p))
+    return ConstancyStats(params=p, n_samples=n_samples, seed=seed, mean=mean, stddev=stddev,
+                          max_dev=max_dev, e_analytic=e_0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AttractiveCouplingWarning, ValidationError
+from .errors import AttractiveCouplingWarning, NonFiniteError, ValidationError
 from .laguerre import _check_index, _check_nonnegative, _lag, _lag_pair, _maybe_scalar
 
 __all__ = [
@@ -208,10 +208,21 @@ def wall_g(n, p: ModelParams) -> float:
 
 @functools.lru_cache(maxsize=16)
 def trap_units(p: ModelParams) -> ModelParams:
-    """p with omega = 1, the units of every radial check: lengths in trap lengths s =
-    sqrt(omega) rho, energies in omega.  Phi_n and v_new / omega depend on rho only through
-    g = s^2, so H(omega) = omega H(1); `verify._ladder` and `wavefunctions.norm` scale back."""
+    """p with omega = 1, the units of the radial checks and the many-body scan: lengths in
+    trap lengths s = sqrt(omega) rho, energies in omega.  Phi_n and v_new / omega depend on
+    rho only via g = s^2, so H(omega) = omega H(1); `_omega_scaled` and `norm` scale back."""
     return replace(p, omega=1.0)
+
+
+def _omega_scaled(omega: float, values, what: str):
+    """omega times trap-unit values, or NonFiniteError naming what where one leaves float64's
+    normal range (the rule of `wavefunctions.norm`): outside it a value is inf or keeps fewer
+    than 53 bits, and rounding would decide verdicts.  The extreme products decide it."""
+    magnitude = np.abs(values)
+    if not (omega * float(magnitude.min()) >= np.finfo(float).tiny
+            and omega * float(magnitude.max()) <= np.finfo(float).max):
+        raise NonFiniteError(f"{what} scaled by omega = {omega:.17g} leaves float64's normal range")
+    return omega * np.asarray(values)
 
 
 # Most elements one block of a pair-window pass holds in its pair-sized arrays (samples

@@ -5,9 +5,11 @@ The transformed eigenfunction u(rho) = rho^(tau/2) Phi(rho) satisfies
 (`model.trap_units`).  Second-order central differences on a uniform grid give a
 symmetric tridiagonal matrix T; its lowest eigenvalues come from `lowest_eigenvalues`,
 and Richardson extrapolation from grids h and h/2 upgrades them to effective fourth order.
+The module owns the grid pair, seeds, warm starts and ladders of that spectrum
+(`numeric_spectrum`, `_spectra`); `verify.isospectrality_check` holds its gates.
 
-Boundary handling: the grid starts one spacing away from the origin, with
-Dirichlet values at rho = 0 and rho = rho_max + h.  The zero at the origin
+Boundary handling: a `RadialGrid` of radius R and n points has the nodes h, 2h, ..., n h,
+h = R / (n + 1), with Dirichlet values at rho = 0 and rho = R.  The zero at the origin
 is exact (u ~ rho^(tau/2) for tau > 2), so the 1/rho^2 singularity is never
 discretized; tau <= 2 is rejected.
 
@@ -25,7 +27,7 @@ to the top interval's end.  Any miss, a zero pivot in *gtsv* too, runs
 *stebz* bisection over the index range instead ("full"), so seeds set the
 cost, never which levels come back.
 
-Seeds (`verify.numeric_spectrum`): the analytic E_n for the coarse ladder and
+Seeds (`numeric_spectrum`): the analytic E_n for the coarse ladder and
 coarse + 3/4 (E_n - coarse) for the fine one (the h^2 error shrinks 4x), for the
 conventional and the extended matrices alike.  The fine ladder's iteration starts
 from the coarse ladder's vectors, `_prolonged` to the fine grid; the coarse ladder,
@@ -42,7 +44,7 @@ and 189 fewer.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
@@ -50,8 +52,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NonFiniteError, ValidationError
-from .model import (SIZE_BUDGET, ModelParams, trap_units, turning_point_g, v_eff_radial, v_new,
-                    wall_g)
+from .model import (SIZE_BUDGET, ModelParams, _omega_scaled, energy_level, trap_units,
+                    turning_point_g, v_eff_radial, v_new, wall_g)
 
 __all__ = [
     "RadialGrid",
@@ -60,6 +62,9 @@ __all__ = [
     "lowest_eigenvalues",
     "matrix_norm1",
     "richardson",
+    "SpectrumRow",
+    "SpectrumReport",
+    "numeric_spectrum",
 ]
 
 # Cap on the Rayleigh-quotient inverse-iteration steps per refined level.
@@ -68,45 +73,33 @@ RQI_STEPS = 6
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid of n_points nodes on [rho_min, rho_max], rho_min > 0."""
+    """Solver grid: nodes h, ..., n_points h, h = radius / (n_points + 1); u = 0 at 0, radius."""
 
-    rho_min: float
-    rho_max: float
+    radius: float
     n_points: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.rho_min) and self.rho_min > 0):
-            raise ValidationError(f"rho_min must be > 0, got {self.rho_min!r}")
-        if not (np.isfinite(self.rho_max) and self.rho_max > self.rho_min):
-            raise ValidationError(
-                f"rho_max must exceed rho_min = {self.rho_min}, got {self.rho_max!r}")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise ValidationError(f"radius must be finite and > 0, got {self.radius!r}")
         if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 3:
             raise ValidationError(f"n_points must be an integer >= 3, got {self.n_points!r}")
-        if self.rho_min < self.spacing / 2:
-            raise ValidationError(
-                f"rho_min = {self.rho_min} below half the spacing h/2 = {self.spacing / 2}")
 
     @property
     def spacing(self) -> float:
-        return (self.rho_max - self.rho_min) / (self.n_points - 1)
+        return self.radius / (self.n_points + 1)
 
     @property
     def nodes(self):
-        return np.linspace(self.rho_min, self.rho_max, self.n_points)
+        return self.spacing * np.arange(1, self.n_points + 1)
 
     def refined(self) -> "RadialGrid":
-        """Grid with half the spacing representing the same continuum domain.
-
-        Only meaningful for solver grids (rho_min == h): the outer Dirichlet
-        radius R = rho_max + h is preserved.
-        """
-        h2 = self.spacing / 2
-        return RadialGrid(h2, self.rho_max + h2, 2 * self.n_points + 1)
+        """The grid of half the spacing and the same radius: its odd nodes are this grid's."""
+        return RadialGrid(self.radius, 2 * self.n_points + 1)
 
 
 def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGrid:
-    """Eigensolver grid for the lowest k levels, for `verify.numeric_spectrum` and
-    `verify._spectra`.  Its outer Dirichlet radius R sits at R^2 = `model.wall_g`(k - 1), the
+    """Eigensolver grid for the lowest k levels, for `numeric_spectrum` and `_spectra`.
+    Its outer Dirichlet radius R sits at R^2 = `model.wall_g`(k - 1), the
     wall of every default domain, except below tau = 4; n_points, unless given, follows from
     tau and k.  The constants were measured with `isospectrality_check` (Richardson pair on n
     and 2n+1 points):
@@ -131,41 +124,31 @@ def solver_grid(p: ModelParams, k: int, n_points: int | None = None) -> RadialGr
       stretch h enough to fail N=2, lambda=0.75, r=1, m=2 (tau = 2.5, k = 4): 0.79 -> 1.12
       of the gate.
 
-    An explicit n_points keeps the wall rule of its tau regime.  Above SIZE_BUDGET rows
-    x levels of the pair's fine matrix it raises before any work.
+    An explicit n_points keeps the wall rule of its tau regime.  Below max(3, k) points, or
+    above SIZE_BUDGET rows x levels of the pair's fine matrix, it raises before any work.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     smooth = p.tau >= 4
     if n_points is None:
         n_points = max(501, 250 * k + 1) if smooth else 20001
+    if n_points < max(3, k):
+        raise ValidationError(f"--points {n_points} is below max(3, --levels) = {max(3, k)}")
     if k * (2 * n_points + 1) > SIZE_BUDGET:  # the pair's fine matrix
         raise ValidationError(f"{k} levels on {2 * n_points + 1} fine matrix rows exceed the size "
                               f"budget of {SIZE_BUDGET} rows x levels; lower --levels or --points")
-    radius = float(np.sqrt(wall_g(k - 1, p) if smooth else turning_point_g(k - 1, p) + 30))
-    h = radius / (n_points + 1)
-    return RadialGrid(h, n_points * h, n_points)
+    radius = np.sqrt(wall_g(k - 1, p) if smooth else turning_point_g(k - 1, p) + 30)
+    return RadialGrid(float(radius), n_points)
 
 
-def hamiltonian_diagonals(p: ModelParams, grid: RadialGrid, extended: bool,
-                          v_new_scale: float = 1.0):
-    """Diagonal and off-diagonal of the discretized operator on the grid, in trap units.
-
-    Requires rho_min == spacing (exact Dirichlet zero at the origin) and
-    tau > 2, the regime where u vanishes at the origin fast enough for that
-    boundary treatment, and a finite v_new_scale.
-    """
-    pot = _v_eff(p, grid)
-    return _tridiagonal(grid, pot + (_extension(p, grid, v_new_scale) if extended else 0.0))
+def hamiltonian_diagonals(p: ModelParams, grid: RadialGrid, extended: bool):
+    """Diagonal and off-diagonal of the discretized operator on the grid, in trap units, at
+    tau > 2, where u vanishes at the origin fast enough for the grid's Dirichlet zero there."""
+    return _tridiagonal(grid, _v_eff(p, grid) + (_extension(p, grid, 1.0) if extended else 0.0))
 
 
 def _v_eff(p: ModelParams, grid: RadialGrid):
-    """Conventional V_eff on the nodes of a solver grid (rho_min == spacing) at tau > 2, or
-    ValidationError."""
-    h = grid.spacing
-    if abs(grid.rho_min - h) > 1e-9 * h:
-        raise ValidationError(
-            f"solver grids need rho_min == spacing (got rho_min = {grid.rho_min}, h = {h})")
+    """Conventional V_eff on the grid's nodes at tau > 2, or ValidationError."""
     if p.tau <= 2:
         raise ValidationError(
             f"tau = {p.tau} <= 2: origin boundary treatment invalid; increase coupling, degree, or n_particles")
@@ -191,7 +174,7 @@ def _tridiagonal(grid: RadialGrid, pot):
 
 
 def _prolonged(vectors):
-    """Rows given on a solver grid, carried to grid.refined(): the fine grid's odd nodes
+    """Rows given on a grid, carried to grid.refined(): the fine grid's odd nodes
     are the coarse nodes, and each even node takes the mean of its two neighbours, the
     Dirichlet zeros beyond either end included."""
     walled = np.zeros((len(vectors), 2 * len(vectors[0]) + 3))  # fine nodes and the zeros
@@ -214,7 +197,7 @@ def lowest_eigenvalues(diag, off, k, guesses=None, starts=None):
     full call that does not return k levels with info = 0.
 
     Cost on a 2003-row solver matrix (tau = 21, k = 4, 2 vCPUs), the fine matrix of
-    `verify.numeric_spectrum`: full 2.7 ms; refined 0.8 ms from ones (7 solves) and
+    `numeric_spectrum`: full 2.7 ms; refined 0.8 ms from ones (7 solves) and
     0.5 ms from the coarse ladder's vectors (4 solves), each *gtsv* solve 0.05 ms (three
     Sturm sweeps) and the count 0.08 ms.  The first call in a process also loads the
     LAPACK extension: 24-35 ms, `import scipy` included.
@@ -314,3 +297,101 @@ def matrix_norm1(diag, off) -> float:
 def richardson(coarse, fine):
     """(4 fine - coarse)/3: cancels the h^2 error term of the h, h/2 pair."""
     return (4 * np.asarray(fine) - np.asarray(coarse)) / 3
+
+
+# ---------------------------------------------------------------------------
+# numeric spectra: the Richardson pair of ladders
+
+@dataclass(frozen=True)
+class SpectrumRow:
+    n: int
+    e_analytic: float
+    e_numeric: float
+
+    @property
+    def abs_err(self) -> float:
+        return abs(self.e_numeric - self.e_analytic)
+
+    @property
+    def rel_err(self) -> float:
+        return self.abs_err / abs(self.e_analytic)
+
+    def to_json_dict(self):
+        return {"n": self.n, "e_analytic": self.e_analytic, "e_numeric": self.e_numeric,
+                "abs_err": self.abs_err, "rel_err": self.rel_err}
+
+
+@dataclass(frozen=True)
+class SpectrumReport:
+    params: ModelParams
+    extended: bool
+    rows: tuple
+    grid: RadialGrid
+    raw_coarse: tuple
+    raw_fine: tuple
+    solves: tuple  # how the coarse and fine ladders were solved: refined, full or reused
+    norm_fine: float  # 1-norm of the fine matrix (the solver's roundoff scale), not in JSON
+
+    def to_json_dict(self):
+        return {
+            "params": self.params.to_json_dict(),
+            "extended": self.extended,
+            "extrapolation_order": 4,
+            "grid": {"rho_min": self.grid.spacing, "rho_max": float(self.grid.nodes[-1]),
+                     "n_points": self.grid.n_points},
+            "levels": [row.to_json_dict() for row in self.rows],
+            "raw_coarse": list(self.raw_coarse),
+            "raw_fine": list(self.raw_fine),
+            "solves": dict(zip(("coarse", "fine"), self.solves)),
+        }
+
+
+def numeric_spectrum(p: ModelParams, k: int, n_points: int | None = None,
+                     extended: bool = False) -> SpectrumReport:
+    """Lowest k eigenvalues, Richardson-extrapolated from grids h and h/2,
+    paired with the analytic ladder.
+
+    The coarse grid is `solver_grid`(p, k, n_points), so it ends at the wall that holds
+    all k levels; the fine grid has 2 n_points + 1 nodes and the same wall.  The potential
+    is evaluated once, on the fine nodes (`_ladder`).  Seeds and starts, which set only the
+    cost, are those of the module docstring."""
+    grid = solver_grid(p, k, n_points)
+    fine = grid.refined()
+    pot = _v_eff(p, fine) + (_extension(p, fine, 1.0) if extended else 0.0)
+    return _ladder(p, k, grid, pot, extended)
+
+
+def _ladder(p, k, grid, pot, extended) -> SpectrumReport:
+    """The SpectrumReport of one ladder on the pair grid, grid.refined(), from the potential
+    on the fine nodes: the coarse nodes are the fine grid's odd nodes, so the coarse matrix
+    reads pot[1::2].  Its energies and norm_fine are `model._omega_scaled` from trap units.
+
+    A refined coarse ladder's vectors, `_prolonged` to the fine grid, start the fine
+    ladder's iteration (solves per level: module docstring); after a "full" coarse ladder,
+    which returns no vectors, it starts from ones."""
+    analytic = np.array([energy_level(n, trap_units(p)) for n in range(k)])
+    coarse_matrix, fine_matrix = _tridiagonal(grid, pot[1::2]), _tridiagonal(grid.refined(), pot)
+    coarse, how_coarse, vectors = lowest_eigenvalues(*coarse_matrix, k, analytic)
+    starts = None if vectors is None else _prolonged(vectors)
+    fine, how_fine, _ = lowest_eigenvalues(*fine_matrix, k, coarse + 0.75 * (analytic - coarse),
+                                           starts)
+    analytic, coarse, fine, extrap = _omega_scaled(
+        p.omega, [analytic, coarse, fine, richardson(coarse, fine)], "spectrum: the ladder")
+    norm_fine = _omega_scaled(p.omega, matrix_norm1(*fine_matrix), "spectrum: the fine matrix norm")
+    rows = tuple(SpectrumRow(n, float(analytic[n]), float(extrap[n])) for n in range(k))
+    return SpectrumReport(p, extended, rows, grid, tuple(map(float, coarse)),
+                          tuple(map(float, fine)), (how_coarse, how_fine), float(norm_fine))
+
+
+def _spectra(p, k, n_points, v_new_scale):
+    """Conventional and extended SpectrumReports on one grid pair, as `numeric_spectrum`
+    makes each: V_eff is evaluated once, on the fine nodes, and v_new once, for the
+    extended ladder, which adds it to the same V_eff.  At m = 0 v_new is zero, so the
+    extended matrices are the conventional ones bit for bit and their ladders are reused."""
+    grid = solver_grid(p, k, n_points)
+    fine = grid.refined()
+    v_eff = _v_eff(p, fine)
+    conv = _ladder(p, k, grid, v_eff, False)
+    if p.ext_index == 0 and np.isfinite(v_new_scale):
+        return conv, replace(conv, extended=True, solves=("reused", "reused"))
+    return conv, _ladder(p, k, grid, v_eff + _extension(p, fine, v_new_scale), True)

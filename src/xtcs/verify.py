@@ -1,14 +1,14 @@
 """Independent numerical verification of the analytic solution.
 
 Nothing here trusts the closed forms it checks: eigenvalues come from the
-finite-difference solver, eigenfunction correctness from pointwise
-differential-equation residuals (Phi_n, Phi_n' and Phi_n'' from the closed form run
-on a second-order jet, `laguerre.Jet`), orthogonality from quadrature.  The one
+finite-difference spectrum of `solver`, whose gates live here, eigenfunction correctness
+from pointwise differential-equation residuals (Phi_n, Phi_n' and Phi_n'' from the closed
+form run on a second-order jet, `laguerre.Jet`), orthogonality from quadrature.  The one
 analytic input is the energy formula E_n = omega (2n + alpha + 1), which is
 exactly what the spectrum checks are designed to confirm or refute.  The
 E_n also seed the eigensolver, for cost only: a level it returns is
 certified against the matrix, never taken from the seed.  Every radial check
-runs in trap units (`model.trap_units`); only `_ladder` scales its energies back.
+runs in trap units (`model.trap_units`); only `solver._ladder` scales its energies back.
 
 Tolerance note: the eigensolver resolves eigenvalues of the assembled
 matrix no better than a few ulps of its norm, and the norm grows like
@@ -29,19 +29,15 @@ from .laguerre import Jet, _check_index, r_variant_battery, r_variant_residuals
 from .manybody import constancy_scan
 from .model import (ModelParams, energy_level, ext_constants, trap_units, turning_point_g,
                     v_new, v_new_x1_two_term, wall_g)
-from .solver import (RadialGrid, _extension, _prolonged, _tridiagonal, _v_eff,
-                     lowest_eigenvalues, matrix_norm1, richardson, solver_grid)
+from .solver import _spectra, numeric_spectrum
 from .wavefunctions import _gram, _node_counts, _radial_rows, radial_eigenfunction
 
 __all__ = [
     "CheckItem",
     "VerificationReport",
-    "SpectrumRow",
-    "SpectrumReport",
     "default_residual_grid",
     "ode_residual",
     "residual_suite",
-    "numeric_spectrum",
     "isospectrality_check",
     "spectrum_csv_rows",
     "orthogonality_matrix",
@@ -125,13 +121,13 @@ class VerificationReport:
 RESIDUAL_STEP = 0.05  # in trap lengths
 
 
-def default_residual_grid(n, p: ModelParams) -> RadialGrid:
-    """Uniform grid in trap lengths of step h = RESIDUAL_STEP from 0.05 to the wall of level
-    n, `model.wall_g`(n).  A set of levels is checked on the grid of its top level.  The jet
-    derivatives are exact to rounding, so h only sets how densely the residual is sampled.
+def default_residual_grid(n, p: ModelParams):
+    """Uniform nodes in trap lengths, at most RESIDUAL_STEP apart, from 0.05 to the wall of
+    level n, `model.wall_g`(n).  A set of levels is checked on the nodes of its top level.
+    The jet derivatives are exact to rounding, so the step only sets the sampling density.
     """
     s_max = float(np.sqrt(wall_g(n, p)))
-    return RadialGrid(0.05, s_max, int(np.ceil((s_max - 0.05) / RESIDUAL_STEP)) + 1)
+    return np.linspace(0.05, s_max, int(np.ceil((s_max - 0.05) / RESIDUAL_STEP)) + 1)
 
 
 def ode_residual(n, p: ModelParams, x1_denominator="g_plus_alpha") -> float:
@@ -141,7 +137,7 @@ def ode_residual(n, p: ModelParams, x1_denominator="g_plus_alpha") -> float:
 
 
 def _scaled_residuals(levels, p: ModelParams, x1_denominator="g_plus_alpha"):
-    """The grid `default_residual_grid`(max(levels), p) and, for each n in levels (ascending),
+    """The nodes `default_residual_grid`(max(levels), p) and, for each n in levels (ascending),
     the scaled max residual of Phi'' + (tau/rho) Phi' + 2(E_n - V_ext) Phi on it.
 
     Phi_n, Phi_n' and Phi_n'' come from `wavefunctions._radial_rows` run on a `laguerre.Jet`
@@ -152,8 +148,7 @@ def _scaled_residuals(levels, p: ModelParams, x1_denominator="g_plus_alpha"):
     """
     levels = [_check_index("n", n, 0) for n in levels]
     p = trap_units(p)
-    grid = default_residual_grid(max(levels), p)
-    rho = grid.nodes
+    rho = default_residual_grid(max(levels), p)
     jet = Jet(rho, np.ones_like(rho), np.zeros_like(rho))
     with np.errstate(over="ignore", invalid="ignore"):
         if x1_denominator == "g_plus_alpha":
@@ -171,14 +166,14 @@ def _scaled_residuals(levels, p: ModelParams, x1_denominator="g_plus_alpha"):
         e_n = energy_level(n, p)
         resid = f.d2 + (p.tau / rho) * f.d1 + 2 * (e_n - pot) * f.f
         out.append(float(np.max(np.abs(resid)) / (np.max(np.abs(f.f)) * e_n)))
-    return grid, out
+    return rho, out
 
 
 def residual_suite(p: ModelParams) -> VerificationReport:
     """Scaled residuals (`_scaled_residuals`) of levels 0-3, each <= 1e-8, and the control:
     level 0 of the m = 1 family with the 2g + alpha denominator must read >= 1e-2."""
     report = VerificationReport("eigen-equation residuals", p)
-    grid, residuals = _scaled_residuals(range(4), p)
+    rho, residuals = _scaled_residuals(range(4), p)
     for n, value in enumerate(residuals):
         report.add(f"scaled residual, level {n} (m={p.ext_index})", value, 1e-8)
     # the inconsistent m=1 denominator must fail; run it on the m=1 family
@@ -186,137 +181,32 @@ def residual_suite(p: ModelParams) -> VerificationReport:
     report.add("scaled residual, level 0, m=1 denominator variant 2g+alpha",
                ode_residual(0, p1, x1_denominator="2g_plus_alpha"), 1e-2, comparison=">=",
                detail="variant rejected: only g+alpha solves the extended radial equation")
-    report.metadata.update(spacing=grid.spacing, grid_points=grid.n_points)
+    report.metadata.update(spacing=(rho[-1] - rho[0]) / (len(rho) - 1), grid_points=len(rho))
     return report
 
 
 # ---------------------------------------------------------------------------
-# numeric spectra
-
-@dataclass(frozen=True)
-class SpectrumRow:
-    n: int
-    e_analytic: float
-    e_numeric: float
-
-    @property
-    def abs_err(self) -> float:
-        return abs(self.e_numeric - self.e_analytic)
-
-    @property
-    def rel_err(self) -> float:
-        return self.abs_err / abs(self.e_analytic)
-
-    def to_json_dict(self):
-        return {"n": self.n, "e_analytic": self.e_analytic, "e_numeric": self.e_numeric,
-                "abs_err": self.abs_err, "rel_err": self.rel_err}
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    params: ModelParams
-    extended: bool
-    rows: tuple
-    grid: RadialGrid
-    raw_coarse: tuple
-    raw_fine: tuple
-    solves: tuple  # how the coarse and fine ladders were solved: refined, full or reused
-    norm_fine: float  # 1-norm of the fine matrix (the solver's roundoff scale), not in JSON
-
-    def to_json_dict(self):
-        return {
-            "params": self.params.to_json_dict(),
-            "extended": self.extended,
-            "extrapolation_order": 4,
-            "grid": {"rho_min": self.grid.rho_min, "rho_max": self.grid.rho_max,
-                     "n_points": self.grid.n_points},
-            "levels": [row.to_json_dict() for row in self.rows],
-            "raw_coarse": list(self.raw_coarse),
-            "raw_fine": list(self.raw_fine),
-            "solves": dict(zip(("coarse", "fine"), self.solves)),
-        }
-
-
-def numeric_spectrum(p: ModelParams, k: int, n_points: int | None = None,
-                     extended: bool = False, v_new_scale: float = 1.0) -> SpectrumReport:
-    """Lowest k eigenvalues, Richardson-extrapolated from grids h and h/2,
-    paired with the analytic ladder.
-
-    The coarse grid is `solver.solver_grid`(p, k, n_points), so it ends at the wall
-    that holds all k levels; the fine grid has 2 n_points + 1 nodes and the same wall.
-    The potential is evaluated once, on the fine nodes (`_ladder`).  Seeds and starts,
-    which set only the cost, are those of the `solver` module docstring."""
-    grid = solver_grid(p, k, n_points)
-    fine = grid.refined()
-    pot = _v_eff(p, fine)
-    if extended:
-        pot = pot + _extension(p, fine, v_new_scale)
-    return _ladder(p, k, grid, pot, extended)
-
-
-def _ladder(p, k, grid, pot, extended) -> SpectrumReport:
-    """The SpectrumReport of one ladder on the pair grid, grid.refined(), from the potential
-    on the fine nodes: the coarse nodes are the fine grid's odd nodes, so the coarse matrix
-    reads pot[1::2] (they differ from grid.nodes by rounding only).  Its energies and
-    norm_fine are omega times the trap-unit ones; where one leaves float64, NonFiniteError.
-
-    A refined coarse ladder's vectors, `solver._prolonged` to the fine grid, start the fine
-    ladder's iteration (solves per level: `solver` module docstring); after a "full" coarse
-    ladder, which returns no vectors, it starts from ones."""
-    analytic = np.array([energy_level(n, trap_units(p)) for n in range(k)])
-    coarse_matrix, fine_matrix = _tridiagonal(grid, pot[1::2]), _tridiagonal(grid.refined(), pot)
-    coarse, how_coarse, vectors = lowest_eigenvalues(*coarse_matrix, k, analytic)
-    starts = None if vectors is None else _prolonged(vectors)
-    fine, how_fine, _ = lowest_eigenvalues(*fine_matrix, k, coarse + 0.75 * (analytic - coarse),
-                                           starts)
-    extrap = richardson(coarse, fine)
-    with np.errstate(over="ignore"):
-        ladders = p.omega * np.array([analytic, coarse, fine, extrap])
-    norm_fine = p.omega * matrix_norm1(*fine_matrix)
-    if not (np.all(np.isfinite(ladders)) and np.isfinite(norm_fine)):
-        raise NonFiniteError(
-            f"spectrum: the ladder scaled by omega = {p.omega:.17g} leaves float64")
-    analytic, coarse, fine, extrap = ladders
-    rows = tuple(SpectrumRow(n, float(analytic[n]), float(extrap[n])) for n in range(k))
-    return SpectrumReport(p, extended, rows, grid, tuple(map(float, coarse)),
-                          tuple(map(float, fine)), (how_coarse, how_fine), float(norm_fine))
-
-
-def _spectra(p, k, n_points, v_new_scale):
-    """Conventional and extended SpectrumReports on one grid pair, as `numeric_spectrum`
-    makes each: V_eff is evaluated once, on the fine nodes, and v_new once, for the
-    extended ladder, which adds it to the same V_eff.  At m = 0 v_new is zero, so the
-    extended matrices are the conventional ones bit for bit and their ladders are reused."""
-    grid = solver_grid(p, k, n_points)
-    fine = grid.refined()
-    v_eff = _v_eff(p, fine)
-    conv = _ladder(p, k, grid, v_eff, False)
-    if p.ext_index == 0 and np.isfinite(v_new_scale):
-        return conv, dataclasses.replace(conv, extended=True, solves=("reused", "reused"))
-    return conv, _ladder(p, k, grid, v_eff + _extension(p, fine, v_new_scale), True)
-
+# numeric spectra: the gates
 
 def isospectrality_check(p: ModelParams, k: int = 4, n_points: int | None = None,
                          v_new_scale: float = 1.0) -> VerificationReport:
     """Extended vs conventional vs analytic spectra, as a structured report.
 
-    Both ladders come from `_spectra`(p, k, n_points), which makes each as
-    `numeric_spectrum` does.  Tolerances: 1e-6 E_n
-    against the analytic ladder; tol_iso = max(1e-8 w, 25 eps ||T_fine||_1) between
-    the two numeric spectra, the second term being the eigensolver's roundoff floor on
-    the fine extended matrix.  v_new_scale != 1 perturbs the extension term (negative
-    control); failure is reported, not raised.  Each ladder's metadata records how its
-    coarse and fine levels were solved.
+    Both ladders come from `solver._spectra`(p, k, n_points), which makes each as
+    `solver.numeric_spectrum` does.  Tolerances: 1e-6 E_n against the analytic ladder;
+    tol_iso = max(1e-8 w, 25 eps ||T_fine||_1) between the two numeric spectra, the second
+    term being the eigensolver's roundoff floor on the fine extended matrix.
+    v_new_scale != 1 perturbs the extension term (negative control); failure is reported,
+    not raised.  Each ladder's metadata records how its coarse and fine levels were solved.
     """
     conv, ext = _spectra(p, k, n_points, v_new_scale)
     grid = conv.grid
     noise_floor = 25 * np.finfo(float).eps * ext.norm_fine
     tol_iso = max(1e-8 * p.omega, noise_floor)
-    radius = grid.rho_max + grid.spacing
     report = VerificationReport("isospectrality of the extended radial problem", p)
     report.metadata.update({
-        "k": k, "grid_points": grid.n_points, "spacing": grid.spacing,
-        "outer_radius": radius, "outer_margin_g": radius ** 2 - turning_point_g(k - 1, p),
+        "k": k, "grid_points": grid.n_points, "spacing": grid.spacing, "outer_radius": grid.radius,
+        "outer_margin_g": grid.radius ** 2 - turning_point_g(k - 1, p),
         "tol_iso": tol_iso, "bisection_noise_floor": noise_floor,
         "v_new_scale": v_new_scale,
     })
@@ -450,7 +340,7 @@ def convergence_orders(p: ModelParams, k: int = 3) -> ConvergenceStudy:
     """
     reports = [numeric_spectrum(p, k, n, extended=True) for n in (79, 159, 319)]
     e_exact = np.array([row.e_analytic for row in reports[0].rows])
-    hs = [rep.grid.rho_min for rep in reports] + [reports[-1].grid.rho_min / 2]
+    hs = [rep.grid.spacing for rep in reports] + [reports[-1].grid.spacing / 2]
     ladders = [rep.raw_coarse for rep in reports] + [reports[-1].raw_fine]
     raw = [float(np.max(np.abs(np.array(ladder) - e_exact))) for ladder in ladders]
     extrap = [max(row.abs_err for row in rep.rows) for rep in reports]

@@ -507,10 +507,11 @@ def test_residual_passes_at_large_m(m, tmp_path, capsys):
     meta = doc["metadata"]
     # levels 0-3 share the grid of level 3, which reaches furthest
     grid = verify.default_residual_grid(3, ModelParams.from_json_dict(doc["params"]))
-    assert set(meta) == {"spacing", "grid_points"} and meta["grid_points"] == grid.n_points
-    assert meta["spacing"] == grid.spacing and 0.049 < grid.spacing <= 0.05  # omega = 1
+    spacing = (grid[-1] - grid[0]) / (len(grid) - 1)
+    assert set(meta) == {"spacing", "grid_points"} and meta["grid_points"] == len(grid)
+    assert meta["spacing"] == spacing and 0.049 < spacing <= 0.05  # omega = 1
     text = (out / "report_residual.txt").read_text()
-    assert f"# grid_points: {grid.n_points}" in text and "fd_order" not in text
+    assert f"# grid_points: {len(grid)}" in text and "fd_order" not in text
 
 
 @pytest.mark.parametrize("cfg, suite, message", [
@@ -753,11 +754,59 @@ def test_spectrum_beyond_float64_exits_1_naming_the_stage(command, tmp_path, cap
     assert main(command + ["--config", str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     prefix = "suite spectrum: " if command[0] == "verify" else ""
-    assert captured.err == (f"xtcs: error: {prefix}spectrum: the ladder scaled by omega = "
-                            "1e+306 leaves float64\n")
+    assert captured.err == (f"xtcs: error: {prefix}spectrum: the fine matrix norm scaled by "
+                            "omega = 1e+306 leaves float64's normal range\n")
     assert captured.out == "" and not out.exists()
-    with pytest.raises(NonFiniteError, match="spectrum: the ladder scaled by omega"):
+    with pytest.raises(NonFiniteError, match="spectrum: the fine matrix norm scaled by omega"):
         verify.isospectrality_check(ModelParams(3, 1.0, 1, 1e306, ext_index=1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("perturb", [[], ["--perturb", "1.01"]])
+@pytest.mark.parametrize("omega", [1e-320, 3e-321])
+def test_spectrum_below_the_normal_range_exits_1_naming_the_stage(omega, perturb, tmp_path,
+                                                                   capsys):
+    # subnormal energies carry fewer than 53 bits: the 1 % control exited 0 at 1e-320 and the
+    # correct model exited 2 at 3e-321
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": omega, "s": 0, "m": 1}))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--suite", "spectrum", "--out", str(out)]
+                + perturb) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"xtcs: error: suite spectrum: spectrum: the ladder scaled by omega "
+                            f"= {omega:.17g} leaves float64's normal range\n")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", [["local-energy"], ["verify", "--suite", "local-energy"]])
+def test_local_energy_runs_in_trap_lengths_across_the_normal_range(command, tmp_path, capsys):
+    # at omega = 1e-308 the positions are ~1e154 and their squares left float64 ("rho must be
+    # finite"); at 1e306 v_new in physical units overflowed, and the sum of the energies
+    # would; at 1e-310 omega E_0 is subnormal, so the scan exits 1 naming its stage
+    path = tmp_path / "cfg.json"
+    for omega, code in ((1e-308, 0), (1e306, 0), (1e-310, 1)):
+        path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": omega, "s": 0,
+                                    "m": 1}))
+        assert main(command + ["--config", str(path), "--samples", "40"]) == code
+        captured = capsys.readouterr()
+        prefix = "suite local-energy: " if command[0] == "verify" else ""
+        assert captured.err == ("" if code == 0 else
+                                f"xtcs: error: {prefix}local energy: the energy scaled by "
+                                f"omega = {omega:.17g} leaves float64's normal range\n")
+
+
+@pytest.mark.parametrize("argv, points, levels", [
+    (["verify", "--suite", "spectrum", "--points", "2"], 2, 4),
+    (["verify", "--suite", "spectrum", "--levels", "12", "--points", "10"], 10, 12),
+    (["table", "--what", "spectrum", "--levels", "9", "--points", "5"], 5, 9),
+])
+def test_too_few_spectrum_points_name_the_flags(argv, points, levels, config, capsys):
+    assert main(argv + ["--config", config]) == 1
+    prefix = "suite spectrum: " if argv[0] == "verify" else ""
+    assert capsys.readouterr().err == (f"xtcs: error: {prefix}--points {points} is below "
+                                       f"max(3, --levels) = {max(3, levels)}\n")
 
 
 @pytest.mark.parametrize("omega", [1e-300, 1e160, 1e300])
@@ -805,7 +854,7 @@ def test_residual_suite_evaluates_v_new_once_for_its_levels(config, tmp_path, mo
     assert main(["verify", "--config", config, "--suite", "residual",
                  "--out", str(tmp_path)]) == 0
     p = cli.load_params(config)
-    assert calls == [verify.default_residual_grid(n, p).n_points for n in (3, 0)]
+    assert calls == [len(verify.default_residual_grid(n, p)) for n in (3, 0)]
 
 
 @pytest.mark.parametrize("m, v_new_calls", [(1, 1), (0, 0)])
@@ -819,7 +868,7 @@ def test_spectrum_grid_pair_evaluates_each_potential_once(m, v_new_calls, tmp_pa
     v_new = _count_calls(monkeypatch, solver, "v_new")
     assert main(["verify", "--config", str(path), "--suite", "spectrum",
                  "--out", str(tmp_path / "out")]) == 0
-    fine = verify.solver_grid(cli.load_params(str(path)), 4).refined().n_points
+    fine = solver.solver_grid(cli.load_params(str(path)), 4).refined().n_points
     assert v_eff == [fine] and v_new == [fine] * v_new_calls
 
 

@@ -92,13 +92,15 @@ def test_batched_local_energy_matches_scalar_reference(n):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pair_window_log_psi_derivatives_match_the_per_distance_loop():
+    # the jet path takes trap lengths s = sqrt(omega) x and trap-unit parameters
     n = 8
     for r in range(1, n):
         for m in (0, 1, 3):
             p = ModelParams(n, 1.3, r, 0.8, ext_index=m)
-            x = manybody._sample_positions(p, 20, seed=r + 10 * m)
-            for jet, loop in zip(manybody._log_psi_derivatives(x, p),
-                                 reference_log_psi_derivatives(x, p)):
+            s = np.sqrt(p.omega) * manybody._sample_positions(p, 20, seed=r + 10 * m)
+            unit = model.trap_units(p)
+            for jet, loop in zip(manybody._log_psi_derivatives(s, np.sum(s ** 2, axis=-1), unit),
+                                 reference_log_psi_derivatives(s, unit)):
                 np.testing.assert_allclose(jet.T, loop, rtol=1e-13,
                                            atol=1e-13 * np.max(np.abs(loop)))
 
@@ -247,6 +249,15 @@ def test_negative_control_perturbed_wavefunction():
     wrong = dataclasses.replace(p, coupling=p.coupling + 0.1)
     stats = constancy_scan(p, n_samples=60, seed=3, wavefunction_params=wrong)
     assert stats.relative_spread > 1e-2
+
+
+@pytest.mark.parametrize("change", [{"degree": 1}, {"n_particles": 4}, {"omega": 2.0}])
+def test_wavefunction_params_share_degree_zero_n_and_omega(change):
+    # Psi is evaluated in the Hamiltonian's trap lengths, so another omega cannot be honoured
+    p = ModelParams(3, 1.0, 1, 1.0, ext_index=1)
+    x = manybody._sample_positions(p, 2, seed=1)
+    with pytest.raises(ValidationError, match="wavefunction_params must have degree 0"):
+        local_energy(x, p, wavefunction_params=dataclasses.replace(p, **change))
 
 
 def test_negative_control_scaled_extension():

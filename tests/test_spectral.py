@@ -9,7 +9,7 @@ from xtcs import (ModelParams, NonFiniteError, ValidationError, cli, consistency
                   convergence_orders, energy_level, isospectrality_check, numeric_spectrum,
                   ode_residual, orthogonality_matrix, residual_suite, solver, solver_grid,
                   spectrum_csv_rows, verify, wavefunctions)
-from xtcs.model import turning_point_g, wall_g
+from xtcs.model import turning_point_g, v_eff_radial, wall_g
 from xtcs.quadrature import panel_nodes
 from xtcs.laguerre import r_variant_battery
 from xtcs.solver import (RadialGrid, hamiltonian_diagonals, lowest_eigenvalues, matrix_norm1,
@@ -23,12 +23,36 @@ FAST_POINTS = 6001  # sufficient for unit-level tolerances; acceptance uses the 
 
 
 def test_grid_refinement_halves_spacing():
-    g = solver_grid(ModelParams(2, 1.0, 1, 1.0), 3, n_points=500)
-    f = g.refined()
-    assert f.n_points == 2 * g.n_points + 1
-    assert f.spacing == pytest.approx(g.spacing / 2, rel=1e-12)
-    # same outer Dirichlet radius
-    assert f.rho_max + f.spacing == pytest.approx(g.rho_max + g.spacing, rel=1e-12)
+    # the Dirichlet pair: same outer radius, half the spacing, and the fine grid's odd nodes
+    # are the coarse nodes, which the coarse matrix reads from the fine potential
+    for p, k, n_points in ((ModelParams(2, 1.0, 1, 1.0), 3, 500),  # tau = 3
+                           (ModelParams(8, 1.0, 1, 1.0, ext_index=1), 4, None),  # tau = 21
+                           (ModelParams(3, 1.0, 1, 1e-12, ext_index=3), 12, 3001)):
+        g = solver_grid(p, k, n_points)
+        f = g.refined()
+        assert f.radius == g.radius
+        assert f.n_points == 2 * g.n_points + 1
+        assert f.spacing == pytest.approx(g.spacing / 2, rel=1e-12)
+        assert g.nodes[0] == g.spacing and g.nodes[-1] == pytest.approx(g.radius - g.spacing)
+        assert np.max(np.abs(f.nodes[1::2] - g.nodes)) <= 4 * np.spacing(g.radius)
+
+
+def test_hamiltonian_accepts_any_radial_grid():
+    # the grid type guarantees the Dirichlet zero one spacing below its first node
+    p = ModelParams(3, 1.0, 1, 1.0, ext_index=1)  # tau = 6
+    grid = RadialGrid(2.5, 7)
+    diag, off = hamiltonian_diagonals(p, grid, extended=True)
+    h = 2.5 / 8
+    nodes = h * np.arange(1, 8)
+    np.testing.assert_allclose(diag, 1 / h ** 2 + v_eff_radial(nodes, p, extended=True),
+                               rtol=1e-14)
+    assert np.array_equal(off, np.full(6, -0.5 / h ** 2))
+
+
+@pytest.mark.parametrize("radius, n_points", [(0.0, 5), (np.inf, 5), (1.0, 2), (1.0, 5.0)])
+def test_radial_grid_rejects_a_bad_radius_or_size(radius, n_points):
+    with pytest.raises(ValidationError, match="radius|n_points"):
+        RadialGrid(radius, n_points)
 
 
 def _wkb_margin(g_t):
@@ -48,11 +72,11 @@ def test_solver_grid_sized_from_tau_and_k(p, k, n_points, margin):
     grid = solver_grid(p, k)
     radius = float(np.sqrt((2 * (2 * (k - 1) + p.alpha + 1) + margin) / p.omega))
     assert grid.n_points == n_points
-    assert grid.rho_max == pytest.approx(radius * n_points / (n_points + 1), rel=1e-14)
-    assert grid.rho_max + grid.spacing == pytest.approx(radius, rel=1e-14)
+    assert grid.nodes[-1] == pytest.approx(radius * n_points / (n_points + 1), rel=1e-14)
+    assert grid.radius == pytest.approx(radius, rel=1e-14)
     explicit = solver_grid(p, k, n_points=3001)
     assert explicit.n_points == 3001
-    assert explicit.rho_max + explicit.spacing == pytest.approx(radius, rel=1e-14)
+    assert explicit.radius == pytest.approx(radius, rel=1e-14)
 
 
 def test_every_default_domain_ends_at_the_wall(monkeypatch, tmp_path, capsys):
@@ -80,8 +104,8 @@ def test_every_default_domain_ends_at_the_wall(monkeypatch, tmp_path, capsys):
     assert cli.main(["table", "--what", "potential", "--level", str(k - 1),
                      "--config", str(path)]) == 0
     table_rho_max = float(capsys.readouterr().out.splitlines()[-1].split(",")[0])
-    for radius in (tail_start, grid.rho_max + grid.spacing, study.spacings[0] * 80,
-                   suite_grid.rho_max, grids[-1].rho_max, table_rho_max):
+    for radius in (tail_start, grid.radius, study.spacings[0] * 80,
+                   suite_grid[-1], grids[-1][-1], table_rho_max):
         assert p.omega * radius ** 2 == pytest.approx(g_wall, rel=1e-14)
 
 
@@ -153,9 +177,8 @@ def test_spectrum_report_records_its_wall():
     p = make_params((3, 1.5, 2, 0, 1.0), 2)
     grid = solver_grid(p, 4)
     meta = isospectrality_check(p, 4).metadata
-    radius = grid.rho_max + grid.spacing
     assert meta["spacing"] == grid.spacing
-    assert meta["outer_radius"] == radius
+    assert meta["outer_radius"] == grid.radius
     assert meta["outer_margin_g"] == pytest.approx(_wkb_margin(24), rel=1e-12)  # tau = 11
 
 
@@ -311,7 +334,7 @@ def _fine_ladder_solves(monkeypatch, p, k):
 
     with monkeypatch.context() as mp:
         mp.setattr(flapack, "dgtsv", counted)
-        mp.setattr(verify, "lowest_eigenvalues", ladder)
+        mp.setattr(solver, "lowest_eigenvalues", ladder)
         assert numeric_spectrum(p, k, extended=True).solves == ("refined", "refined")
     coarse, fine = per_ladder
     return fine
@@ -331,7 +354,7 @@ def test_warm_and_cold_fine_ladders_agree_on_the_battery(monkeypatch):
             p = make_params(base, m)
             warm = isospectrality_check(p, 4).metadata
             with monkeypatch.context() as mp:  # every fine ladder starts from ones
-                mp.setattr(verify, "_prolonged", lambda vectors: None)
+                mp.setattr(solver, "_prolonged", lambda vectors: None)
                 cold = isospectrality_check(p, 4).metadata
             assert warm["tol_iso"] == cold["tol_iso"]
             for ladder in ("conventional", "extended"):
@@ -348,7 +371,7 @@ def test_fine_ladder_after_a_full_coarse_ladder_starts_cold_and_is_refined(monke
         calls.append(starts)
         return lowest_eigenvalues(diag, off, k, guesses if len(calls) > 1 else None, *starts)
 
-    monkeypatch.setattr(verify, "lowest_eigenvalues", coarse_full)
+    monkeypatch.setattr(solver, "lowest_eigenvalues", coarse_full)
     report = numeric_spectrum(p, 4, extended=True)
     assert report.solves == ("full", "refined") and calls == [(), (None,)]
     tol = EPS * report.norm_fine
@@ -396,7 +419,7 @@ def test_residual_is_at_rounding_level_on_any_grid(monkeypatch):
     # h = 0.05 here, falling like h^8).
     for p in (ModelParams(3, 1.0, 1, 1.0), ModelParams(3, 1.0, 1, 1.0, ext_index=3)):
         for h in (0.5, 0.05, 1e-3):
-            grid = RadialGrid(1.0, 4.0, round(3.0 / h) + 1)
+            grid = np.linspace(1.0, 4.0, round(3.0 / h) + 1)
             monkeypatch.setattr(verify, "default_residual_grid", lambda n, p: grid)
             assert ode_residual(0, p) <= 1e-14, (p, h)
 
@@ -409,9 +432,11 @@ def test_residual_grid_follows_the_trap_length(omega):
     p = ModelParams(3, 1.0, 2, omega, ext_index=2)
     unit = ModelParams(3, 1.0, 2, 1.0, ext_index=2)
     grid = verify.default_residual_grid(0, p)
-    assert grid == verify.default_residual_grid(0, unit)
-    assert grid.rho_min == 0.05 and 0.049 < grid.spacing <= 0.05
-    assert grid.rho_max == pytest.approx(np.sqrt(turning_point_g(0, p) + 40), rel=1e-15)
+    assert np.array_equal(grid, verify.default_residual_grid(0, unit))
+    step = (grid[-1] - grid[0]) / (len(grid) - 1)
+    assert grid[0] == 0.05 and 0.049 < step <= 0.05
+    np.testing.assert_allclose(np.diff(grid), step, rtol=1e-12)
+    assert grid[-1] == pytest.approx(np.sqrt(turning_point_g(0, p) + 40), rel=1e-15)
     assert ode_residual(0, p) == ode_residual(0, unit) <= 1e-8
 
 
@@ -424,7 +449,7 @@ def test_suite_residuals_give_the_standalone_verdicts():
     cases += [ModelParams(30, 2.0, 29, 1.0, ext_index=1)]
     for p in cases:
         grid, suite = verify._scaled_residuals(range(4), p)
-        assert grid == verify.default_residual_grid(3, p)
+        assert np.array_equal(grid, verify.default_residual_grid(3, p))
         standalone = [ode_residual(n, p) for n in range(4)]
         assert max(suite + standalone) <= 1e-8, p
         assert suite[3] == standalone[3]  # same grid, same code
