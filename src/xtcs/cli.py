@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .errors import NonFiniteError, QuadratureError, ResolutionError, ValidationError
-from .manybody import constancy_scan
 from .model import ModelParams, energy_level, ext_constants, v_eff_radial, wall_g
 from .verify import (_fmt, consistency_suite, isospectrality_check, local_energy_suite,
                      ortho_suite, residual_suite, spectrum_csv_rows)
@@ -102,7 +101,7 @@ def load_params(path) -> ModelParams:
         raise ValidationError(f"cannot read config {path}: {exc}")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
         raise ValidationError(f"config {path} is not valid JSON: {exc}")
     return ModelParams.from_json_dict(doc)
 
@@ -243,12 +242,12 @@ def cmd_verify(args) -> int:
 
 def cmd_local_energy(args) -> int:
     p = load_params(args.config)
-    stats = constancy_scan(p, args.samples, args.seed)
-    text = _json(stats.to_json_dict())
+    report = local_energy_suite(p, args.samples, args.seed, 1.0)
+    text = _json(report.metadata["scan"])
     print(text)
     if args.out:
         _write(args.out, "local_energy.json", text + "\n")
-    return 0 if stats.passed() else 2
+    return 0 if report.passed else 2
 
 
 def main(argv=None) -> int:

@@ -58,6 +58,11 @@ __all__ = [
     "r_variant_battery",
 ]
 
+# Cap on levels x points (fine matrix rows, Gram nodes), samples x particles and Laguerre
+# degree x points: ~0.2 us, 20 B each.  A recurrence step costs at least STEP_POINTS points.
+SIZE_BUDGET = 2 ** 23
+STEP_POINTS = 64
+
 
 def _check_index(name, value, minimum):
     if not isinstance(value, (int, np.integer)):
@@ -161,6 +166,16 @@ def _lag_step(k, alpha, x, cur, prev):
     return ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
 
 
+def _steps(n, x):
+    """range(1, n), the steps of a recurrence to degree n on x, or ValidationError before any
+    where n x max(points, STEP_POINTS) exceeds SIZE_BUDGET: a step on few points costs about
+    as much as on STEP_POINTS (3-5 us), so the budget bounds the time whatever m is."""
+    if n * max(x.size, STEP_POINTS) > SIZE_BUDGET:
+        raise ValidationError(f"Laguerre degree {n} (m, or a level) x max({x.size}, {STEP_POINTS}) "
+                              f"points exceeds the size budget of {SIZE_BUDGET}; lower m")
+    return range(1, n)
+
+
 def _lag_rows(n, alpha, x):
     """Yield L_0^(alpha)(x), ..., L_n^(alpha)(x) from one pass of the recurrence (nothing for
     n < 0); row j is `_lag`(j, alpha, x) bit for bit, no validation; x may be a Jet."""
@@ -171,7 +186,7 @@ def _lag_rows(n, alpha, x):
         return
     prev, cur = 1.0, 1 + alpha - x  # the k = 0 step
     yield cur
-    for k in range(1, n):
+    for k in _steps(n, x):
         cur, prev = _lag_step(k, alpha, x, cur, prev), cur
         yield cur
 
@@ -184,7 +199,7 @@ def _lag_pair(n, alpha, x):
         zero = np.zeros(x.shape)
         return zero, np.ones(x.shape) if n == 0 else zero
     prev, cur = 1.0, 1 + alpha - x  # the k = 0 step
-    for k in range(1, n):
+    for k in _steps(n, x):
         cur, prev = _lag_step(k, alpha, x, cur, prev), cur
     return prev, cur
 

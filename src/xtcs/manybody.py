@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import NonFiniteError, ValidationError
 from .laguerre import Jet, _lag
-from .model import (SIZE_BUDGET, Configuration, ModelParams, _omega_scaled, _pair_window,
-                    _row_blocks, energy_level, trap_units, v_interaction, v_new)
+from .model import (SIZE_BUDGET, Configuration, ModelParams, _omega_scaled, _pair_terms,
+                    energy_level, trap_units, v_new)
 
 __all__ = [
     "local_energy",
@@ -28,27 +28,17 @@ __all__ = [
 ]
 
 
-def _log_psi_derivatives(s, s2, wp: ModelParams):
+def _log_psi_derivatives(s, s2, wp: ModelParams, sums):
     """(d_i log Psi, d_i^2 log Psi), each (N, S), at ordered positions s (S, N) in trap
     lengths, for trap-unit wp.  Pairs: the jet log rule on each gap u = s_j - s_i (d_j u = 1
-    = -d_i u, d^2 u = 0) of the window |i - j| <= r gives lambda (+-1/u, -1/u^2); one pass
-    gathers every 1/u and each particle sums its `_pair_window` partners, in blocks under
-    model.BLOCK_ELEMENTS.  Radial part: -g/2 + log L_m^(alpha)(-g) - log L_m^(alpha-1)(-g)
-    on a Jet in g = s2 = |s|^2 (the caller's), chained through d_i g = 2 s_i, d_i^2 g = 2."""
-    n, st = s.shape[-1], s.T
-    left, right, partner, sign = _pair_window(n, wp.trunc_range)[:4]
-    grad, lap = np.empty(st.shape), np.empty(st.shape)
-    for rows in _row_blocks(len(s), len(left) + 2 * partner.size):
-        block = st[:, rows]
-        inv = np.zeros((len(left) + 1, block.shape[1]))  # (pairs + padding, samples)
-        np.divide(1, block[right] - block[left], out=inv[:-1])
-        near = inv[partner]  # (partners, N, samples)
-        grad[:, rows] = np.sum(sign * near, axis=0)
-        lap[:, rows] = np.sum(near * near, axis=0)
-    g = Jet(s2, 1.0, 0.0)
+    = -d_i u, d^2 u = 0) of the window |i - j| <= r gives lambda (+-1/u, -1/u^2), and sums
+    are their partner sums (sum +-1/u, sum 1/u^2) from `model._pair_terms`.  Radial part:
+    -g/2 + log L_m^(alpha)(-g) - log L_m^(alpha-1)(-g) on a Jet in g = s2 = |s|^2 (the
+    caller's), chained through d_i g = 2 s_i, d_i^2 g = 2."""
+    (grad, lap), g = sums, Jet(s2, 1.0, 0.0)
     m, a = wp.ext_index, wp.alpha
     radial = -g / 2 + np.log(_lag(m, a, -g)) - np.log(_lag(m, a - 1, -g))
-    dg = 2 * st
+    dg = 2 * s.T
     return (wp.coupling * grad + radial.d1 * dg,
             radial.d2 * dg ** 2 + 2 * radial.d1 - wp.coupling * lap)
 
@@ -61,7 +51,8 @@ def local_energy(c, p: ModelParams, v_new_scale: float = 1.0,
     It runs in trap lengths s = sqrt(omega) x at `model.trap_units`(p), where H(omega) =
     omega H(1): the kinetic term -1/2 sum_i (d_i^2 log Psi + (d_i log Psi)^2), from
     `_log_psi_derivatives`, the trap, v_interaction and v_new are summed, then scaled by
-    `model._omega_scaled`.  wavefunction_params evaluates Psi with other parameters, omega
+    `model._omega_scaled`; one `model._pair_terms` pass gives the interaction and the pair
+    part of log Psi.  wavefunction_params evaluates Psi with other parameters, r and omega
     excepted (negative control: a perturbed Psi is not an eigenfunction); v_new_scale scales
     the extension term of H only.  A NaN or infinite term raises NonFiniteError naming it."""
     if p.degree != 0:
@@ -74,16 +65,16 @@ def local_energy(c, p: ModelParams, v_new_scale: float = 1.0,
     if not (np.all(np.isfinite(x)) and np.all(np.diff(x, axis=-1) > 0)):
         raise ValidationError("positions must be finite and strictly increasing")
     wp = p if wavefunction_params is None else wavefunction_params
-    if wp.degree != 0 or wp.n_particles != p.n_particles or wp.omega != p.omega:
-        raise ValidationError("wavefunction_params must have degree 0 and the same N and omega")
+    if wp.degree or (wp.n_particles, wp.trunc_range, wp.omega) != (p.n_particles, p.trunc_range, p.omega):
+        raise ValidationError("wavefunction_params must have degree 0 and the same N, r and omega")
 
     unit, s = trap_units(p), math.sqrt(p.omega) * x
     with np.errstate(over="ignore", invalid="ignore"):  # each stage raises on its result
         s2 = np.sum(s ** 2, axis=-1)
-        grad, lap = _log_psi_derivatives(s, s2, trap_units(wp))
+        interaction, *sums = _pair_terms(s, unit)
+        grad, lap = _log_psi_derivatives(s, s2, trap_units(wp), sums)
         kinetic = -0.5 * np.sum(lap + grad * grad, axis=0)
         extension = v_new_scale * v_new(np.sqrt(s2), unit)
-        interaction = v_interaction(s, unit)
     for stage, term in (("kinetic energy", kinetic), ("v_new", extension),
                         ("v_interaction", interaction)):
         if not np.all(np.isfinite(term)):
@@ -120,6 +111,10 @@ def sample_configurations(p: ModelParams, n_samples: int, seed: int):
     return [Configuration(tuple(x)) for x in _sample_positions(p, n_samples, seed)]
 
 
+# The verdict: relative spread and relative mean error against E_0 each at most this.
+CONSTANCY_GATE = 1e-5
+
+
 @dataclass(frozen=True)
 class ConstancyStats:
     """Summary of a local-energy scan over sampled configurations."""
@@ -141,7 +136,7 @@ class ConstancyStats:
         return abs(self.mean - self.e_analytic) / abs(self.e_analytic)
 
     def passed(self) -> bool:
-        return self.relative_spread <= 1e-5 and self.relative_mean_error <= 1e-5
+        return self.relative_spread <= CONSTANCY_GATE and self.relative_mean_error <= CONSTANCY_GATE
 
     def to_json_dict(self):
         return {"params": self.params.to_json_dict(), "n_samples": self.n_samples,

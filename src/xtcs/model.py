@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import AttractiveCouplingWarning, NonFiniteError, ValidationError
-from .laguerre import _check_index, _check_nonnegative, _lag, _lag_pair, _maybe_scalar
+from .laguerre import (SIZE_BUDGET, _check_index, _check_nonnegative, _lag, _lag_pair,
+                       _maybe_scalar)
 
 __all__ = [
     "ModelParams",
@@ -38,11 +40,9 @@ __all__ = [
     "v_eff_radial",
 ]
 
-PARAM_JSON_KEYS = ("N", "lambda", "r", "omega", "s", "m")
+PARAM_JSON_KEYS = ("N", "lambda", "r", "omega", "s", "m")  # in the order of ModelParams' fields
 # WKB decay of the top level between its turning point and the wall of a default domain.
 WALL_DECAY_NATS = 19.3
-# Cap on levels x points (fine matrix rows, Gram nodes), samples x particles: ~0.2 us, 20 B each.
-SIZE_BUDGET = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -67,21 +67,34 @@ class ModelParams:
     ext_index: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_particles, (int, np.integer)) or self.n_particles < 2:
-            raise ValidationError(f"n_particles (N) must be an integer >= 2, got {self.n_particles!r}")
-        if not isinstance(self.trunc_range, (int, np.integer)):
-            raise ValidationError(f"trunc_range (r) must be an integer, got {self.trunc_range!r}")
-        if not 1 <= self.trunc_range <= self.n_particles - 1:
+        """The one parameter gate: N, r, s and m are integers and lambda and omega real numbers,
+        kept as floats, none of them a bool; lambda, omega and tau are finite float64."""
+        for label, value, low in (("n_particles (N)", self.n_particles, 2),
+                                  ("trunc_range (r)", self.trunc_range, 1),
+                                  ("degree (s)", self.degree, 0),
+                                  ("ext_index (m)", self.ext_index, 0)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValidationError(f"{label} must be an integer >= {low}, got {value!r}")
+        if self.trunc_range > self.n_particles - 1:
             raise ValidationError(
                 f"trunc_range (r) must satisfy 1 <= r <= N-1 = {self.n_particles - 1}, got {self.trunc_range}")
-        if not (np.isfinite(self.coupling) and self.coupling > 0):
-            raise ValidationError(f"coupling (lambda) must be > 0, got {self.coupling!r}")
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise ValidationError(f"omega must be > 0, got {self.omega!r}")
-        if not isinstance(self.degree, (int, np.integer)) or self.degree < 0:
-            raise ValidationError(f"degree (s) must be an integer >= 0, got {self.degree!r}")
-        if not isinstance(self.ext_index, (int, np.integer)) or self.ext_index < 0:
-            raise ValidationError(f"ext_index (m) must be an integer >= 0, got {self.ext_index!r}")
+        for name, label in (("coupling", "coupling (lambda)"), ("omega", "omega")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{label} must be a number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValidationError(f"{label} must be a finite float64") from None
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{label} must be finite and > 0, got {value!r}")
+            object.__setattr__(self, name, value)
+        try:
+            tau = self.tau
+        except OverflowError:  # N, s or r past float64
+            tau = math.inf
+        if not math.isfinite(tau):
+            raise ValidationError("tau = N + 2s - 1 + lambda r (2N - r - 1) leaves float64")
         if self.coupling < 1:
             warnings.warn(
                 f"coupling = {self.coupling} is in (0, 1): the two-body interaction is attractive",
@@ -119,7 +132,8 @@ class ModelParams:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelParams":
-        """Build from a JSON document with exactly the keys N, lambda, r, omega, s, m."""
+        """Build from a JSON document with exactly the keys N, lambda, r, omega, s, m; the
+        values are checked by __post_init__."""
         if not isinstance(data, dict):
             raise ValidationError(f"parameter document must be a JSON object, got {type(data).__name__}")
         unknown = sorted(set(data) - set(PARAM_JSON_KEYS))
@@ -128,20 +142,7 @@ class ModelParams:
         missing = sorted(set(PARAM_JSON_KEYS) - set(data))
         if missing:
             raise ValidationError(f"missing parameter keys: {', '.join(missing)}")
-        for key in ("N", "r", "s", "m"):
-            if not isinstance(data[key], int) or isinstance(data[key], bool):
-                raise ValidationError(f"key {key!r} must be an integer, got {data[key]!r}")
-        for key in ("lambda", "omega"):
-            if not isinstance(data[key], (int, float)) or isinstance(data[key], bool):
-                raise ValidationError(f"key {key!r} must be a number, got {data[key]!r}")
-        return cls(
-            n_particles=data["N"],
-            coupling=float(data["lambda"]),
-            trunc_range=data["r"],
-            omega=float(data["omega"]),
-            degree=data["s"],
-            ext_index=data["m"],
-        )
+        return cls(*(data[key] for key in PARAM_JSON_KEYS))
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ def _pair_window(n: int, r: int):
     """Index arrays of the window |i - j| <= r, built once per (N, r) and read-only.
 
     left, right -- the P pairs i < j <= i + r, ordered by j - i, then i; index P, one
-                   past the last pair, is the padding slot, where callers keep a zero
+                   past the last pair, is the padding slot, where `_pair_terms` keeps a zero
     partner     -- (min(2r, N - 1), N): column i holds the pairs of particle i, by partner
     sign        -- partner's shape + (1,): +1 where particle i is that pair's right end
     triples     -- (2, min(r, N - 1 - r), N): the boundary triples (i, j, k) with
@@ -279,6 +280,31 @@ def _pair_window(n: int, r: int):
     return arrays
 
 
+def _pair_terms(rows, p: ModelParams):
+    """One pass over the window |i - j| <= r of the ordered (S, N) rows, in blocks of rows
+    under BLOCK_ELEMENTS, each gathering every 1/u, u = x_j - x_i, once (`_pair_window`).
+    Returns the interaction of each row (`v_interaction`: each middle particle sums its
+    boundary triples as inner legs times running sums of outer legs) and each particle's
+    partner sums (sum +-1/u, sum 1/u^2), each (N, S), + where it is the right end: lambda
+    times them is the pair part of (d_i log Psi, d_i^2 log Psi)."""
+    n, lam, st = rows.shape[-1], p.coupling, rows.T
+    left, right, partner, sign, triples, running = _pair_window(n, p.trunc_range)
+    total, grad, lap = np.empty(len(rows)), np.empty(st.shape), np.empty(st.shape)
+    for block in _row_blocks(len(rows), len(left) + triples.size + 2 * partner.size):
+        xt = st[:, block]
+        width = xt.shape[1]
+        inv = np.zeros((len(left) + 1, width))  # (pairs, samples) and the zero padding slot
+        np.divide(1, xt[right] - xt[left], out=inv[:-1])
+        inner, outer = np.take(inv, triples, axis=0).reshape(2, len(running), n * width)
+        three = (inner * (running @ outer)).reshape(-1, width)
+        terms = np.concatenate((lam * (lam - 1) * inv * inv, -lam ** 2 * three))
+        # each sample sums its own contiguous row, so the blocks do not change its total
+        total[block] = np.ascontiguousarray(terms.T).sum(axis=1)
+        near = inv[partner]  # (partners, N, samples)
+        grad[:, block], lap[:, block] = np.sum(sign * near, axis=0), np.sum(near * near, axis=0)
+    return total, grad, lap
+
+
 def v_interaction(c, p: ModelParams):
     """Two- plus three-body interaction energy.
 
@@ -292,29 +318,13 @@ def v_interaction(c, p: ModelParams):
     and it makes the full-range limit r = N-1 three-body free.
 
     c is a Configuration (a float) or an array of ordered positions with last
-    axis N (one value per row).  One pass over the window's pairs: every
-    1 / (x_j - x_i) is gathered at once, and each middle particle sums its
-    boundary triples as its inner legs times running sums of its outer legs
-    (_pair_window), in blocks of rows under BLOCK_ELEMENTS.
+    axis N (one value per row), summed in the one pass of `_pair_terms`.
     """
     x = np.asarray(c.positions if isinstance(c, Configuration) else c, dtype=float)
-    n, lam = x.shape[-1], p.coupling
+    n = x.shape[-1]
     if n != p.n_particles:
         raise ValidationError(f"configuration has {n} positions but n_particles = {p.n_particles}")
-    left, right, _, _, triples, running = _pair_window(n, p.trunc_range)
-    rows = x.reshape(-1, n)
-    total = np.empty(len(rows))
-    for block in _row_blocks(len(rows), len(left) + triples.size):
-        xt = rows[block].T
-        width = xt.shape[1]
-        inv = np.zeros((len(left) + 1, width))  # (pairs, samples) and the zero padding slot
-        np.divide(1, xt[right] - xt[left], out=inv[:-1])
-        inner, outer = np.take(inv, triples, axis=0).reshape(2, len(running), n * width)
-        three = (inner * (running @ outer)).reshape(-1, width)
-        terms = np.concatenate((lam * (lam - 1) * inv * inv, -lam ** 2 * three))
-        # each sample sums its own contiguous row, so the blocks do not change its total
-        total[block] = np.ascontiguousarray(terms.T).sum(axis=1)
-    total = total.reshape(x.shape[:-1])[()]
+    total = _pair_terms(x.reshape(-1, n), p)[0].reshape(x.shape[:-1])[()]
     return float(total) if isinstance(c, Configuration) else total
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ValidationError
 from .laguerre import Jet, _check_index, r_variant_battery, r_variant_residuals
-from .manybody import constancy_scan
+from .manybody import CONSTANCY_GATE, constancy_scan
 from .model import (ModelParams, energy_level, ext_constants, trap_units, turning_point_g,
                     v_new, v_new_x1_two_term, wall_g)
 from .solver import _spectra, numeric_spectrum
@@ -309,11 +309,12 @@ def consistency_suite(p: ModelParams) -> VerificationReport:
 def local_energy_suite(p: ModelParams, n_samples: int, seed: int,
                        v_new_scale: float) -> VerificationReport:
     """`manybody.constancy_scan`(p, n_samples, seed, v_new_scale): its relative spread and
-    relative mean error against E_0, each <= 1e-5, with the scan in the metadata."""
+    relative mean error against E_0, each <= `manybody.CONSTANCY_GATE`, with the scan in the
+    metadata; `xtcs local-energy` prints that scan and exits from this verdict."""
     report = VerificationReport("many-body local-energy constancy", p)
     stats = constancy_scan(p, n_samples, seed, v_new_scale=v_new_scale)
-    report.add("stddev / |mean|", stats.relative_spread, 1e-5)
-    report.add("|mean - E_0| / E_0", stats.relative_mean_error, 1e-5)
+    report.add("stddev / |mean|", stats.relative_spread, CONSTANCY_GATE)
+    report.add("|mean - E_0| / E_0", stats.relative_mean_error, CONSTANCY_GATE)
     report.metadata["scan"] = stats.to_json_dict()
     return report
 

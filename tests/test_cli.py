@@ -75,6 +75,34 @@ def test_unknown_key_exits_1(tmp_path, capsys):
     assert "zeta" in capsys.readouterr().err
 
 
+BIG = "1" + "0" * 400  # a JSON integer of 401 digits
+
+
+@pytest.mark.parametrize("key, literal, message", [
+    ("lambda", BIG, "coupling (lambda) must be a finite float64"),
+    ("omega", BIG, "omega must be a finite float64"),
+    ("N", BIG, "tau = N + 2s - 1 + lambda r (2N - r - 1) leaves float64"),
+    ("s", BIG, "tau = N + 2s - 1 + lambda r (2N - r - 1) leaves float64"),
+    ("lambda", "true", "coupling (lambda) must be a number, got True"),
+    ("lambda", '"1"', "coupling (lambda) must be a number, got '1'"),
+    ("r", "true", "trunc_range (r) must be an integer >= 1, got True"),
+    ("m", "1" * 5000, "is not valid JSON: Exceeds the limit (4300 digits)"),
+], ids=["lambda-401-digits", "omega-401-digits", "N-401-digits", "s-401-digits", "lambda-true",
+        "lambda-string", "r-true", "m-5000-digits"])
+def test_parameter_past_float64_or_of_the_wrong_type_exits_1_with_one_line(key, literal, message,
+                                                                           tmp_path, capsys):
+    # a 401-digit integer raised OverflowError from float() or from tau; one past the
+    # interpreter's 4300-digit limit raised ValueError from json.loads
+    path = tmp_path / "cfg.json"
+    doc = {"N": 3, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": 1, key: None}
+    path.write_text(json.dumps(doc).replace("null", literal))
+    for command in (["params"], ["local-energy"], ["verify", "--suite", "residual"]):
+        assert main(command + ["--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("xtcs: error: ") and message in captured.err
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["table", "--what", "potential"]) == 1  # missing --config
 
@@ -450,6 +478,45 @@ def test_size_above_the_budget_exits_1_before_any_work(argv, message, tmp_path, 
     assert err.count("\n") == 1
     assert err.endswith("; lower --levels\n" if "ortho" in argv else
                         "; lower --levels or --points\n")
+
+
+@pytest.mark.parametrize("m", [10 ** 6, 10 ** 12])
+@pytest.mark.parametrize("argv, prefix", [
+    (["verify", "--suite", "residual"], "suite residual: "),
+    (["verify", "--suite", "spectrum"], "suite spectrum: "),
+    (["verify", "--suite", "ortho"], "suite ortho: "),
+    (["verify", "--suite", "local-energy"], "suite local-energy: "),
+    (["verify", "--suite", "all"], "suite residual: "),
+    (["local-energy"], ""),
+    (["local-energy", "--samples", "1"], ""),
+    (["table", "--what", "potential"], ""),
+    (["table", "--what", "potential", "--points", "2"], ""),
+    (["table", "--what", "wavefunction"], ""),
+    (["table", "--what", "spectrum"], ""),
+])
+def test_laguerre_degree_above_the_budget_exits_1_before_any_work(m, argv, prefix, tmp_path,
+                                                                   capsys):
+    # the recurrence runs m steps: m = 1e6 took 23-55 s a call, and m = 1e12 never finished
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 1, "omega": 1, "s": 0, "m": m}))
+    start = time.perf_counter()
+    assert main(argv + ["--config", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"xtcs: error: {prefix}Laguerre degree {m} (m, or a level) x ")
+    assert captured.err.endswith(" exceeds the size budget of 8388608; lower m\n")
+
+
+@pytest.mark.parametrize("m, argv, expected", [
+    (500, ["verify", "--suite", "all"], "".join(f"{s}: PASS\n" for s in SUITES)),
+    (10 ** 4, ["verify", "--suite", "local-energy"], "local-energy: PASS\n"),
+])
+def test_large_m_under_the_degree_budget_still_passes(m, argv, expected, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 3, "lambda": 1, "r": 2, "omega": 1, "s": 0, "m": m}))
+    assert main(argv + ["--config", str(path)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("cfg, levels", [

@@ -99,7 +99,9 @@ def test_pair_window_log_psi_derivatives_match_the_per_distance_loop():
             p = ModelParams(n, 1.3, r, 0.8, ext_index=m)
             s = np.sqrt(p.omega) * manybody._sample_positions(p, 20, seed=r + 10 * m)
             unit = model.trap_units(p)
-            for jet, loop in zip(manybody._log_psi_derivatives(s, np.sum(s ** 2, axis=-1), unit),
+            sums = model._pair_terms(s, unit)[1:]
+            for jet, loop in zip(manybody._log_psi_derivatives(s, np.sum(s ** 2, axis=-1), unit,
+                                                               sums),
                                  reference_log_psi_derivatives(s, unit)):
                 np.testing.assert_allclose(jet.T, loop, rtol=1e-13,
                                            atol=1e-13 * np.max(np.abs(loop)))
@@ -114,22 +116,21 @@ def test_sample_blocks_give_the_one_block_energies(monkeypatch):
         sizes.append([len(range(n_rows)[block]) for block in blocks])
         return blocks
 
-    monkeypatch.setattr(model, "_row_blocks", recorded)
-    monkeypatch.setattr(manybody, "_row_blocks", recorded)
+    monkeypatch.setattr(model, "_row_blocks", recorded)  # one walk per call, in model alone
     for n, r, m in ((8, 1, 2), (8, 3, 0), (8, 7, 1), (12, 5, 3)):
         p = ModelParams(n, 1.6, r, 1.1, ext_index=m)
         x = manybody._sample_positions(p, 23, seed=n + r)
         monkeypatch.setattr(model, "BLOCK_ELEMENTS", default)
         sizes.clear()
         whole = local_energy(x, p), v_interaction(x, p)
-        assert sizes == [[23]] * 3
+        assert sizes == [[23]] * 2
         for budget in (1, 200, 1000):  # one sample per block, then blocks of several
             monkeypatch.setattr(model, "BLOCK_ELEMENTS", budget)
             sizes.clear()
             np.testing.assert_array_equal(local_energy(x, p), whole[0])
             np.testing.assert_array_equal(v_interaction(x, p), whole[1])
-            assert len(sizes) == 3 and all(sum(s) == len(x) for s in sizes)
-            assert budget > 1 or sizes == [[1] * len(x)] * 3
+            assert len(sizes) == 2 and all(sum(s) == len(x) for s in sizes)
+            assert budget > 1 or sizes == [[1] * len(x)] * 2
             if budget == 200 and (n, r) == (8, 1):
                 assert all(len(s) > 1 and max(s) > 1 for s in sizes), sizes
 
@@ -199,7 +200,9 @@ def test_non_finite_terms_raise_naming_their_stage(monkeypatch):
     p = ModelParams(3, 2.0, 1, 1.0)
     with pytest.raises(NonFiniteError, match="local energy: kinetic energy is not finite"):
         local_energy(np.array([[-1.0, 0.0, 1e-170]]), p)  # 1/gap^2 leaves float64
-    monkeypatch.setattr(manybody, "v_interaction", lambda x, p: np.full(len(x), np.inf))
+    pair_terms = model._pair_terms
+    monkeypatch.setattr(manybody, "_pair_terms",
+                        lambda s, p: (np.full(len(s), np.inf), *pair_terms(s, p)[1:]))
     with pytest.raises(NonFiniteError, match="local energy: v_interaction is not finite"):
         local_energy(np.array([[-1.0, 0.0, 1.0]]), p)
 
@@ -251,9 +254,11 @@ def test_negative_control_perturbed_wavefunction():
     assert stats.relative_spread > 1e-2
 
 
-@pytest.mark.parametrize("change", [{"degree": 1}, {"n_particles": 4}, {"omega": 2.0}])
+@pytest.mark.parametrize("change", [{"degree": 1}, {"n_particles": 4}, {"omega": 2.0},
+                                    {"trunc_range": 2}])
 def test_wavefunction_params_share_degree_zero_n_and_omega(change):
-    # Psi is evaluated in the Hamiltonian's trap lengths, so another omega cannot be honoured
+    # Psi is evaluated in the Hamiltonian's trap lengths, so another omega cannot be honoured,
+    # and on its pair window, so another r cannot either
     p = ModelParams(3, 1.0, 1, 1.0, ext_index=1)
     x = manybody._sample_positions(p, 2, seed=1)
     with pytest.raises(ValidationError, match="wavefunction_params must have degree 0"):

@@ -9,6 +9,7 @@ pinned by that identity (finite differences, no trust in hand algebra).
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,27 @@ def test_param_validation():
         ModelParams(3, 1.0, 1, 0.0)
     with pytest.raises(ValidationError):
         ModelParams(3, 1.0, 1, 1.0, degree=-1)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3, "1", 1, 1.0), "coupling (lambda) must be a number, got '1'"),
+    ((3, True, 1, 1.0), "coupling (lambda) must be a number, got True"),
+    ((3, 1.0, 1, 10 ** 400), "omega must be a finite float64"),
+    ((3, 1.0, True, 1.0), "trunc_range (r) must be an integer >= 1, got True"),
+    ((3, 1.0, 1, 1.0, False), "degree (s) must be an integer >= 0, got False"),
+    ((10 ** 400, 1.0, 1, 1.0), "tau = N + 2s - 1 + lambda r (2N - r - 1) leaves float64"),
+    ((3, 1e308, 2, 1.0), "tau = N + 2s - 1 + lambda r (2N - r - 1) leaves float64"),
+])
+def test_the_parameter_gate_names_the_field(args, message):
+    # "1" raised TypeError from np.isfinite; True made tau the int 6 and "lambda": true
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ModelParams(*args)
+
+
+def test_lambda_and_omega_are_stored_as_floats():
+    p = ModelParams(3, 2, 1, np.float32(0.5))
+    assert (type(p.coupling), type(p.omega), p.to_json_dict()["lambda"]) == (float, float, 2.0)
+    assert p == ModelParams(3, 2.0, 1, 0.5) and type(p.tau) is float
 
 
 def test_attractive_coupling_warns():
